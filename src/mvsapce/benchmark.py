@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, MvsaError
-from .multi_index import total_degree_set
+from .multi_index import parse_total_degree, total_degree_set
 from .mvsa_engine import FitDiagnostics, MvsaConfig, PceModel, fit_fixed, fit_mvsa, predict
 from .polynomial_basis import DistributionSpec, Marginal
-from .regression import TrainingData, rmse
+from .regression import TrainingData, rmse, write_csv_table, write_json_file
 from .uq import RNG_ALGORITHM, MomentReport, moments, monte_carlo_reference
 
 
@@ -72,8 +72,6 @@ def beam_deflection(params, n_points: int) -> np.ndarray:
     inputs) are ignored.
     """
     params = np.asarray(params, dtype=float).ravel()
-    if params.size < 5:
-        raise DataError(f"beam model needs 5 physical parameters, got {params.size}")
     return beam_deflection_rows(params[None, :], n_points)[0]
 
 
@@ -123,27 +121,27 @@ class ExperimentPlan:
             raise ConfigError(f"test_size must be >= 1, got {self.test_size}")
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ConfigError("plan seeds must be non-empty and distinct")
+        if min(self.seeds + (self.mcs_seed,)) < 0:
+            raise ConfigError("plan seeds and mcs_seed must be non-negative")
         if self.mcs_seed in self.seeds:
             raise ConfigError("mcs_seed must lie outside the plan's seed list")
         if self.mcs_samples < 2:
             raise ConfigError(f"mcs_samples must be >= 2, got {self.mcs_samples}")
+        if not self.methods:
+            raise ConfigError("plan needs at least one method")
         for method in self.methods:
             _parse_method(method)
+        MvsaConfig(kappa=self.kappa)  # the adaptive fit's own kappa check
 
 
 def _parse_method(method: str) -> int | None:
     """Validate a method name; returns the TD degree or None for mvsa."""
     if method == "mvsa":
         return None
-    if method.startswith("td:"):
-        try:
-            degree = int(method[3:])
-        except ValueError:
-            raise ConfigError(f"malformed method {method!r}") from None
-        if degree < 0:
-            raise ConfigError(f"total-degree method needs degree >= 0, got {degree}")
-        return degree
-    raise ConfigError(f"unknown method {method!r} (expected 'mvsa' or 'td:<p>')")
+    degree = parse_total_degree(method)
+    if degree is None:
+        raise ConfigError(f"unknown method {method!r} (expected 'mvsa' or 'td:<p>')")
+    return degree
 
 
 def _fit_method(method: str, data: TrainingData, spec: DistributionSpec, kappa: float) -> PceModel:
@@ -208,35 +206,27 @@ def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentR
             data = TrainingData(inputs=train_x, responses=config.response(train_x))
             test_y = config.response(test_x)
             for method in plan.methods:
+                key = {"method": method, "training_size": q, "seed": seed}
                 try:
                     started = time.perf_counter()
                     model = _fit_method(method, data, spec, plan.kappa)
                     fit_seconds = time.perf_counter() - started
                     cell_rmse = rmse(predict(model, test_x), test_y)
                     moment_report = moments(model)
-                    cells.append(
-                        CellResult(
-                            method=method,
-                            training_size=q,
-                            seed=seed,
-                            ok=True,
-                            rmse=cell_rmse,
-                            mean=moment_report.mean,
-                            std=moment_report.std,
-                            fit_seconds=fit_seconds,
-                            diagnostics=model.diagnostics,
-                        )
-                    )
                 except MvsaError as exc:
-                    cells.append(
-                        CellResult(
-                            method=method,
-                            training_size=q,
-                            seed=seed,
-                            ok=False,
-                            error=str(exc),
-                        )
+                    cells.append(CellResult(**key, ok=False, error=str(exc)))
+                    continue
+                cells.append(
+                    CellResult(
+                        **key,
+                        ok=True,
+                        rmse=cell_rmse,
+                        mean=moment_report.mean,
+                        std=moment_report.std,
+                        fit_seconds=fit_seconds,
+                        diagnostics=model.diagnostics,
                     )
+                )
     return ExperimentReport(config=config, plan=plan, reference=reference, cells=tuple(cells))
 
 
@@ -249,8 +239,43 @@ def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentR
 # that reason.
 
 
-def _csv_line(parts) -> str:
-    return ",".join(str(p) for p in parts) + "\r\n"
+_METRICS = ("rmse", "moments", "timing", "degrees")
+_REPORT_HEADER = ("method", "Q", "seed", "output_index_or_aggregate", "value")
+
+
+def _per_output(prefix: str, values) -> list[tuple[str, str]]:
+    return [(f"{prefix}{m + 1}", repr(float(v))) for m, v in enumerate(values)]
+
+
+def _cell_values(metric: str, cell: CellResult):
+    """(output_index_or_aggregate, value) pairs of one completed cell."""
+    if metric == "rmse":
+        return _per_output("", cell.rmse) + [("max", repr(float(np.max(cell.rmse))))]
+    if metric == "moments":
+        return _per_output("mean:", cell.mean) + _per_output("std:", cell.std)
+    if metric == "timing":
+        return [("fit_seconds", repr(float(cell.fit_seconds)))]
+    diag = cell.diagnostics
+    return [
+        ("max_total_degree", diag.max_total_degree),
+        ("max_univariate_degree", diag.max_univariate_degree),
+        ("basis_size", diag.basis_size),
+        ("condition_number", repr(float(diag.condition_number))),
+        ("iterations", diag.iterations),
+        ("pruned_count", diag.pruned_count),
+    ]
+
+
+def _report_rows(report: ExperimentReport, metric: str):
+    """Long-format rows of one metric file, streamed cell by cell."""
+    if metric == "moments":
+        reference = report.reference
+        for key, value in _per_output("mean:", reference.mean) + _per_output("std:", reference.std):
+            yield "mcs", 0, report.plan.mcs_seed, key, value
+    for cell in report.cells:
+        if cell.ok:
+            for key, value in _cell_values(metric, cell):
+                yield cell.method, cell.training_size, cell.seed, key, value
 
 
 def write_experiment_report(report: ExperimentReport, out_dir) -> dict[str, str]:
@@ -258,91 +283,11 @@ def write_experiment_report(report: ExperimentReport, out_dir) -> dict[str, str]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = plan_hash(report.config, report.plan)
-    paths = {
-        "rmse": out_dir / f"rmse_{tag}.csv",
-        "moments": out_dir / f"moments_{tag}.csv",
-        "timing": out_dir / f"timing_{tag}.csv",
-        "degrees": out_dir / f"degrees_{tag}.csv",
-        "summary": out_dir / f"summary_{tag}.json",
-    }
-    header = _csv_line(["method", "Q", "seed", "output_index_or_aggregate", "value"])
-
-    with paths["rmse"].open("w", encoding="utf-8", newline="") as handle:
-        handle.write(header)
-        for cell in report.cells:
-            if not cell.ok:
-                continue
-            for m, value in enumerate(cell.rmse):
-                handle.write(
-                    _csv_line([cell.method, cell.training_size, cell.seed, m + 1, repr(float(value))])
-                )
-            handle.write(
-                _csv_line(
-                    [cell.method, cell.training_size, cell.seed, "max", repr(float(np.max(cell.rmse)))]
-                )
-            )
-
-    with paths["moments"].open("w", encoding="utf-8", newline="") as handle:
-        handle.write(header)
-        for m in range(len(report.reference.mean)):
-            handle.write(
-                _csv_line(
-                    ["mcs", 0, report.plan.mcs_seed, f"mean:{m + 1}", repr(float(report.reference.mean[m]))]
-                )
-            )
-        for m in range(len(report.reference.std)):
-            handle.write(
-                _csv_line(
-                    ["mcs", 0, report.plan.mcs_seed, f"std:{m + 1}", repr(float(report.reference.std[m]))]
-                )
-            )
-        for cell in report.cells:
-            if not cell.ok:
-                continue
-            for m, value in enumerate(cell.mean):
-                handle.write(
-                    _csv_line(
-                        [cell.method, cell.training_size, cell.seed, f"mean:{m + 1}", repr(float(value))]
-                    )
-                )
-            for m, value in enumerate(cell.std):
-                handle.write(
-                    _csv_line(
-                        [cell.method, cell.training_size, cell.seed, f"std:{m + 1}", repr(float(value))]
-                    )
-                )
-
-    with paths["timing"].open("w", encoding="utf-8", newline="") as handle:
-        handle.write(header)
-        for cell in report.cells:
-            if not cell.ok:
-                continue
-            handle.write(
-                _csv_line(
-                    [cell.method, cell.training_size, cell.seed, "fit_seconds", repr(float(cell.fit_seconds))]
-                )
-            )
-
-    with paths["degrees"].open("w", encoding="utf-8", newline="") as handle:
-        handle.write(header)
-        for cell in report.cells:
-            if not cell.ok:
-                continue
-            diag = cell.diagnostics
-            for name, value in (
-                ("max_total_degree", diag.max_total_degree),
-                ("max_univariate_degree", diag.max_univariate_degree),
-                ("basis_size", diag.basis_size),
-                ("condition_number", repr(float(diag.condition_number))),
-                ("iterations", diag.iterations),
-                ("pruned_count", diag.pruned_count),
-            ):
-                handle.write(_csv_line([cell.method, cell.training_size, cell.seed, name, value]))
-
-    with paths["summary"].open("w", encoding="utf-8") as handle:
-        json.dump(_summary_payload(report, tag), handle)
-        handle.write("\n")
-
+    paths = {metric: out_dir / f"{metric}_{tag}.csv" for metric in _METRICS}
+    for metric in _METRICS:
+        write_csv_table(paths[metric], _REPORT_HEADER, _report_rows(report, metric))
+    paths["summary"] = out_dir / f"summary_{tag}.json"
+    write_json_file(paths["summary"], _summary_payload(report, tag))
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -355,9 +300,13 @@ def _aggregate(values) -> dict:
     }
 
 
+def _max_rel_error(estimate: np.ndarray, reference: np.ndarray) -> float:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.abs(estimate - reference) / np.abs(reference)))
+
+
 def _summary_payload(report: ExperimentReport, tag: str) -> dict:
-    ref_mean = report.reference.mean
-    ref_std = report.reference.std
+    reference = report.reference
     aggregates: dict[str, dict] = {}
     for method in report.plan.methods:
         aggregates[method] = {}
@@ -369,18 +318,11 @@ def _summary_payload(report: ExperimentReport, tag: str) -> dict:
             if not group:
                 aggregates[method][str(q)] = {"completed_seeds": 0}
                 continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mean_errors = [
-                    float(np.max(np.abs(c.mean - ref_mean) / np.abs(ref_mean))) for c in group
-                ]
-                std_errors = [
-                    float(np.max(np.abs(c.std - ref_std) / np.abs(ref_std))) for c in group
-                ]
             aggregates[method][str(q)] = {
                 "completed_seeds": len(group),
                 "max_rmse": _aggregate(np.max(c.rmse) for c in group),
-                "mean_rel_error_max": _aggregate(mean_errors),
-                "std_rel_error_max": _aggregate(std_errors),
+                "mean_rel_error_max": _aggregate(_max_rel_error(c.mean, reference.mean) for c in group),
+                "std_rel_error_max": _aggregate(_max_rel_error(c.std, reference.std) for c in group),
                 "max_total_degree": _aggregate(c.diagnostics.max_total_degree for c in group),
                 "max_univariate_degree": _aggregate(c.diagnostics.max_univariate_degree for c in group),
                 "basis_size": _aggregate(c.diagnostics.basis_size for c in group),

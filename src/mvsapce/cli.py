@@ -1,4 +1,4 @@
-"""Command-line front end: fit, predict, uq, benchmark-beam, compare.
+"""Command-line front end: fit, predict, uq, compare.
 
 Exit codes: 0 success, 2 data error, 3 configuration error, 1 internal
 error.  Every invocation ends with one JSON diagnostics line on standard
@@ -21,10 +21,10 @@ from .benchmark import (
     write_experiment_report,
 )
 from .errors import ConfigError, DataError, MvsaError
-from .multi_index import total_degree_set
+from .multi_index import parse_total_degree, total_degree_set
 from .mvsa_engine import MvsaConfig, fit_mvsa, load_model, predict, save_model
 from .polynomial_basis import DistributionSpec
-from .regression import load_data_csv, load_inputs_csv, write_responses_csv
+from .regression import load_data_csv, load_inputs_csv, read_json_file, write_responses_csv
 from .uq import (
     moments,
     sensitivity_report,
@@ -42,28 +42,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_spec(path) -> DistributionSpec:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"distribution spec file not found: {path}")
-    try:
-        with path.open(encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
-    return DistributionSpec.from_json(payload)
-
-
 def _initial_set(token: str, dim: int):
     if token == "zero":
         return None
-    if token.startswith("td:"):
-        try:
-            degree = int(token[3:])
-        except ValueError:
-            raise ConfigError(f"malformed --init value {token!r}") from None
-        return total_degree_set(dim, degree)
-    raise ConfigError(f"--init must be 'zero' or 'td:<p>', got {token!r}")
+    degree = parse_total_degree(token)
+    if degree is None:
+        raise ConfigError(f"--init must be 'zero' or 'td:<p>', got {token!r}")
+    return total_degree_set(dim, degree)
 
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -74,7 +59,7 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _cmd_fit(args) -> dict:
-    spec = _load_spec(args.dist)
+    spec = DistributionSpec.from_json(read_json_file(args.dist, "distribution spec"))
     if spec.dim != args.inputs:
         raise DataError(
             f"--inputs {args.inputs} does not match distribution spec with {spec.dim} marginals"
@@ -122,14 +107,8 @@ def _cmd_uq(args) -> dict:
     moment_report = moments(model)
     sens = sensitivity_report(model)
     prefix = str(args.out_prefix)
-    parent = Path(prefix).parent
-    if str(parent):
-        parent.mkdir(parents=True, exist_ok=True)
-    files = {
-        "moments": prefix + "moments.csv",
-        "sobol": prefix + "sobol.csv",
-        "generalized": prefix + "generalized.csv",
-    }
+    Path(prefix).parent.mkdir(parents=True, exist_ok=True)
+    files = {name: f"{prefix}{name}.csv" for name in ("moments", "sobol", "generalized")}
     write_moments_csv(moment_report, files["moments"])
     write_sobol_csv(sens, files["sobol"])
     write_generalized_csv(sens, files["generalized"])
@@ -143,7 +122,7 @@ def _cmd_uq(args) -> dict:
     }
 
 
-def _cmd_benchmark(args, command: str) -> dict:
+def _cmd_compare(args) -> dict:
     config = BeamConfig(response_dim=args.M, dummy_count=args.dummy_count)
     plan = ExperimentPlan(
         training_sizes=_int_list(args.Q, "--Q"),
@@ -157,25 +136,12 @@ def _cmd_benchmark(args, command: str) -> dict:
     report = run_beam_experiment(config, plan)
     files = write_experiment_report(report, args.out_dir)
     return {
-        "command": command,
+        "command": "compare",
         "plan_hash": plan_hash(config, plan),
         "cells": len(report.cells),
         "failures": sum(1 for c in report.cells if not c.ok),
         "files": files,
     }
-
-
-def _add_benchmark_flags(parser, default_methods: str) -> None:
-    parser.add_argument("--Q", required=True, help="comma-separated training sizes")
-    parser.add_argument("--M", type=int, default=1000, help="response dimension")
-    parser.add_argument("--seeds", required=True, help="comma-separated seed list")
-    parser.add_argument("--methods", default=default_methods, help="comma-separated methods (mvsa, td:<p>)")
-    parser.add_argument("--out-dir", required=True, help="directory for the report files")
-    parser.add_argument("--test-size", type=int, default=1000)
-    parser.add_argument("--mcs-samples", type=int, default=100_000)
-    parser.add_argument("--mcs-seed", type=int, default=123456789)
-    parser.add_argument("--kappa", type=float, default=100.0)
-    parser.add_argument("--dummy-count", type=int, default=15)
 
 
 def build_parser() -> _Parser:
@@ -204,13 +170,18 @@ def build_parser() -> _Parser:
     uq.add_argument("--out-prefix", required=True, help="prefix for moments/sobol/generalized CSVs")
     uq.set_defaults(handler=_cmd_uq)
 
-    bench = sub.add_parser("benchmark-beam", help="run the beam benchmark protocol")
-    _add_benchmark_flags(bench, default_methods="mvsa")
-    bench.set_defaults(handler=lambda args: _cmd_benchmark(args, "benchmark-beam"))
-
     compare = sub.add_parser("compare", help="compare adaptive and total-degree fits on the beam case")
-    _add_benchmark_flags(compare, default_methods="mvsa,td:2,td:3")
-    compare.set_defaults(handler=lambda args: _cmd_benchmark(args, "compare"))
+    compare.add_argument("--Q", required=True, help="comma-separated training sizes")
+    compare.add_argument("--M", type=int, default=1000, help="response dimension")
+    compare.add_argument("--seeds", required=True, help="comma-separated seed list")
+    compare.add_argument("--methods", default="mvsa,td:2,td:3", help="comma-separated methods (mvsa, td:<p>)")
+    compare.add_argument("--out-dir", required=True, help="directory for the report files")
+    compare.add_argument("--test-size", type=int, default=1000)
+    compare.add_argument("--mcs-samples", type=int, default=100_000)
+    compare.add_argument("--mcs-seed", type=int, default=123456789)
+    compare.add_argument("--kappa", type=float, default=100.0)
+    compare.add_argument("--dummy-count", type=int, default=15)
+    compare.set_defaults(handler=_cmd_compare)
 
     return parser
 

@@ -176,6 +176,19 @@ def total_degree_set(dim: int, degree: int) -> MultiIndexSet:
     return MultiIndexSet(_total_degree_indices(dim, degree), dim=dim)
 
 
+def parse_total_degree(token: str) -> int | None:
+    """Degree p of a ``td:<p>`` token; None when ``token`` has another form."""
+    if not token.startswith("td:"):
+        return None
+    try:
+        degree = int(token[3:])
+    except ValueError:
+        raise ConfigError(f"malformed total-degree token {token!r}") from None
+    if degree < 0:
+        raise ConfigError(f"total-degree token needs degree >= 0, got {token!r}")
+    return degree
+
+
 def hyperbolic_set(dim: int, degree: int, q: float) -> MultiIndexSet:
     """All multi-indices with q-quasi-norm at most ``degree``, lexicographic.
 

@@ -11,9 +11,8 @@ hold again.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -22,9 +21,10 @@ from .multi_index import MultiIndex, MultiIndexSet, zero_set
 from .polynomial_basis import DistributionSpec
 from .regression import (
     DesignBuilder,
-    OLS_RANK_RTOL,
     TrainingData,
-    condition_from_singular_values,
+    read_json_file,
+    solve_with_condition,
+    write_json_file,
 )
 
 MODEL_FORMAT_VERSION = 1
@@ -98,28 +98,28 @@ class FitDiagnostics:
     basis_size: int
     termination: str
 
+    @classmethod
+    def of(
+        cls, basis: MultiIndexSet, cond: float, iterations: int, pruned: int, termination: str
+    ) -> "FitDiagnostics":
+        """Diagnostics of a fit that ended on ``basis`` with condition ``cond``."""
+        return cls(
+            condition_number=cond,
+            iterations=iterations,
+            pruned_count=pruned,
+            max_total_degree=basis.max_total_degree(),
+            max_univariate_degree=basis.max_univariate_degree(),
+            basis_size=len(basis),
+            termination=termination,
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "condition_number": self.condition_number,
-            "iterations": self.iterations,
-            "pruned_count": self.pruned_count,
-            "max_total_degree": self.max_total_degree,
-            "max_univariate_degree": self.max_univariate_degree,
-            "basis_size": self.basis_size,
-            "termination": self.termination,
-        }
+        return {name: getattr(self, name) for name in get_type_hints(type(self))}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FitDiagnostics":
-        return cls(
-            condition_number=float(payload["condition_number"]),
-            iterations=int(payload["iterations"]),
-            pruned_count=int(payload["pruned_count"]),
-            max_total_degree=int(payload["max_total_degree"]),
-            max_univariate_degree=int(payload["max_univariate_degree"]),
-            basis_size=int(payload["basis_size"]),
-            termination=str(payload["termination"]),
-        )
+        # Each field is coerced by its annotated type (float, int or str).
+        return cls(**{name: kind(payload[name]) for name, kind in get_type_hints(cls).items()})
 
 
 @dataclass(frozen=True)
@@ -159,13 +159,6 @@ def sensitivity_indicators(coefficients) -> np.ndarray:
     return np.sum(coeffs * coeffs, axis=1)
 
 
-def _solve_with_cond(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    # lstsq already computes the SVD; reuse its singular values for the
-    # condition check instead of factorizing twice.
-    coeffs, _, _, s = np.linalg.lstsq(matrix, rhs, rcond=OLS_RANK_RTOL)
-    return coeffs, condition_from_singular_values(s, matrix.shape[0], matrix.shape[1])
-
-
 def expand_basis(
     data: TrainingData,
     spec: DistributionSpec,
@@ -184,7 +177,7 @@ def expand_basis(
     config = config or MvsaConfig()
     if data.n_inputs != spec.dim:
         raise DataError(f"data width {data.n_inputs} does not match spec dimension {spec.dim}")
-    basis = config.resolve_initial_set(spec.dim)
+    initial = basis = config.resolve_initial_set(spec.dim)
     if len(basis) >= data.n_samples:
         raise ConfigError(
             f"initial set size {len(basis)} must be smaller than the sample count {data.n_samples}"
@@ -197,7 +190,7 @@ def expand_basis(
         if len(extended) > data.n_samples:
             termination = "underdetermined"
             break
-        coeffs, cond = _solve_with_cond(builder.matrix(extended), data.responses)
+        coeffs, cond = solve_with_condition(builder.matrix(extended), data.responses)
         if cond > config.kappa:
             termination = "ill_conditioned"
             break
@@ -219,12 +212,7 @@ def expand_basis(
         if config.max_iterations is not None and len(steps) >= config.max_iterations:
             termination = "max_iterations"
             break
-    trace = ExpansionTrace(
-        initial=config.resolve_initial_set(spec.dim),
-        steps=tuple(steps),
-        termination=termination,
-    )
-    return extended, trace
+    return extended, ExpansionTrace(initial=initial, steps=tuple(steps), termination=termination)
 
 
 def prune_basis(
@@ -251,7 +239,7 @@ def prune_basis(
     builder = _builder or DesignBuilder(spec, data.inputs)
     removed: list[MultiIndex] = []
     while True:
-        coeffs, cond = _solve_with_cond(builder.matrix(basis), data.responses)
+        coeffs, cond = solve_with_condition(builder.matrix(basis), data.responses)
         if cond <= config.kappa and len(basis) <= data.n_samples:
             return PruneResult(
                 basis=basis,
@@ -285,14 +273,8 @@ def fit_mvsa(
     builder = DesignBuilder(spec, data.inputs)
     extended, trace = expand_basis(data, spec, config, _builder=builder)
     result = prune_basis(data, spec, extended, config, _builder=builder)
-    diagnostics = FitDiagnostics(
-        condition_number=result.condition_number,
-        iterations=len(trace.steps),
-        pruned_count=len(result.removed),
-        max_total_degree=result.basis.max_total_degree(),
-        max_univariate_degree=result.basis.max_univariate_degree(),
-        basis_size=len(result.basis),
-        termination=trace.termination,
+    diagnostics = FitDiagnostics.of(
+        result.basis, result.condition_number, len(trace.steps), len(result.removed), trace.termination
     )
     return PceModel(
         spec=spec,
@@ -314,16 +296,8 @@ def fit_fixed(data: TrainingData, spec: DistributionSpec, basis: MultiIndexSet) 
     if data.n_inputs != spec.dim:
         raise DataError(f"data width {data.n_inputs} does not match spec dimension {spec.dim}")
     builder = DesignBuilder(spec, data.inputs)
-    coeffs, cond = _solve_with_cond(builder.matrix(basis), data.responses)
-    diagnostics = FitDiagnostics(
-        condition_number=cond,
-        iterations=0,
-        pruned_count=0,
-        max_total_degree=basis.max_total_degree(),
-        max_univariate_degree=basis.max_univariate_degree(),
-        basis_size=len(basis),
-        termination="fixed",
-    )
+    coeffs, cond = solve_with_condition(builder.matrix(basis), data.responses)
+    diagnostics = FitDiagnostics.of(basis, cond, 0, 0, "fixed")
     return PceModel(spec=spec, basis=basis, coefficients=coeffs, diagnostics=diagnostics)
 
 
@@ -354,6 +328,9 @@ def model_to_json(model: PceModel) -> dict:
 
 
 def model_from_json(payload: dict) -> PceModel:
+    """Rebuild a model from its JSON payload; any malformed field is a DataError."""
+    if not isinstance(payload, dict):
+        raise DataError(f"model JSON must be an object, got {type(payload).__name__}")
     try:
         version = payload["format_version"]
         if version != MODEL_FORMAT_VERSION:
@@ -364,22 +341,19 @@ def model_from_json(payload: dict) -> PceModel:
         diagnostics = FitDiagnostics.from_dict(payload["diagnostics"])
     except KeyError as exc:
         raise DataError(f"model JSON is missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed model JSON: {exc}") from None
+    # PceModel checks that the row count K matches the basis.
+    if coefficients.ndim != 2 or coefficients.shape[1] < 1:
+        raise DataError(f"coefficients must form a K x M array, M >= 1; got shape {coefficients.shape}")
+    if not np.all(np.isfinite(coefficients)):
+        raise DataError("non-finite entries in model coefficients")
     return PceModel(spec=spec, basis=basis, coefficients=coefficients, diagnostics=diagnostics)
 
 
 def save_model(model: PceModel, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        json.dump(model_to_json(model), handle)
-        handle.write("\n")
+    write_json_file(path, model_to_json(model))
 
 
 def load_model(path) -> PceModel:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"model file not found: {path}")
-    try:
-        with path.open(encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
-    return model_from_json(payload)
+    return model_from_json(read_json_file(path, "model"))

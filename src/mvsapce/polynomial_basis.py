@@ -242,17 +242,15 @@ def univariate_table(family: str, max_degree: int, z, degree_cap: int = DEGREE_C
     z = np.atleast_1d(np.asarray(z, dtype=float))
     table = np.empty((z.size, max_degree + 1))
     table[:, 0] = 1.0
+    if max_degree >= 1:
+        table[:, 1] = z
     if family == HERMITE:
         # psi_{k+1} = (z psi_k - sqrt(k) psi_{k-1}) / sqrt(k + 1)
-        if max_degree >= 1:
-            table[:, 1] = z
         for k in range(1, max_degree):
             table[:, k + 1] = (z * table[:, k] - math.sqrt(k) * table[:, k - 1]) / math.sqrt(k + 1)
     elif family == LEGENDRE:
         # Monic-free Legendre recurrence, then per-degree normalization
         # sqrt(2k + 1) for the uniform density 1/2 on [-1, 1].
-        if max_degree >= 1:
-            table[:, 1] = z
         for k in range(1, max_degree):
             table[:, k + 1] = ((2 * k + 1) * z * table[:, k] - k * table[:, k - 1]) / (k + 1)
         norms = np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0)

@@ -9,6 +9,7 @@ rank-deficient or underdetermined.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,6 +134,12 @@ def _entries(design) -> np.ndarray:
     return np.atleast_2d(matrix)
 
 
+def solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unchecked least squares plus the condition number from lstsq's own SVD."""
+    coeffs, _, _, s = np.linalg.lstsq(matrix, rhs, rcond=OLS_RANK_RTOL)
+    return coeffs, condition_from_singular_values(s, matrix.shape[0], matrix.shape[1])
+
+
 def solve_ols(design, rhs) -> np.ndarray:
     """Least-squares coefficients for all response columns at once.
 
@@ -154,7 +161,7 @@ def solve_ols(design, rhs) -> np.ndarray:
         raise DataError("non-finite entries in design matrix")
     if not np.all(np.isfinite(b)):
         raise DataError("non-finite entries in right-hand side")
-    coeffs, _, _, _ = np.linalg.lstsq(matrix, b, rcond=OLS_RANK_RTOL)
+    coeffs, _ = solve_with_condition(matrix, b)
     return coeffs[:, 0] if squeeze else coeffs
 
 
@@ -191,6 +198,25 @@ def rmse(predicted, actual) -> np.ndarray:
         pred = pred[:, None]
         act = act[:, None]
     return np.sqrt(np.mean((pred - act) ** 2, axis=0))
+
+
+def write_json_file(path, payload) -> None:
+    """Write ``payload`` as one line of JSON followed by a newline."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+        handle.write("\n")
+
+
+def read_json_file(path, what: str):
+    """Parse a JSON file; a missing file or invalid JSON is a DataError."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{what} file not found: {path}")
+    try:
+        with path.open(encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
 
 
 # -- CSV interface ------------------------------------------------------------
@@ -256,29 +282,32 @@ def load_inputs_csv(path, n_inputs: int) -> np.ndarray:
             f"({n_inputs} inputs), got {','.join(header[:n_inputs])}"
         )
     extra = len(header) - n_inputs
-    if extra and header[n_inputs:] != [f"y{j + 1}" for j in range(extra)]:
+    if extra and header[n_inputs:] != _expected_header(0, extra):
         raise DataError(f"{path}: trailing columns must be y1..yM, got {','.join(header[n_inputs:])}")
     data = _parse_matrix(rows, len(header), path)
     return data[:, :n_inputs]
+
+
+def write_csv_table(path, header, rows) -> None:
+    """Write a header row, then stream ``rows`` (excel dialect: CRLF, minimal quoting)."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_data_csv(path, inputs: np.ndarray, responses: np.ndarray) -> None:
     """Write a paired x/y data file with header ``x1..xN,y1..yM``."""
     inputs = np.atleast_2d(inputs)
     responses = np.atleast_2d(responses)
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_expected_header(inputs.shape[1], responses.shape[1]))
-        for x_row, y_row in zip(inputs, responses):
-            writer.writerow([repr(float(v)) for v in x_row] + [repr(float(v)) for v in y_row])
+    header = _expected_header(inputs.shape[1], responses.shape[1])
+    rows = ([repr(float(v)) for v in row] for row in np.hstack([inputs, responses]))
+    write_csv_table(path, header, rows)
 
 
 def write_responses_csv(path, responses: np.ndarray, n_outputs: int | None = None) -> None:
     """Write responses only, header ``y1..yM``."""
     responses = np.atleast_2d(responses)
     width = n_outputs if responses.size == 0 and n_outputs is not None else responses.shape[1]
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"y{j + 1}" for j in range(width)])
-        for row in responses:
-            writer.writerow([repr(float(v)) for v in row])
+    rows = ([repr(float(v)) for v in row] for row in responses)
+    write_csv_table(path, _expected_header(0, width), rows)

@@ -11,10 +11,7 @@ provides reference moments.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -22,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .mvsa_engine import PceModel
 from .polynomial_basis import DistributionSpec
+from .regression import write_csv_table, write_json_file
 
 #: Generator behind every seeded draw in the toolkit; recorded in reports
 #: so published numbers can be regenerated.
@@ -56,22 +54,19 @@ class SensitivityReport:
     generalized_defined: bool
 
 
-def _squared_coefficients(model: PceModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _variance_parts(model: PceModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degrees, squared coefficients and per-output variance, computed once.
+
+    Every moment and sensitivity index is read off these three arrays.
+    """
     degrees = np.asarray(model.basis.indices, dtype=int)
     squared = model.coefficients * model.coefficients
     nonconstant = degrees.sum(axis=1) > 0
-    return degrees, squared, nonconstant
-
-
-def moments(model: PceModel) -> MomentReport:
-    """Mean and variance estimates read off the expansion coefficients.
-
-    The mean is the coefficient row of the zero multi-index (zeros with a
-    flag when the basis lacks it); the variance is the sum of squared
-    coefficients over all other rows.
-    """
-    degrees, squared, nonconstant = _squared_coefficients(model)
     variance = squared[nonconstant].sum(axis=0) if nonconstant.any() else np.zeros(model.n_outputs)
+    return degrees, squared, variance
+
+
+def _moment_report(model: PceModel, variance: np.ndarray) -> MomentReport:
     zero = (0,) * model.basis.dim
     if zero in model.basis:
         row = model.basis.indices.index(zero)
@@ -88,6 +83,17 @@ def moments(model: PceModel) -> MomentReport:
     )
 
 
+def moments(model: PceModel) -> MomentReport:
+    """Mean and variance estimates read off the expansion coefficients.
+
+    The mean is the coefficient row of the zero multi-index (zeros with a
+    flag when the basis lacks it); the variance is the sum of squared
+    coefficients over all other rows.
+    """
+    _, _, variance = _variance_parts(model)
+    return _moment_report(model, variance)
+
+
 def _index_partitions(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Selector matrices (N x K) for first-order and total-effect subsets.
 
@@ -101,23 +107,41 @@ def _index_partitions(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, active
 
 
+def _sensitivity(degrees: np.ndarray, squared: np.ndarray, variance: np.ndarray) -> SensitivityReport:
+    first_sel, total_sel = _index_partitions(degrees)
+    first_num = first_sel.astype(float) @ squared
+    total_num = total_sel.astype(float) @ squared
+    # Per output: columns of zero-variance outputs stay 0 and are flagged.
+    defined = variance > 0.0
+    first = np.zeros_like(first_num)
+    total = np.zeros_like(total_num)
+    first[:, defined] = first_num[:, defined] / variance[defined]
+    total[:, defined] = total_num[:, defined] / variance[defined]
+    # Generalized: numerators and variance summed over outputs before the ratio.
+    aggregated = float(variance.sum())
+    if aggregated > 0.0:
+        gen_first = first_num.sum(axis=1) / aggregated
+        gen_total = total_num.sum(axis=1) / aggregated
+    else:
+        gen_first, gen_total = np.zeros(len(first_num)), np.zeros(len(total_num))
+    return SensitivityReport(
+        per_output_first=first,
+        per_output_total=total,
+        generalized_first=gen_first,
+        generalized_total=gen_total,
+        zero_variance_outputs=variance == 0.0,
+        generalized_defined=aggregated > 0.0,
+    )
+
+
 def sobol_indices(model: PceModel) -> tuple[np.ndarray, np.ndarray]:
     """First-order and total-effect indices per (input, output).
 
     Returns two N x M matrices; columns of zero-variance outputs are zero
     (see sensitivity_report for the explicit mask).
     """
-    degrees, squared, nonconstant = _squared_coefficients(model)
-    variance = squared[nonconstant].sum(axis=0) if nonconstant.any() else np.zeros(model.n_outputs)
-    first_sel, total_sel = _index_partitions(degrees)
-    first_num = first_sel.astype(float) @ squared
-    total_num = total_sel.astype(float) @ squared
-    defined = variance > 0.0
-    first = np.zeros_like(first_num)
-    total = np.zeros_like(total_num)
-    first[:, defined] = first_num[:, defined] / variance[defined]
-    total[:, defined] = total_num[:, defined] / variance[defined]
-    return first, total
+    report = sensitivity_report(model)
+    return report.per_output_first, report.per_output_total
 
 
 def generalized_sobol(model: PceModel) -> tuple[np.ndarray, np.ndarray]:
@@ -128,31 +152,13 @@ def generalized_sobol(model: PceModel) -> tuple[np.ndarray, np.ndarray]:
     per-output indices.  Returns zero vectors when the aggregated variance
     vanishes (see sensitivity_report for the defined flag).
     """
-    degrees, squared, nonconstant = _squared_coefficients(model)
-    variance = squared[nonconstant].sum(axis=0) if nonconstant.any() else np.zeros(model.n_outputs)
-    aggregated = float(variance.sum())
-    n_dims = model.basis.dim
-    if aggregated <= 0.0:
-        return np.zeros(n_dims), np.zeros(n_dims)
-    first_sel, total_sel = _index_partitions(degrees)
-    first = (first_sel.astype(float) @ squared).sum(axis=1) / aggregated
-    total = (total_sel.astype(float) @ squared).sum(axis=1) / aggregated
-    return first, total
+    report = sensitivity_report(model)
+    return report.generalized_first, report.generalized_total
 
 
 def sensitivity_report(model: PceModel) -> SensitivityReport:
     """Full sensitivity post-processing with zero-variance masking."""
-    report = moments(model)
-    first, total = sobol_indices(model)
-    gen_first, gen_total = generalized_sobol(model)
-    return SensitivityReport(
-        per_output_first=first,
-        per_output_total=total,
-        generalized_first=gen_first,
-        generalized_total=gen_total,
-        zero_variance_outputs=report.variance == 0.0,
-        generalized_defined=bool(report.variance.sum() > 0.0),
-    )
+    return _sensitivity(*_variance_parts(model))
 
 
 def monte_carlo_reference(
@@ -221,79 +227,55 @@ def monte_carlo_reference(
 
 def write_moments_csv(report: MomentReport, path) -> None:
     """One row per output: index, mean, variance, std, zero-variance flag."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["output", "mean", "variance", "std", "zero_variance"])
-        for m in range(len(report.mean)):
-            writer.writerow(
-                [
-                    m + 1,
-                    repr(float(report.mean[m])),
-                    repr(float(report.variance[m])),
-                    repr(float(report.std[m])),
-                    int(report.variance[m] == 0.0),
-                ]
-            )
+    rows = (
+        [m + 1, repr(float(mean)), repr(float(variance)), repr(float(std)), int(variance == 0.0)]
+        for m, (mean, variance, std) in enumerate(zip(report.mean, report.variance, report.std))
+    )
+    write_csv_table(path, ["output", "mean", "variance", "std", "zero_variance"], rows)
 
 
 def write_sobol_csv(report: SensitivityReport, path) -> None:
     """One row per input: first-order then total-effect values per output."""
-    n_inputs, n_outputs = report.per_output_first.shape
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        header = (
-            ["input"]
-            + [f"first_y{m + 1}" for m in range(n_outputs)]
-            + [f"total_y{m + 1}" for m in range(n_outputs)]
-        )
-        writer.writerow(header)
-        for n in range(n_inputs):
-            writer.writerow(
-                [n + 1]
-                + [repr(float(v)) for v in report.per_output_first[n]]
-                + [repr(float(v)) for v in report.per_output_total[n]]
-            )
+    n_outputs = report.per_output_first.shape[1]
+    header = (
+        ["input"]
+        + [f"first_y{m + 1}" for m in range(n_outputs)]
+        + [f"total_y{m + 1}" for m in range(n_outputs)]
+    )
+    rows = (
+        [n + 1] + [repr(float(v)) for v in first] + [repr(float(v)) for v in total]
+        for n, (first, total) in enumerate(zip(report.per_output_first, report.per_output_total))
+    )
+    write_csv_table(path, header, rows)
 
 
 def write_generalized_csv(report: SensitivityReport, path) -> None:
     """One row per input: generalized first-order and total-effect indices."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["input", "generalized_first", "generalized_total"])
-        for n in range(len(report.generalized_first)):
-            writer.writerow(
-                [
-                    n + 1,
-                    repr(float(report.generalized_first[n])),
-                    repr(float(report.generalized_total[n])),
-                ]
-            )
+    rows = (
+        [n + 1, repr(float(first)), repr(float(total))]
+        for n, (first, total) in enumerate(zip(report.generalized_first, report.generalized_total))
+    )
+    write_csv_table(path, ["input", "generalized_first", "generalized_total"], rows)
+
+
+def _report_json(report) -> dict:
+    """A report's fields in declaration order, arrays as nested lists."""
+    payload = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return payload
 
 
 def uq_report_json(model: PceModel) -> dict:
     """Combined moments and sensitivity report as a JSON-ready dict."""
-    moment_report = moments(model)
-    sens = sensitivity_report(model)
+    degrees, squared, variance = _variance_parts(model)
     return {
-        "moments": {
-            "mean": [float(v) for v in moment_report.mean],
-            "variance": [float(v) for v in moment_report.variance],
-            "std": [float(v) for v in moment_report.std],
-            "constant_term_present": moment_report.constant_term_present,
-        },
-        "sensitivity": {
-            "per_output_first": [[float(v) for v in row] for row in sens.per_output_first],
-            "per_output_total": [[float(v) for v in row] for row in sens.per_output_total],
-            "generalized_first": [float(v) for v in sens.generalized_first],
-            "generalized_total": [float(v) for v in sens.generalized_total],
-            "zero_variance_outputs": [bool(v) for v in sens.zero_variance_outputs],
-            "generalized_defined": sens.generalized_defined,
-        },
+        "moments": _report_json(_moment_report(model, variance)),
+        "sensitivity": _report_json(_sensitivity(degrees, squared, variance)),
         "rng_algorithm": RNG_ALGORITHM,
     }
 
 
 def write_uq_report_json(model: PceModel, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        json.dump(uq_report_json(model), handle)
-        handle.write("\n")
+    write_json_file(path, uq_report_json(model))

@@ -5,7 +5,9 @@ import pytest
 
 from mvsapce.benchmark import (
     BeamConfig,
+    CellResult,
     ExperimentPlan,
+    ExperimentReport,
     beam_deflection,
     beam_deflection_rows,
     plan_hash,
@@ -14,7 +16,9 @@ from mvsapce.benchmark import (
     write_experiment_report,
 )
 from mvsapce.errors import ConfigError, DataError, DomainError
+from mvsapce.mvsa_engine import FitDiagnostics
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
+from mvsapce.uq import MomentReport
 
 NOMINAL = np.array([0.15, 0.3, 5.0, 3e10, 1e4])
 
@@ -235,3 +239,61 @@ class TestReportFiles:
         for name in ("rmse", "moments", "degrees", "summary"):
             with open(first[name], "rb") as fa, open(second[name], "rb") as fb:
                 assert fa.read() == fb.read()
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # One ok and one failed cell, built by hand: no fit, so no BLAS.
+        config = BeamConfig(response_dim=2, dummy_count=0)
+        plan = ExperimentPlan(
+            training_sizes=(30,), test_size=10, seeds=(0,), methods=("mvsa", "td:2"),
+            mcs_samples=100, mcs_seed=7,
+        )
+        reference = MomentReport(
+            mean=np.array([1.0, 2.0]), variance=np.array([0.25, 0.0625]), std=np.array([0.5, 0.25])
+        )
+        diagnostics = FitDiagnostics(
+            condition_number=12.5, iterations=4, pruned_count=1, max_total_degree=2,
+            max_univariate_degree=2, basis_size=6, termination="ill_conditioned",
+        )
+        cells = (
+            CellResult(
+                method="mvsa", training_size=30, seed=0, ok=True, rmse=np.array([0.125, 0.25]),
+                mean=np.array([1.0, 2.5]), std=np.array([0.5, 0.5]), fit_seconds=0.75,
+                diagnostics=diagnostics,
+            ),
+            CellResult(method="td:2", training_size=30, seed=0, ok=False, error="synthetic failure"),
+        )
+        report = ExperimentReport(config=config, plan=plan, reference=reference, cells=cells)
+        files = write_experiment_report(report, tmp_path)
+        header = b"method,Q,seed,output_index_or_aggregate,value\r\n"
+        expected = {
+            "rmse": header + b"mvsa,30,0,1,0.125\r\nmvsa,30,0,2,0.25\r\nmvsa,30,0,max,0.25\r\n",
+            "moments": header + (
+                b"mcs,0,7,mean:1,1.0\r\nmcs,0,7,mean:2,2.0\r\nmcs,0,7,std:1,0.5\r\nmcs,0,7,std:2,0.25\r\n"
+                b"mvsa,30,0,mean:1,1.0\r\nmvsa,30,0,mean:2,2.5\r\nmvsa,30,0,std:1,0.5\r\nmvsa,30,0,std:2,0.5\r\n"
+            ),
+            "timing": header + b"mvsa,30,0,fit_seconds,0.75\r\n",
+            "degrees": header + (
+                b"mvsa,30,0,max_total_degree,2\r\nmvsa,30,0,max_univariate_degree,2\r\n"
+                b"mvsa,30,0,basis_size,6\r\nmvsa,30,0,condition_number,12.5\r\n"
+                b"mvsa,30,0,iterations,4\r\nmvsa,30,0,pruned_count,1\r\n"
+            ),
+            "summary": (
+                b'{"plan_hash": "3e5d0003f9e2", "config": {"response_dim": 2, "dummy_count": 0, '
+                b'"width": [0.15, 0.0075], "height": [0.3, 0.015], "length": [5.0, 0.05], '
+                b'"youngs_modulus": [30000000000.0, 4500000000.0], "load": [10000.0, 2000.0], '
+                b'"dummy": [10.0, 1.0]}, "plan": {"training_sizes": [30], "test_size": 10, '
+                b'"seeds": [0], "methods": ["mvsa", "td:2"], "kappa": 100.0, "mcs_samples": 100, '
+                b'"mcs_seed": 7}, "rng_algorithm": "pcg64", "aggregates": {"mvsa": {"30": '
+                b'{"completed_seeds": 1, "max_rmse": {"mean": 0.25, "min": 0.25, "max": 0.25}, '
+                b'"mean_rel_error_max": {"mean": 0.25, "min": 0.25, "max": 0.25}, '
+                b'"std_rel_error_max": {"mean": 1.0, "min": 1.0, "max": 1.0}, '
+                b'"max_total_degree": {"mean": 2.0, "min": 2.0, "max": 2.0}, '
+                b'"max_univariate_degree": {"mean": 2.0, "min": 2.0, "max": 2.0}, '
+                b'"basis_size": {"mean": 6.0, "min": 6.0, "max": 6.0}}}, '
+                b'"td:2": {"30": {"completed_seeds": 0}}}, '
+                b'"failures": [{"method": "td:2", "Q": 30, "seed": 0, "error": "synthetic failure"}]}\n'
+            ),
+        }
+        assert sorted(files) == sorted(expected)
+        for name, content in expected.items():
+            assert open(files[name], "rb").read() == content, name

@@ -117,6 +117,34 @@ class TestPredict:
         assert out.read_bytes() == b"y1\r\n"
 
 
+def _malformed_models():
+    valid = {
+        "format_version": 1,
+        "spec": [{"kind": "normal", "params": [0.0, 1.0]}] * 2,
+        "basis": [[0, 0], [1, 0]],
+        "coefficients": [[1.0], [2.0]],
+        "diagnostics": {
+            "condition_number": 1.0, "iterations": 1, "pruned_count": 0, "max_total_degree": 1,
+            "max_univariate_degree": 1, "basis_size": 2, "termination": "fixed",
+        },
+    }
+    ragged = dict(valid, coefficients=[[1.0], [2.0, 3.0]])
+    bad_diagnostics = dict(valid, diagnostics=dict(valid["diagnostics"], iterations="abc"))
+    all_nan = dict(valid, coefficients=[[float("nan")], [float("nan")]])
+    return {"ragged": ragged, "array": [valid], "diagnostics": bad_diagnostics, "nan": all_nan}
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize("name", sorted(_malformed_models()))
+    def test_predict_exits_2(self, fit_assets, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_malformed_models()[name]))
+        proc = run_cli("predict", "--model", path, "--data", fit_assets["data"], "--out", tmp_path / "o.csv")
+        assert proc.returncode == 2, proc.stderr
+        payload = last_json_line(proc)
+        assert payload["status"] == "error" and payload["kind"] == "data error"
+
+
 class TestUq:
     def test_writes_three_reports(self, fit_assets, tmp_path):
         prefix = tmp_path / "run_"
@@ -154,12 +182,12 @@ class TestUq:
 
 class TestBenchmarkCommands:
     def test_seeds_flag_is_required(self, tmp_path):
-        proc = run_cli("benchmark-beam", "--Q", "30", "--M", 6, "--out-dir", tmp_path)
+        proc = run_cli("compare", "--Q", "30", "--M", 6, "--methods", "mvsa", "--out-dir", tmp_path)
         assert proc.returncode == 3
 
     def test_small_run_produces_report_files(self, tmp_path):
         proc = run_cli(
-            "benchmark-beam", "--Q", "30", "--M", 6, "--seeds", "0,1",
+            "compare", "--Q", "30", "--M", 6, "--seeds", "0,1", "--methods", "mvsa",
             "--test-size", 40, "--mcs-samples", 600, "--out-dir", tmp_path / "out",
         )
         assert proc.returncode == 0, proc.stderr
@@ -172,7 +200,7 @@ class TestBenchmarkCommands:
 
     def test_td_only_run_is_valid(self, tmp_path):
         proc = run_cli(
-            "benchmark-beam", "--Q", "25", "--M", 5, "--seeds", "2",
+            "compare", "--Q", "25", "--M", 5, "--seeds", "2",
             "--methods", "td:2", "--test-size", 30, "--mcs-samples", 400,
             "--out-dir", tmp_path,
         )
@@ -180,6 +208,20 @@ class TestBenchmarkCommands:
         summary = json.loads(open(last_json_line(proc)["files"]["summary"]).read())
         assert set(summary["aggregates"]) == {"td:2"}
         assert summary["failures"] == []
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--kappa", "0.5"), ("--seeds", "-1"), ("--methods", ""), ("--mcs-seed", "-1")],
+        ids=["kappa", "negative-seed", "no-methods", "negative-mcs-seed"],
+    )
+    def test_invalid_compare_plan_exits_3(self, tmp_path, flag, value):
+        plan = {"--seeds": "0", "--methods": "mvsa", flag: value}
+        proc = run_cli(
+            "compare", "--Q", "25", "--M", 5, "--test-size", 30, "--mcs-samples", 400,
+            "--out-dir", tmp_path, *[part for item in plan.items() for part in item],
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert last_json_line(proc)["kind"] == "configuration error"
 
     def test_compare_defaults_include_td_baselines(self, tmp_path):
         proc = run_cli(
@@ -192,7 +234,7 @@ class TestBenchmarkCommands:
 
     def test_repeat_runs_are_byte_identical_except_timing(self, tmp_path):
         args = (
-            "benchmark-beam", "--Q", "30", "--M", 6, "--seeds", "0,1",
+            "compare", "--Q", "30", "--M", 6, "--seeds", "0,1", "--methods", "mvsa",
             "--test-size", 40, "--mcs-samples", 600,
         )
         first = run_cli(*args, "--out-dir", tmp_path / "a")

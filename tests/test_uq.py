@@ -253,3 +253,44 @@ class TestReportFiles:
         assert payload["sensitivity"]["zero_variance_outputs"] == [False, True]
         assert payload["sensitivity"]["generalized_first"][0] == 1.0
         assert payload["rng_algorithm"] == "pcg64"
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # Dyadic coefficients make every square and sum exact, so these
+        # bytes do not depend on the BLAS build or its summation order.
+        spec = DistributionSpec.of([Marginal.normal(0.0, 1.0), Marginal.uniform(-1.0, 1.0)])
+        model = build_model(
+            spec,
+            [(0, 0), (1, 0), (0, 1), (1, 1)],
+            [[1.5, -2.0, 3.0], [0.5, 0.0, 0.0], [0.25, 1.0, 0.0], [0.25, 0.0, 0.0]],
+        )
+        sens = sensitivity_report(model)
+        write_moments_csv(moments(model), tmp_path / "moments.csv")
+        write_sobol_csv(sens, tmp_path / "sobol.csv")
+        write_generalized_csv(sens, tmp_path / "generalized.csv")
+        write_uq_report_json(model, tmp_path / "report.json")
+        assert (tmp_path / "moments.csv").read_bytes() == (
+            b"output,mean,variance,std,zero_variance\r\n"
+            b"1,1.5,0.375,0.6123724356957945,0\r\n"
+            b"2,-2.0,1.0,1.0,0\r\n"
+            b"3,3.0,0.0,0.0,1\r\n"
+        )
+        assert (tmp_path / "sobol.csv").read_bytes() == (
+            b"input,first_y1,first_y2,first_y3,total_y1,total_y2,total_y3\r\n"
+            b"1,0.6666666666666666,0.0,0.0,0.8333333333333334,0.0,0.0\r\n"
+            b"2,0.16666666666666666,1.0,0.0,0.3333333333333333,1.0,0.0\r\n"
+        )
+        assert (tmp_path / "generalized.csv").read_bytes() == (
+            b"input,generalized_first,generalized_total\r\n"
+            b"1,0.18181818181818182,0.22727272727272727\r\n"
+            b"2,0.7727272727272727,0.8181818181818182\r\n"
+        )
+        assert (tmp_path / "report.json").read_bytes() == (
+            b'{"moments": {"mean": [1.5, -2.0, 3.0], "variance": [0.375, 1.0, 0.0], '
+            b'"std": [0.6123724356957945, 1.0, 0.0], "constant_term_present": true}, '
+            b'"sensitivity": {"per_output_first": [[0.6666666666666666, 0.0, 0.0], '
+            b'[0.16666666666666666, 1.0, 0.0]], "per_output_total": [[0.8333333333333334, 0.0, 0.0], '
+            b'[0.3333333333333333, 1.0, 0.0]], "generalized_first": [0.18181818181818182, 0.7727272727272727], '
+            b'"generalized_total": [0.22727272727272727, 0.8181818181818182], '
+            b'"zero_variance_outputs": [false, false, true], "generalized_defined": true}, '
+            b'"rng_algorithm": "pcg64"}\n'
+        )
