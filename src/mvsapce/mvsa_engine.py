@@ -11,6 +11,7 @@ hold again.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
@@ -65,7 +66,12 @@ class MvsaConfig:
 
 @dataclass(frozen=True)
 class ExpansionStep:
-    """One accepted expansion: which index entered and on what evidence."""
+    """One accepted expansion: which index entered and on what evidence.
+
+    ``eta`` comes from the step's own solve, which runs against the
+    compressed responses when M > Q: it equals the full-response value up
+    to rounding.
+    """
 
     added: MultiIndex
     eta: float
@@ -159,11 +165,45 @@ def sensitivity_indicators(coefficients) -> np.ndarray:
     return np.sum(coeffs * coeffs, axis=1)
 
 
+def _response_factor(responses: np.ndarray) -> np.ndarray:
+    """Right-hand side of the adaptive steps: Y itself, or a Q x Q factor of it.
+
+    eta_k = sum_m c_{k,m}^2 depends on Y only through Y Y^T.  When M > Q, a
+    thin QR Y^T = Q_y R gives Y Y^T = R^T R, so solving against R^T yields
+    the same indicators (up to rounding) and, since the condition number
+    depends on the design alone, the same condition number, at a cost per
+    solve independent of M.
+    """
+    n_samples, n_outputs = responses.shape
+    if n_outputs <= n_samples:
+        return responses
+    return np.linalg.qr(responses.T, mode="r").T
+
+
+def _admit_successors(chosen: MultiIndex, members: set, frontier: list) -> None:
+    """Insert into the sorted ``frontier`` each k + e_n that ``chosen`` makes admissible.
+
+    ``members`` is the downward-closed basis, already holding ``chosen``.
+    Accepting an index can only make its own forward neighbors admissible
+    (the active/old bookkeeping of dimension-adaptive sparse grids), and
+    none of those can already be a member or on the frontier.
+    """
+    for n in range(len(chosen)):
+        candidate = chosen[:n] + (chosen[n] + 1,) + chosen[n + 1:]
+        if all(
+            candidate[:j] + (k_j - 1,) + candidate[j + 1:] in members
+            for j, k_j in enumerate(candidate)
+            if k_j and j != n
+        ):
+            bisect.insort(frontier, candidate)
+
+
 def expand_basis(
     data: TrainingData,
     spec: DistributionSpec,
     config: MvsaConfig | None = None,
     _builder: DesignBuilder | None = None,
+    _factor: np.ndarray | None = None,
 ) -> tuple[MultiIndexSet, ExpansionTrace]:
     """Adaptive basis expansion; returns the final extended set and a trace.
 
@@ -177,29 +217,32 @@ def expand_basis(
     config = config or MvsaConfig()
     if data.n_inputs != spec.dim:
         raise DataError(f"data width {data.n_inputs} does not match spec dimension {spec.dim}")
-    initial = basis = config.resolve_initial_set(spec.dim)
-    if len(basis) >= data.n_samples:
+    initial = config.resolve_initial_set(spec.dim)
+    if len(initial) >= data.n_samples:
         raise ConfigError(
-            f"initial set size {len(basis)} must be smaller than the sample count {data.n_samples}"
+            f"initial set size {len(initial)} must be smaller than the sample count {data.n_samples}"
         )
     builder = _builder or DesignBuilder(spec, data.inputs)
+    rhs = _response_factor(data.responses) if _factor is None else _factor
+    basis = list(initial.indices)
+    members = set(basis)
+    frontier = list(initial.admissible_forward_neighbors().indices)
     steps: list[ExpansionStep] = []
     while True:
-        admissible = basis.admissible_forward_neighbors()
-        extended = basis.union(admissible)
+        extended = basis + frontier
         if len(extended) > data.n_samples:
             termination = "underdetermined"
             break
-        coeffs, cond = solve_with_condition(builder.matrix(extended), data.responses)
+        coeffs, cond = solve_with_condition(builder.matrix(extended), rhs)
         if cond > config.kappa:
             termination = "ill_conditioned"
             break
         eta = sensitivity_indicators(coeffs)
-        # Admissible candidates sit after the current basis, in sorted
-        # order, so the first strict maximum is the lexicographic winner.
+        # The frontier sits after the current basis, in sorted order, so the
+        # first maximum is the lexicographic winner.
         offset = len(basis)
-        best = max(range(len(admissible)), key=lambda i: (eta[offset + i], -i))
-        chosen = admissible.indices[best]
+        best = int(np.argmax(eta[offset:]))
+        chosen = frontier.pop(best)
         steps.append(
             ExpansionStep(
                 added=chosen,
@@ -208,11 +251,14 @@ def expand_basis(
                 extended_size=len(extended),
             )
         )
-        basis = basis.with_index(chosen)
+        basis.append(chosen)
+        members.add(chosen)
+        _admit_successors(chosen, members, frontier)
         if config.max_iterations is not None and len(steps) >= config.max_iterations:
             termination = "max_iterations"
             break
-    return extended, ExpansionTrace(initial=initial, steps=tuple(steps), termination=termination)
+    trace = ExpansionTrace(initial=initial, steps=tuple(steps), termination=termination)
+    return MultiIndexSet(extended, dim=spec.dim), trace
 
 
 def prune_basis(
@@ -221,6 +267,7 @@ def prune_basis(
     basis: MultiIndexSet,
     config: MvsaConfig | None = None,
     _builder: DesignBuilder | None = None,
+    _factor: np.ndarray | None = None,
 ) -> PruneResult:
     """Remove minimum-sensitivity terms until size and conditioning hold.
 
@@ -228,7 +275,7 @@ def prune_basis(
     the sample count, re-solves the least-squares problem and drops the
     index with the smallest sensitivity indicator (lexicographic tie-break;
     the zero index is exempt while protect_zero_index is set).  Returns the
-    final basis together with a fresh solve on it.
+    final basis together with a fresh solve on it against all outputs.
     """
     config = config or MvsaConfig()
     if len(basis) == 0:
@@ -237,12 +284,17 @@ def prune_basis(
     if zero not in basis:
         raise ConfigError("prune_basis expects the zero multi-index in the basis")
     builder = _builder or DesignBuilder(spec, data.inputs)
+    rhs = _response_factor(data.responses) if _factor is None else _factor
+    kept = list(basis.indices)
     removed: list[MultiIndex] = []
     while True:
-        coeffs, cond = solve_with_condition(builder.matrix(basis), data.responses)
-        if cond <= config.kappa and len(basis) <= data.n_samples:
+        matrix = builder.matrix(kept)
+        coeffs, cond = solve_with_condition(matrix, rhs)
+        if cond <= config.kappa and len(kept) <= data.n_samples:
+            if rhs is not data.responses:
+                coeffs, cond = solve_with_condition(matrix, data.responses)
             return PruneResult(
-                basis=basis,
+                basis=MultiIndexSet(kept, dim=basis.dim),
                 coefficients=coeffs,
                 removed=tuple(removed),
                 condition_number=cond,
@@ -250,7 +302,7 @@ def prune_basis(
         eta = sensitivity_indicators(coeffs)
         victim = None
         victim_eta = np.inf
-        for i, index in enumerate(basis.indices):
+        for i, index in enumerate(kept):
             if config.protect_zero_index and index == zero:
                 continue
             if eta[i] < victim_eta or (eta[i] == victim_eta and index < victim):
@@ -259,7 +311,7 @@ def prune_basis(
         # A lone all-ones column has condition number 1 and size 1 <= Q,
         # so the loop must have exited before running out of candidates.
         assert victim is not None, "pruning exhausted all removable indices"
-        basis = basis.without_index(victim)
+        kept.remove(victim)
         removed.append(victim)
 
 
@@ -268,11 +320,15 @@ def fit_mvsa(
     spec: DistributionSpec,
     config: MvsaConfig | None = None,
 ) -> PceModel:
-    """Full adaptive fit: expansion, pruning, and final solve."""
+    """Full adaptive fit: expansion, pruning, and final solve.
+
+    The responses are compressed once per fit and shared by both phases.
+    """
     config = config or MvsaConfig()
     builder = DesignBuilder(spec, data.inputs)
-    extended, trace = expand_basis(data, spec, config, _builder=builder)
-    result = prune_basis(data, spec, extended, config, _builder=builder)
+    factor = _response_factor(data.responses)
+    extended, trace = expand_basis(data, spec, config, _builder=builder, _factor=factor)
+    result = prune_basis(data, spec, extended, config, _builder=builder, _factor=factor)
     diagnostics = FitDiagnostics.of(
         result.basis, result.condition_number, len(trace.steps), len(result.removed), trace.termination
     )

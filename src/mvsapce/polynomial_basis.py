@@ -131,9 +131,13 @@ class Marginal:
             params = payload["params"]
         except (KeyError, TypeError) as exc:
             raise DataError(f"malformed marginal entry: {payload!r}") from exc
-        if len(params) != 2:
-            raise DataError(f"marginal params must have length 2, got {params!r}")
-        return cls(kind, (float(params[0]), float(params[1])))
+        try:
+            if len(params) != 2:
+                raise DataError(f"marginal params must have length 2, got {params!r}")
+            values = (float(params[0]), float(params[1]))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed marginal params {params!r}: {exc}") from None
+        return cls(kind, values)
 
 
 @dataclass(frozen=True)

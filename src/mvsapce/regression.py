@@ -104,6 +104,10 @@ class DesignBuilder:
         return table
 
     def column(self, index) -> np.ndarray:
+        # A cached tuple hits before normalization: equal keys normalize alike.
+        cached = self._columns.get(index) if type(index) is tuple else None
+        if cached is not None:
+            return cached
         index = tuple(int(v) for v in index)
         cached = self._columns.get(index)
         if cached is not None:
@@ -115,8 +119,9 @@ class DesignBuilder:
         self._columns[index] = col
         return col
 
-    def matrix(self, basis: MultiIndexSet) -> np.ndarray:
-        if basis.dim != self.spec.dim:
+    def matrix(self, basis) -> np.ndarray:
+        """Columns in ``basis`` order: a MultiIndexSet or a sequence of index tuples."""
+        if isinstance(basis, MultiIndexSet) and basis.dim != self.spec.dim:
             raise DataError(
                 f"basis dimension {basis.dim} does not match input width {self.spec.dim}"
             )
@@ -208,7 +213,7 @@ def write_json_file(path, payload) -> None:
 
 
 def read_json_file(path, what: str):
-    """Parse a JSON file; a missing file or invalid JSON is a DataError."""
+    """Parse a JSON file; a missing, unreadable or invalid file is a DataError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{what} file not found: {path}")
@@ -217,6 +222,8 @@ def read_json_file(path, what: str):
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc}") from None
 
 
 # -- CSV interface ------------------------------------------------------------
@@ -233,13 +240,15 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty CSV file: {path}") from None
-        rows = [row for row in reader if row]
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if header is None:
+        raise DataError(f"empty CSV file: {path}")
     return [name.strip() for name in header], rows
 
 

@@ -93,6 +93,57 @@ class TestFit:
         assert proc.returncode == 0
 
 
+    @pytest.mark.parametrize(
+        "params",
+        [[0, "abc"], [0, None], 5],
+        ids=["non-numeric", "null", "not-a-list"],
+    )
+    def test_malformed_dist_params_exit_2(self, fit_assets, tmp_path, params):
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps([{"kind": "normal", "params": params}] * 2))
+        proc = run_cli(
+            "fit", "--data", fit_assets["data"], "--inputs", 2, "--outputs", 1,
+            "--dist", dist, "--out", tmp_path / "m.json",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert last_json_line(proc)["kind"] == "data error"
+
+
+class TestUnreadableInputs:
+    NOT_UTF8 = b"\xff\xfe\x00\x81 not text"
+
+    @pytest.mark.parametrize(
+        "command, flag, kind",
+        [
+            ("predict", "--model", "directory"),
+            ("predict", "--model", "not-utf8"),
+            ("predict", "--data", "directory"),
+            ("predict", "--data", "not-utf8"),
+            ("fit", "--dist", "not-utf8"),
+            ("fit", "--data", "not-utf8"),
+            ("uq", "--model", "directory"),
+        ],
+    )
+    def test_exits_2(self, fit_assets, tmp_path, command, flag, kind):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"x1,x2,y1\n" + self.NOT_UTF8 + b"\n" if flag == "--data" else self.NOT_UTF8)
+        args = {
+            "fit": {"--data": fit_assets["data"], "--inputs": 2, "--outputs": 1,
+                    "--dist": fit_assets["dist"], "--out": tmp_path / "m.json"},
+            "predict": {"--model": fit_assets["model"], "--data": fit_assets["data"],
+                        "--out": tmp_path / "o.csv"},
+            "uq": {"--model": fit_assets["model"], "--out-prefix": tmp_path / "u_"},
+        }[command]
+        args[flag] = bad
+        proc = run_cli(command, *[part for item in args.items() for part in item])
+        assert proc.returncode == 2, proc.stderr
+        payload = last_json_line(proc)
+        assert payload["status"] == "error" and payload["kind"] == "data error"
+
+
 class TestPredict:
     def test_round_trip_on_training_data(self, fit_assets, tmp_path):
         out = tmp_path / "preds.csv"

@@ -1,0 +1,199 @@
+"""The adaptive loop against a plain reference of the same algorithm.
+
+The engine solves against a Q x Q factor of the responses when M > Q and
+keeps the admissible frontier incrementally.  The reference below does
+neither: it solves against all M outputs at every step, rebuilds the
+admissible set from scratch with ``admissible_forward_neighbors`` and
+prunes with ``without_index``.  Both must make the same decisions and end
+on bit-identical coefficients.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mvsapce.benchmark import BeamConfig, sample_inputs
+from mvsapce.multi_index import MultiIndexSet, zero_set
+from mvsapce.mvsa_engine import (
+    MvsaConfig,
+    _admit_successors,
+    expand_basis,
+    fit_mvsa,
+    prune_basis,
+    sensitivity_indicators,
+)
+from mvsapce.polynomial_basis import DistributionSpec, Marginal
+from mvsapce.regression import DesignBuilder, TrainingData, assemble_design, solve_with_condition
+
+
+def reference_expand(data, spec, config, builder):
+    basis = config.resolve_initial_set(spec.dim)
+    added, etas, conds = [], [], []
+    while True:
+        admissible = basis.admissible_forward_neighbors()
+        extended = basis.union(admissible)
+        if len(extended) > data.n_samples:
+            break
+        coeffs, cond = solve_with_condition(builder.matrix(extended), data.responses)
+        if cond > config.kappa:
+            break
+        eta = sensitivity_indicators(coeffs)
+        offset = len(basis)
+        best = max(range(len(admissible)), key=lambda i: (eta[offset + i], -i))
+        added.append(admissible.indices[best])
+        etas.append(float(eta[offset + best]))
+        conds.append(cond)
+        basis = basis.with_index(added[-1])
+        if config.max_iterations is not None and len(added) >= config.max_iterations:
+            break
+    return extended, added, etas, conds
+
+
+def reference_prune(data, basis, config, builder):
+    zero = (0,) * basis.dim
+    removed = []
+    while True:
+        coeffs, cond = solve_with_condition(builder.matrix(basis), data.responses)
+        if cond <= config.kappa and len(basis) <= data.n_samples:
+            return basis, coeffs, cond, removed
+        eta = sensitivity_indicators(coeffs)
+        candidates = [
+            (eta[i], index) for i, index in enumerate(basis.indices)
+            if not (config.protect_zero_index and index == zero)
+        ]
+        victim = min(candidates)[1]
+        basis = basis.without_index(victim)
+        removed.append(victim)
+
+
+def assert_matches_reference(data, spec, config=None):
+    config = config or MvsaConfig()
+    builder = DesignBuilder(spec, data.inputs)
+    ref_extended, ref_added, ref_etas, ref_conds = reference_expand(data, spec, config, builder)
+    ref_basis, ref_coeffs, ref_cond, ref_removed = reference_prune(data, ref_extended, config, builder)
+
+    extended, trace = expand_basis(data, spec, config)
+    assert [step.added for step in trace.steps] == ref_added
+    assert [step.condition_number for step in trace.steps] == ref_conds
+    if data.n_outputs <= data.n_samples:
+        assert [step.eta for step in trace.steps] == ref_etas
+    else:
+        assert [step.eta for step in trace.steps] == pytest.approx(ref_etas, rel=1e-8, abs=1e-300)
+    assert extended.indices == ref_extended.indices
+
+    pruned = prune_basis(data, spec, extended, config)
+    assert list(pruned.removed) == ref_removed
+    assert pruned.basis.indices == ref_basis.indices
+
+    model = fit_mvsa(data, spec, config)
+    assert [step.added for step in model.trace.steps] == ref_added
+    assert model.basis.indices == ref_basis.indices
+    assert model.diagnostics.pruned_count == len(ref_removed)
+    for coefficients, cond in ((pruned.coefficients, pruned.condition_number),
+                               (model.coefficients, model.diagnostics.condition_number)):
+        assert coefficients.shape == ref_coeffs.shape
+        assert np.array_equal(coefficients, ref_coeffs)
+        assert cond == ref_cond
+    return model
+
+
+def beam_cell(q, seed, response_dim=1000):
+    config = BeamConfig(response_dim=response_dim)
+    spec = config.distribution_spec()
+    x = sample_inputs(spec, q, [seed, 0])
+    return TrainingData(x, config.response(x)), spec
+
+
+def random_downward_closed_truth(rng, dim, size):
+    support = zero_set(dim)
+    while len(support) < size:
+        candidates = [k for k in support.admissible_forward_neighbors() if sum(k) <= 4]
+        support = support.with_index(candidates[rng.integers(len(candidates))])
+    return support
+
+
+@pytest.mark.parametrize("q, seed", [(50, 3), (100, 1), (150, 0)])
+def test_beam_cells_with_compressed_responses(q, seed):
+    data, spec = beam_cell(q, seed)
+    assert data.n_outputs > data.n_samples
+    model = assert_matches_reference(data, spec, MvsaConfig(kappa=100.0))
+    assert model.trace.steps and model.diagnostics.pruned_count > 0
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_random_truths_with_few_outputs(case):
+    rng = np.random.default_rng(1000 + case)
+    dim = int(rng.integers(2, 5))
+    spec = DistributionSpec.of(
+        [Marginal.uniform(-1.0, 1.0) if rng.random() < 0.5 else Marginal.normal(0.0, 1.0) for _ in range(dim)]
+    )
+    support = random_downward_closed_truth(rng, dim, int(rng.integers(3, 9)))
+    q = int(rng.integers(30, 80))
+    m = int(rng.integers(1, 8))
+    x = spec.sample(q, rng)
+    y = assemble_design(spec, support, x).entries @ rng.normal(size=(len(support), m))
+    y = y + 1e-3 * rng.normal(size=y.shape)
+    data = TrainingData(x, y)
+    assert data.n_outputs <= data.n_samples
+    assert_matches_reference(data, spec)
+    assert_matches_reference(data, spec, MvsaConfig(max_iterations=3))
+
+
+@pytest.mark.parametrize("q, seed", [(100, 1), (150, 0)])
+def test_incremental_frontier_equals_brute_force(q, seed):
+    data, spec = beam_cell(q, seed, response_dim=20)
+    trace = fit_mvsa(data, spec, MvsaConfig(kappa=100.0)).trace
+    assert len(trace.steps) > 10
+    basis = list(trace.initial.indices)
+    members = set(basis)
+    frontier = list(trace.initial.admissible_forward_neighbors().indices)
+    for step in trace.steps:
+        frontier.remove(step.added)
+        basis.append(step.added)
+        members.add(step.added)
+        _admit_successors(step.added, members, frontier)
+        brute = MultiIndexSet(basis).admissible_forward_neighbors()
+        assert frontier == list(brute.indices)
+        assert len(basis) + len(frontier) == len(set(basis) | set(frontier))
+
+
+FIT_ONE_CELL = """
+import sys
+import numpy as np
+from mvsapce.benchmark import BeamConfig, sample_inputs
+from mvsapce.mvsa_engine import MvsaConfig, fit_mvsa
+from mvsapce.regression import TrainingData
+
+config = BeamConfig(response_dim=1000)
+spec = config.distribution_spec()
+x = sample_inputs(spec, 150, [0, 0])
+model = fit_mvsa(TrainingData(x, config.response(x)), spec, MvsaConfig(kappa=100.0))
+np.savez(sys.argv[1], basis=np.array(model.basis.indices), coefficients=model.coefficients)
+"""
+
+
+def test_blas_thread_count_keeps_basis_and_coefficients(tmp_path):
+    # The thread count must be set before numpy loads BLAS, so each fit runs
+    # in its own process.
+    src = Path(__file__).resolve().parents[1] / "src"
+    results = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        out = tmp_path / f"fit{threads}.npz"
+        proc = subprocess.run(
+            [sys.executable, "-c", FIT_ONE_CELL, str(out)], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        with np.load(out) as saved:
+            results[threads] = (saved["basis"], saved["coefficients"])
+    (basis1, coeffs1), (basis2, coeffs2) = results["1"], results["2"]
+    assert np.array_equal(basis1, basis2)
+    assert coeffs1.shape == coeffs2.shape
+    # Relative to the largest coefficient: terms near zero differ by a few
+    # 1e-18 absolute, far above 1e-12 of their own size.
+    assert np.max(np.abs(coeffs1 - coeffs2)) <= 1e-12 * np.max(np.abs(coeffs1))
