@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError, DomainError, MvsaError
 from .multi_index import parse_total_degree, total_degree_set
 from .mvsa_engine import FitDiagnostics, MvsaConfig, PceModel, fit_fixed, fit_mvsa, predict
 from .polynomial_basis import DistributionSpec, Marginal
-from .regression import TrainingData, rmse, write_csv_table, write_json_file
+from .regression import TrainingData, make_output_dir, rmse, write_csv_table, write_json_file
 from .uq import RNG_ALGORITHM, MomentReport, moments, monte_carlo_reference
 
 
@@ -97,6 +97,25 @@ def sample_inputs(spec: DistributionSpec, size: int, seed) -> np.ndarray:
     if size < 1:
         raise ConfigError(f"sample size must be >= 1, got {size}")
     return spec.sample(size, np.random.default_rng(seed))
+
+
+def beam_samples(
+    config: BeamConfig, train_size: int, test_size: int, seed: int
+) -> tuple[TrainingData, TrainingData]:
+    """Training and test sets of one beam cell.
+
+    Training rows come from the stream [seed, 0], test rows from
+    [seed, 1], so a cell's data depends on its seed alone.
+    """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    spec = config.distribution_spec()
+    train_x = sample_inputs(spec, train_size, [seed, 0])
+    test_x = sample_inputs(spec, test_size, [seed, 1])
+    return (
+        TrainingData(inputs=train_x, responses=config.response(train_x)),
+        TrainingData(inputs=test_x, responses=config.response(test_x)),
+    )
 
 
 @dataclass(frozen=True)
@@ -183,10 +202,10 @@ def plan_hash(config: BeamConfig, plan: ExperimentPlan) -> str:
 def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentReport:
     """Execute the full comparison protocol for the beam case.
 
-    For every training size and seed, one training and one test set are
-    drawn (streams derived from the seed), all requested methods are fitted
-    on the same data, and per-output test RMSE, moment estimates, fit time,
-    and basis diagnostics are collected.  A single Monte-Carlo moment
+    For every training size and seed, ``beam_samples`` draws one training
+    and one test set, all requested methods are fitted on the same data,
+    and per-output test RMSE, moment estimates, fit time, and basis
+    diagnostics are collected.  A single Monte-Carlo moment
     reference, drawn with the dedicated mcs_seed, is shared by all cells.
     Fit failures are recorded in their cell and the run continues.
     """
@@ -201,17 +220,14 @@ def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentR
     cells: list[CellResult] = []
     for q in plan.training_sizes:
         for seed in plan.seeds:
-            train_x = sample_inputs(spec, q, [seed, 0])
-            test_x = sample_inputs(spec, plan.test_size, [seed, 1])
-            data = TrainingData(inputs=train_x, responses=config.response(train_x))
-            test_y = config.response(test_x)
+            data, test = beam_samples(config, q, plan.test_size, seed)
             for method in plan.methods:
                 key = {"method": method, "training_size": q, "seed": seed}
                 try:
                     started = time.perf_counter()
                     model = _fit_method(method, data, spec, plan.kappa)
                     fit_seconds = time.perf_counter() - started
-                    cell_rmse = rmse(predict(model, test_x), test_y)
+                    cell_rmse = rmse(predict(model, test.inputs), test.responses)
                     moment_report = moments(model)
                 except MvsaError as exc:
                     cells.append(CellResult(**key, ok=False, error=str(exc)))
@@ -281,7 +297,7 @@ def _report_rows(report: ExperimentReport, metric: str):
 def write_experiment_report(report: ExperimentReport, out_dir) -> dict[str, str]:
     """Write the metric CSVs and the JSON summary; returns the file map."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out_dir)
     tag = plan_hash(report.config, report.plan)
     paths = {metric: out_dir / f"{metric}_{tag}.csv" for metric in _METRICS}
     for metric in _METRICS:

@@ -1,4 +1,4 @@
-"""Command-line front end: fit, predict, uq, compare.
+"""Command-line front end: fit, predict, uq, compare, beam-data.
 
 Exit codes: 0 success, 2 data error, 3 configuration error, 1 internal
 error.  Every invocation ends with one JSON diagnostics line on standard
@@ -16,6 +16,7 @@ from pathlib import Path
 from .benchmark import (
     BeamConfig,
     ExperimentPlan,
+    beam_samples,
     plan_hash,
     run_beam_experiment,
     write_experiment_report,
@@ -24,7 +25,15 @@ from .errors import ConfigError, DataError, MvsaError
 from .multi_index import parse_total_degree, total_degree_set
 from .mvsa_engine import MvsaConfig, fit_mvsa, load_model, predict, save_model
 from .polynomial_basis import DistributionSpec
-from .regression import load_data_csv, load_inputs_csv, read_json_file, write_responses_csv
+from .regression import (
+    load_data_csv,
+    load_inputs_csv,
+    make_output_dir,
+    read_json_file,
+    write_data_csv,
+    write_json_file,
+    write_responses_csv,
+)
 from .uq import (
     moments,
     sensitivity_report,
@@ -73,19 +82,12 @@ def _cmd_fit(args) -> dict:
     model = fit_mvsa(data, spec, config)
     fit_seconds = time.perf_counter() - started
     save_model(model, args.out)
-    diag = model.diagnostics
     return {
         "command": "fit",
         "model": str(args.out),
-        "basis_size": diag.basis_size,
-        "oversampling_ratio": data.n_samples / diag.basis_size,
-        "condition_number": diag.condition_number,
-        "max_total_degree": diag.max_total_degree,
-        "max_univariate_degree": diag.max_univariate_degree,
-        "iterations": diag.iterations,
-        "pruned_count": diag.pruned_count,
+        **model.diagnostics.to_dict(),
+        "oversampling_ratio": data.n_samples / model.diagnostics.basis_size,
         "fit_seconds": fit_seconds,
-        "seed": args.seed,
     }
 
 
@@ -107,8 +109,8 @@ def _cmd_uq(args) -> dict:
     moment_report = moments(model)
     sens = sensitivity_report(model)
     prefix = str(args.out_prefix)
-    Path(prefix).parent.mkdir(parents=True, exist_ok=True)
     files = {name: f"{prefix}{name}.csv" for name in ("moments", "sobol", "generalized")}
+    make_output_dir(Path(files["moments"]).parent)
     write_moments_csv(moment_report, files["moments"])
     write_sobol_csv(sens, files["sobol"])
     write_generalized_csv(sens, files["generalized"])
@@ -144,6 +146,17 @@ def _cmd_compare(args) -> dict:
     }
 
 
+def _cmd_beam_data(args) -> dict:
+    config = BeamConfig(response_dim=args.M)
+    train, test = beam_samples(config, args.train_size, args.test_size, args.seed)
+    files = {name: f"{args.prefix}{name}" for name in ("train.csv", "test.csv", "dist.json")}
+    make_output_dir(Path(files["dist.json"]).parent)
+    write_data_csv(files["train.csv"], train.inputs, train.responses)
+    write_data_csv(files["test.csv"], test.inputs, test.responses)
+    write_json_file(files["dist.json"], config.distribution_spec().to_json())
+    return {"command": "beam-data", "files": files, "inputs": config.n_inputs, "outputs": args.M}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="mvsapce", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -156,7 +169,6 @@ def build_parser() -> _Parser:
     fit.add_argument("--kappa", type=float, default=100.0)
     fit.add_argument("--init", default="zero", help="initial basis: zero or td:<p>")
     fit.add_argument("--out", required=True, help="output model JSON path")
-    fit.add_argument("--seed", type=int, default=None, help="recorded in diagnostics; fitting is deterministic")
     fit.set_defaults(handler=_cmd_fit)
 
     pred = sub.add_parser("predict", help="evaluate a fitted model on new inputs")
@@ -182,6 +194,14 @@ def build_parser() -> _Parser:
     compare.add_argument("--kappa", type=float, default=100.0)
     compare.add_argument("--dummy-count", type=int, default=15)
     compare.set_defaults(handler=_cmd_compare)
+
+    beam = sub.add_parser("beam-data", help="write beam training/test CSVs and their distribution spec")
+    beam.add_argument("--M", type=int, default=100, help="response dimension")
+    beam.add_argument("--train-size", type=int, default=150)
+    beam.add_argument("--test-size", type=int, default=1000)
+    beam.add_argument("--seed", type=int, required=True)
+    beam.add_argument("--prefix", default="beam_", help="path prefix of train.csv, test.csv and dist.json")
+    beam.set_defaults(handler=_cmd_beam_data)
 
     return parser
 

@@ -37,14 +37,12 @@ class MvsaConfig:
 
     kappa is the largest tolerated spectral condition number of the design
     matrix (must exceed 1); initial_set defaults to the zero index;
-    max_iterations, when given, caps the number of accepted expansion steps;
-    protect_zero_index exempts the constant term from pruning.
+    max_iterations, when given, caps the number of accepted expansion steps.
     """
 
     kappa: float = 100.0
     initial_set: MultiIndexSet | None = None
     max_iterations: int | None = None
-    protect_zero_index: bool = True
 
     def __post_init__(self):
         if not self.kappa > 1.0:
@@ -274,12 +272,10 @@ def prune_basis(
     While the design is conditioned worse than kappa or the basis outsizes
     the sample count, re-solves the least-squares problem and drops the
     index with the smallest sensitivity indicator (lexicographic tie-break;
-    the zero index is exempt while protect_zero_index is set).  Returns the
-    final basis together with a fresh solve on it against all outputs.
+    the zero index is exempt).  Returns the final basis together with a
+    fresh solve on it against all outputs.
     """
     config = config or MvsaConfig()
-    if len(basis) == 0:
-        raise ConfigError("cannot prune an empty basis")
     zero = (0,) * basis.dim
     if zero not in basis:
         raise ConfigError("prune_basis expects the zero multi-index in the basis")
@@ -300,17 +296,9 @@ def prune_basis(
                 condition_number=cond,
             )
         eta = sensitivity_indicators(coeffs)
-        victim = None
-        victim_eta = np.inf
-        for i, index in enumerate(kept):
-            if config.protect_zero_index and index == zero:
-                continue
-            if eta[i] < victim_eta or (eta[i] == victim_eta and index < victim):
-                victim = index
-                victim_eta = eta[i]
-        # A lone all-ones column has condition number 1 and size 1 <= Q,
-        # so the loop must have exited before running out of candidates.
-        assert victim is not None, "pruning exhausted all removable indices"
+        # A lone all-ones column has condition number 1 and size 1 <= Q, so
+        # the loop returns before the zero index is the only one left.
+        victim = min((eta[i], index) for i, index in enumerate(kept) if index != zero)[1]
         kept.remove(victim)
         removed.append(victim)
 

@@ -169,13 +169,7 @@ class DistributionSpec:
         x = np.asarray(x_raw, dtype=float)
         if x.shape != (self.dim,):
             raise DataError(f"expected input of shape ({self.dim},), got {x.shape}")
-        out = np.empty(self.dim)
-        for n, marginal in enumerate(self.marginals):
-            try:
-                out[n] = marginal.standardize(x[n])
-            except DomainError as exc:
-                raise DomainError(f"input component {n}: {exc}") from None
-        return out
+        return self.standardize_rows(x[None, :])[0]
 
     def standardize_rows(self, inputs) -> np.ndarray:
         """Standardize a Q x N matrix column by column."""
@@ -219,7 +213,7 @@ def _first_offending_row(marginal: Marginal, column: np.ndarray) -> int:
     return -1
 
 
-def univariate_table(family: str, max_degree: int, z, degree_cap: int = DEGREE_CAP) -> np.ndarray:
+def univariate_table(family: str, max_degree: int, z) -> np.ndarray:
     """Evaluate orthonormal polynomials of all degrees 0..max_degree.
 
     Parameters
@@ -228,7 +222,7 @@ def univariate_table(family: str, max_degree: int, z, degree_cap: int = DEGREE_C
         ``"hermite"`` (probabilists', orthonormal under the standard normal)
         or ``"legendre"`` (orthonormal under the uniform law on [-1, 1]).
     max_degree : int
-        Highest degree to evaluate; must not exceed ``degree_cap``.
+        Highest degree to evaluate; must not exceed ``DEGREE_CAP``.
     z : array_like
         Points in the reference variable.
 
@@ -239,9 +233,9 @@ def univariate_table(family: str, max_degree: int, z, degree_cap: int = DEGREE_C
     """
     if max_degree < 0:
         raise ConfigError(f"degree must be non-negative, got {max_degree}")
-    if max_degree > degree_cap:
+    if max_degree > DEGREE_CAP:
         raise ConfigError(
-            f"degree {max_degree} exceeds the configured cap {degree_cap}"
+            f"degree {max_degree} exceeds the cap {DEGREE_CAP}"
         )
     z = np.atleast_1d(np.asarray(z, dtype=float))
     table = np.empty((z.size, max_degree + 1))
@@ -264,9 +258,9 @@ def univariate_table(family: str, max_degree: int, z, degree_cap: int = DEGREE_C
     return table
 
 
-def eval_univariate(family: str, degree: int, z: float, degree_cap: int = DEGREE_CAP) -> float:
+def eval_univariate(family: str, degree: int, z: float) -> float:
     """Value of the orthonormal polynomial of the given degree at z."""
-    return float(univariate_table(family, degree, z, degree_cap)[0, degree])
+    return float(univariate_table(family, degree, z)[0, degree])
 
 
 def eval_multivariate(spec: DistributionSpec, k, x_raw) -> float:

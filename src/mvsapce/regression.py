@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .multi_index import MultiIndexSet
-from .polynomial_basis import DEGREE_CAP, DistributionSpec, univariate_table
+from .polynomial_basis import DistributionSpec, univariate_table
 
 #: Relative cutoff under which singular values are treated as zero in the
 #: least-squares solve (min-norm behavior below the cutoff).
@@ -46,6 +47,8 @@ class TrainingData:
             )
         if inputs.shape[0] < 1:
             raise DataError("training data must contain at least one row")
+        if responses.shape[1] < 1:
+            raise DataError("training data must contain at least one response column")
         if not np.all(np.isfinite(inputs)):
             raise DataError("non-finite entries in inputs")
         if not np.all(np.isfinite(responses)):
@@ -83,9 +86,8 @@ class DesignBuilder:
     columns.
     """
 
-    def __init__(self, spec: DistributionSpec, inputs, degree_cap: int = DEGREE_CAP):
+    def __init__(self, spec: DistributionSpec, inputs):
         self.spec = spec
-        self.degree_cap = degree_cap
         self.z = spec.standardize_rows(np.atleast_2d(np.asarray(inputs, dtype=float)))
         self._tables: list[np.ndarray | None] = [None] * spec.dim
         self._columns: dict[tuple[int, ...], np.ndarray] = {}
@@ -97,18 +99,11 @@ class DesignBuilder:
     def _table(self, n: int, degree: int) -> np.ndarray:
         table = self._tables[n]
         if table is None or table.shape[1] <= degree:
-            table = univariate_table(
-                self.spec.families[n], degree, self.z[:, n], self.degree_cap
-            )
+            table = univariate_table(self.spec.families[n], degree, self.z[:, n])
             self._tables[n] = table
         return table
 
-    def column(self, index) -> np.ndarray:
-        # A cached tuple hits before normalization: equal keys normalize alike.
-        cached = self._columns.get(index) if type(index) is tuple else None
-        if cached is not None:
-            return cached
-        index = tuple(int(v) for v in index)
+    def column(self, index: tuple[int, ...]) -> np.ndarray:
         cached = self._columns.get(index)
         if cached is not None:
             return cached
@@ -205,9 +200,24 @@ def rmse(predicted, actual) -> np.ndarray:
     return np.sqrt(np.mean((pred - act) ** 2, axis=0))
 
 
+@contextmanager
+def _output_errors(path):
+    """An output file or directory that cannot be created is a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
+def make_output_dir(path) -> None:
+    """Create an output directory and its parents unless it exists."""
+    with _output_errors(path):
+        Path(path).mkdir(parents=True, exist_ok=True)
+
+
 def write_json_file(path, payload) -> None:
     """Write ``payload`` as one line of JSON followed by a newline."""
-    with Path(path).open("w", encoding="utf-8") as handle:
+    with _output_errors(path), Path(path).open("w", encoding="utf-8") as handle:
         json.dump(payload, handle)
         handle.write("\n")
 
@@ -299,7 +309,7 @@ def load_inputs_csv(path, n_inputs: int) -> np.ndarray:
 
 def write_csv_table(path, header, rows) -> None:
     """Write a header row, then stream ``rows`` (excel dialect: CRLF, minimal quoting)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+    with _output_errors(path), Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -314,9 +324,8 @@ def write_data_csv(path, inputs: np.ndarray, responses: np.ndarray) -> None:
     write_csv_table(path, header, rows)
 
 
-def write_responses_csv(path, responses: np.ndarray, n_outputs: int | None = None) -> None:
+def write_responses_csv(path, responses: np.ndarray) -> None:
     """Write responses only, header ``y1..yM``."""
     responses = np.atleast_2d(responses)
-    width = n_outputs if responses.size == 0 and n_outputs is not None else responses.shape[1]
     rows = ([repr(float(v)) for v in row] for row in responses)
-    write_csv_table(path, _expected_header(0, width), rows)
+    write_csv_table(path, _expected_header(0, responses.shape[1]), rows)

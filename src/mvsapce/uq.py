@@ -25,6 +25,10 @@ from .regression import write_csv_table, write_json_file
 #: so published numbers can be regenerated.
 RNG_ALGORITHM = "pcg64"
 
+#: Rows per Monte-Carlo batch.  Batches are sampled column by column, so
+#: the batch size is part of a reference's reproducibility.
+MC_BATCH_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -167,15 +171,14 @@ def monte_carlo_reference(
     samples: int,
     seed,
     vectorized: bool = False,
-    batch_size: int = 4096,
 ) -> MomentReport:
     """Seeded Monte-Carlo moments of ``f`` under the input distribution.
 
     ``f`` maps one N-vector to an M-vector, or a Q x N batch to Q x M when
-    ``vectorized`` is set.  Draws are consumed in fixed-size batches from a
-    single pcg64 stream, so results are deterministic per (seed,
-    batch_size).  Uses a shifted two-pass accumulation and the unbiased
-    variance estimator.
+    ``vectorized`` is set.  Draws are consumed in batches of
+    ``MC_BATCH_SIZE`` from a single pcg64 stream, so results are
+    deterministic per seed.  Uses a shifted two-pass accumulation and the
+    unbiased variance estimator.
     """
     if samples < 2:
         raise ConfigError(f"Monte-Carlo reference needs at least 2 samples, got {samples}")
@@ -185,7 +188,7 @@ def monte_carlo_reference(
     sum_d = None
     sum_d2 = None
     while count < samples:
-        n = min(batch_size, samples - count)
+        n = min(MC_BATCH_SIZE, samples - count)
         x = spec.sample(n, rng)
         if vectorized:
             try:

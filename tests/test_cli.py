@@ -2,13 +2,15 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from mvsapce.mvsa_engine import save_model
+from mvsapce.benchmark import BeamConfig, ExperimentPlan, beam_samples, run_beam_experiment
+from mvsapce.mvsa_engine import FitDiagnostics, load_model, predict, save_model
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
-from mvsapce.regression import write_data_csv
+from mvsapce.regression import load_data_csv, rmse, write_data_csv
 
 from conftest import build_model
 
@@ -58,6 +60,20 @@ class TestFit:
         assert payload["basis_size"] >= 2
         assert payload["condition_number"] <= 100.0
         assert "fit_seconds" in payload
+        saved = json.loads((fit_assets["root"] / "model2.json").read_text())["diagnostics"]
+        assert list(saved) == [field.name for field in fields(FitDiagnostics)]
+        assert {name: payload[name] for name in saved} == saved
+
+    def test_zero_outputs_exits_2(self, fit_assets, tmp_path):
+        x_only = tmp_path / "x_only.csv"
+        write_data_csv(x_only, fit_assets["x"], np.empty((len(fit_assets["x"]), 0)))
+        proc = run_cli(
+            "fit", "--data", x_only, "--inputs", 2, "--outputs", 0,
+            "--dist", fit_assets["dist"], "--out", tmp_path / "m.json",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert last_json_line(proc)["kind"] == "data error"
+        assert not (tmp_path / "m.json").exists()
 
     def test_width_mismatch_exits_2(self, fit_assets, tmp_path):
         dist3 = tmp_path / "dist3.json"
@@ -142,6 +158,28 @@ class TestUnreadableInputs:
         assert proc.returncode == 2, proc.stderr
         payload = last_json_line(proc)
         assert payload["status"] == "error" and payload["kind"] == "data error"
+
+
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize("command", ["fit", "predict", "uq", "compare", "beam-data"])
+    def test_exits_3(self, fit_assets, tmp_path, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        args = {
+            "fit": ["fit", "--data", fit_assets["data"], "--inputs", 2, "--outputs", 1,
+                    "--dist", fit_assets["dist"], "--out", tmp_path / "missing" / "m.json"],
+            "predict": ["predict", "--model", fit_assets["model"], "--data", fit_assets["data"],
+                        "--out", tmp_path / "missing" / "p.csv"],
+            "uq": ["uq", "--model", fit_assets["model"], "--out-prefix", blocker / "u_"],
+            "compare": ["compare", "--Q", 25, "--M", 5, "--seeds", 0, "--methods", "td:1",
+                        "--test-size", 10, "--mcs-samples", 100, "--out-dir", blocker / "out"],
+            "beam-data": ["beam-data", "--M", 2, "--train-size", 5, "--test-size", 5, "--seed", 0,
+                          "--prefix", blocker / "b_"],
+        }[command]
+        proc = run_cli(*args)
+        assert proc.returncode == 3, proc.stderr
+        assert last_json_line(proc)["kind"] == "configuration error"
+        assert "cannot write" in proc.stderr
 
 
 class TestPredict:
@@ -296,3 +334,57 @@ class TestBenchmarkCommands:
         for name in ("rmse", "moments", "degrees", "summary"):
             with open(files_a[name], "rb") as fa, open(files_b[name], "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+
+class TestBeamData:
+    def test_files_match_library_draws(self, tmp_path):
+        proc = run_cli(
+            "beam-data", "--M", 4, "--train-size", 20, "--test-size", 10, "--seed", 5,
+            "--prefix", tmp_path / "cli" / "b_",
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = last_json_line(proc)
+        assert payload["status"] == "ok" and payload["inputs"] == 20 and payload["outputs"] == 4
+        config = BeamConfig(response_dim=4)
+        train, test = beam_samples(config, 20, 10, 5)
+        for name, data in (("train.csv", train), ("test.csv", test)):
+            write_data_csv(tmp_path / name, data.inputs, data.responses)
+            assert (tmp_path / "cli" / f"b_{name}").read_bytes() == (tmp_path / name).read_bytes()
+        dist = json.loads((tmp_path / "cli" / "b_dist.json").read_text())
+        assert dist == config.distribution_spec().to_json()
+        assert payload["files"]["dist.json"] == str(tmp_path / "cli" / "b_dist.json")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--M", 0, "response_dim"), ("--train-size", 0, "sample size"), ("--seed", -1, "seed")],
+        ids=["no-outputs", "no-rows", "negative-seed"],
+    )
+    def test_invalid_flags_exit_3(self, tmp_path, flag, value, message):
+        flags = {"--seed": 0, "--M": 3, "--test-size": 5, flag: value}
+        proc = run_cli(
+            "beam-data", "--prefix", tmp_path / "b_", *[part for item in flags.items() for part in item]
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert last_json_line(proc)["kind"] == "configuration error"
+        assert message in proc.stderr and not list(tmp_path.iterdir())
+
+    def test_fit_on_beam_data_matches_compare_cell(self, tmp_path):
+        # Both paths draw a cell's data through beam_samples, so fitting the
+        # CLI files reproduces the experiment's adaptive fit and test RMSE.
+        prefix = tmp_path / "b_"
+        proc = run_cli("beam-data", "--M", 10, "--train-size", 50, "--test-size", 30, "--seed", 3, "--prefix", prefix)
+        assert proc.returncode == 0, proc.stderr
+        model_path = tmp_path / "model.json"
+        proc = run_cli(
+            "fit", "--data", f"{prefix}train.csv", "--inputs", 20, "--outputs", 10,
+            "--dist", f"{prefix}dist.json", "--out", model_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        model = load_model(model_path)
+        test = load_data_csv(f"{prefix}test.csv", 20, 10)
+
+        plan = ExperimentPlan(training_sizes=(50,), test_size=30, seeds=(3,), methods=("mvsa",), mcs_samples=100)
+        (cell,) = run_beam_experiment(BeamConfig(response_dim=10), plan).cells
+        assert cell.ok
+        assert cell.diagnostics == model.diagnostics
+        np.testing.assert_array_equal(cell.rmse, rmse(predict(model, test.inputs), test.responses))

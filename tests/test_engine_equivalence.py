@@ -61,10 +61,7 @@ def reference_prune(data, basis, config, builder):
         if cond <= config.kappa and len(basis) <= data.n_samples:
             return basis, coeffs, cond, removed
         eta = sensitivity_indicators(coeffs)
-        candidates = [
-            (eta[i], index) for i, index in enumerate(basis.indices)
-            if not (config.protect_zero_index and index == zero)
-        ]
+        candidates = [(eta[i], index) for i, index in enumerate(basis.indices) if index != zero]
         victim = min(candidates)[1]
         basis = basis.without_index(victim)
         removed.append(victim)

@@ -232,11 +232,6 @@ class TestPruning:
         basis = total_degree_set(1, 5)  # 6 > Q = 3 forces removals
         protected = prune_basis(data, normal_spec(1), basis, MvsaConfig())
         assert (0,) in protected.basis
-        unprotected = prune_basis(
-            data, normal_spec(1), basis, MvsaConfig(protect_zero_index=False)
-        )
-        # constant data: the zero index carries all signal either way
-        assert len(unprotected.basis) <= 3
 
     def test_requires_zero_index(self):
         data = TrainingData(np.zeros((5, 1)), np.zeros((5, 1)))

@@ -113,8 +113,6 @@ class TestUnivariatePolynomials:
     def test_degree_cap_guard(self):
         with pytest.raises(ConfigError):
             eval_univariate(HERMITE, 31, 0.0)
-        with pytest.raises(ConfigError):
-            eval_univariate(LEGENDRE, 5, 0.0, degree_cap=4)
         assert math.isfinite(eval_univariate(HERMITE, 30, 1.0))
 
     def test_unknown_family(self):

@@ -30,6 +30,10 @@ class TestTrainingData:
         with pytest.raises(DataError):
             TrainingData(np.zeros((3, 2)), np.zeros((2, 1)))
 
+    def test_rejects_zero_response_columns(self):
+        with pytest.raises(DataError, match="response column"):
+            TrainingData(np.zeros((3, 2)), np.zeros((3, 0)))
+
     def test_promotes_vector_responses(self):
         data = TrainingData(np.zeros((4, 2)), np.arange(4.0))
         assert data.responses.shape == (4, 1)
