@@ -8,7 +8,6 @@ the model for moments and sensitivity indices.
 from .benchmark import (
     BeamConfig,
     ExperimentPlan,
-    beam_deflection,
     beam_deflection_rows,
     run_beam_experiment,
     sample_inputs,
@@ -34,13 +33,7 @@ from .polynomial_basis import (
     eval_multivariate,
     eval_univariate,
 )
-from .regression import (
-    TrainingData,
-    assemble_design,
-    condition_number,
-    rmse,
-    solve_ols,
-)
+from .regression import TrainingData, rmse
 from .uq import (
     MomentReport,
     SensitivityReport,
@@ -68,10 +61,7 @@ __all__ = [
     "PceModel",
     "SensitivityReport",
     "TrainingData",
-    "assemble_design",
-    "beam_deflection",
     "beam_deflection_rows",
-    "condition_number",
     "eval_multivariate",
     "eval_univariate",
     "expand_basis",
@@ -91,7 +81,6 @@ __all__ = [
     "sensitivity_indicators",
     "sensitivity_report",
     "sobol_indices",
-    "solve_ols",
     "total_degree_set",
     "write_experiment_report",
     "zero_set",

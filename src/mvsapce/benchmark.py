@@ -65,25 +65,18 @@ class BeamConfig:
         return beam_deflection_rows(inputs, self.response_dim)
 
 
-def beam_deflection(params, n_points: int) -> np.ndarray:
-    """Deflection on the interior grid l_m = m L / (M + 1), m = 1..M.
-
-    ``params`` holds (w, h, L, E, P) first; any further entries (dummy
-    inputs) are ignored.
-    """
-    params = np.asarray(params, dtype=float).ravel()
-    return beam_deflection_rows(params[None, :], n_points)[0]
-
-
 def beam_deflection_rows(inputs, n_points: int) -> np.ndarray:
-    """Beam response for every row of a Q x N matrix; returns Q x M."""
+    """Deflection on the interior grid l_m = m L / (M + 1), m = 1..M, per row.
+
+    Each row of the Q x N matrix holds (w, h, L, E, P) first; any further
+    entries (dummy inputs) are ignored.  Returns Q x M.
+    """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     if x.shape[1] < 5:
         raise DataError(f"beam model needs 5 physical parameters, got width {x.shape[1]}")
     if np.min(x[:, :5]) <= 0.0:
         raise DomainError("beam parameters must all be positive")
     w, h, length, modulus, load = (x[:, j][:, None] for j in range(5))
-    # same association as the scalar path so both agree bitwise
     ell = np.arange(1, n_points + 1)[None, :] * (length / (n_points + 1))
     return load * ell * (length**3 - 2.0 * ell**2 * length + ell**3) / (2.0 * modulus * w * h**3)
 

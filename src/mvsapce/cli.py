@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -23,7 +24,7 @@ from .benchmark import (
 )
 from .errors import ConfigError, DataError, MvsaError
 from .multi_index import parse_total_degree, total_degree_set
-from .mvsa_engine import MvsaConfig, fit_mvsa, load_model, predict, save_model
+from .mvsa_engine import MvsaConfig, check_initial_size, fit_mvsa, load_model, predict, save_model
 from .polynomial_basis import DistributionSpec
 from .regression import (
     load_data_csv,
@@ -51,12 +52,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _initial_set(token: str, dim: int):
+def _initial_set(token: str, dim: int, n_samples: int):
     if token == "zero":
         return None
     degree = parse_total_degree(token)
     if degree is None:
         raise ConfigError(f"--init must be 'zero' or 'td:<p>', got {token!r}")
+    # The set has C(N + p, p) members; reject an oversized one before
+    # enumerating it, which at N = 20 takes seconds from p = 6 on.
+    check_initial_size(math.comb(dim + degree, degree), n_samples)
     return total_degree_set(dim, degree)
 
 
@@ -73,11 +77,11 @@ def _cmd_fit(args) -> dict:
         raise DataError(
             f"--inputs {args.inputs} does not match distribution spec with {spec.dim} marginals"
         )
+    data = load_data_csv(args.data, args.inputs, args.outputs)
     config = MvsaConfig(
         kappa=args.kappa,
-        initial_set=_initial_set(args.init, spec.dim),
+        initial_set=_initial_set(args.init, spec.dim, data.n_samples),
     )
-    data = load_data_csv(args.data, args.inputs, args.outputs)
     started = time.perf_counter()
     model = fit_mvsa(data, spec, config)
     fit_seconds = time.perf_counter() - started
@@ -166,7 +170,7 @@ def build_parser() -> _Parser:
     fit.add_argument("--inputs", type=int, required=True, help="number of input columns N")
     fit.add_argument("--outputs", type=int, required=True, help="number of output columns M")
     fit.add_argument("--dist", required=True, help="distribution spec JSON file")
-    fit.add_argument("--kappa", type=float, default=100.0)
+    fit.add_argument("--kappa", type=float, default=MvsaConfig.kappa)
     fit.add_argument("--init", default="zero", help="initial basis: zero or td:<p>")
     fit.add_argument("--out", required=True, help="output model JSON path")
     fit.set_defaults(handler=_cmd_fit)
@@ -184,15 +188,17 @@ def build_parser() -> _Parser:
 
     compare = sub.add_parser("compare", help="compare adaptive and total-degree fits on the beam case")
     compare.add_argument("--Q", required=True, help="comma-separated training sizes")
-    compare.add_argument("--M", type=int, default=1000, help="response dimension")
+    compare.add_argument("--M", type=int, default=BeamConfig.response_dim, help="response dimension")
     compare.add_argument("--seeds", required=True, help="comma-separated seed list")
-    compare.add_argument("--methods", default="mvsa,td:2,td:3", help="comma-separated methods (mvsa, td:<p>)")
+    compare.add_argument(
+        "--methods", default=",".join(ExperimentPlan.methods), help="comma-separated methods (mvsa, td:<p>)"
+    )
     compare.add_argument("--out-dir", required=True, help="directory for the report files")
-    compare.add_argument("--test-size", type=int, default=1000)
-    compare.add_argument("--mcs-samples", type=int, default=100_000)
-    compare.add_argument("--mcs-seed", type=int, default=123456789)
-    compare.add_argument("--kappa", type=float, default=100.0)
-    compare.add_argument("--dummy-count", type=int, default=15)
+    compare.add_argument("--test-size", type=int, default=ExperimentPlan.test_size)
+    compare.add_argument("--mcs-samples", type=int, default=ExperimentPlan.mcs_samples)
+    compare.add_argument("--mcs-seed", type=int, default=ExperimentPlan.mcs_seed)
+    compare.add_argument("--kappa", type=float, default=ExperimentPlan.kappa)
+    compare.add_argument("--dummy-count", type=int, default=BeamConfig.dummy_count)
     compare.set_defaults(handler=_cmd_compare)
 
     beam = sub.add_parser("beam-data", help="write beam training/test CSVs and their distribution spec")

@@ -145,10 +145,6 @@ class MultiIndexSet:
     def to_json(self) -> list[list[int]]:
         return [list(index) for index in self.indices]
 
-    @classmethod
-    def from_json(cls, payload: Sequence[Sequence[int]], dim: int | None = None) -> "MultiIndexSet":
-        return cls(payload, dim=dim)
-
 
 def zero_set(dim: int) -> MultiIndexSet:
     """The singleton set containing only the zero multi-index."""

@@ -163,6 +163,12 @@ def sensitivity_indicators(coefficients) -> np.ndarray:
     return np.sum(coeffs * coeffs, axis=1)
 
 
+def check_initial_size(size: int, n_samples: int) -> None:
+    """An initial set must be smaller than the sample count; ConfigError otherwise."""
+    if size >= n_samples:
+        raise ConfigError(f"initial set size {size} must be smaller than the sample count {n_samples}")
+
+
 def _response_factor(responses: np.ndarray) -> np.ndarray:
     """Right-hand side of the adaptive steps: Y itself, or a Q x Q factor of it.
 
@@ -216,10 +222,7 @@ def expand_basis(
     if data.n_inputs != spec.dim:
         raise DataError(f"data width {data.n_inputs} does not match spec dimension {spec.dim}")
     initial = config.resolve_initial_set(spec.dim)
-    if len(initial) >= data.n_samples:
-        raise ConfigError(
-            f"initial set size {len(initial)} must be smaller than the sample count {data.n_samples}"
-        )
+    check_initial_size(len(initial), data.n_samples)
     builder = _builder or DesignBuilder(spec, data.inputs)
     rhs = _response_factor(data.responses) if _factor is None else _factor
     basis = list(initial.indices)
@@ -380,7 +383,7 @@ def model_from_json(payload: dict) -> PceModel:
         if version != MODEL_FORMAT_VERSION:
             raise DataError(f"unsupported model format_version {version}")
         spec = DistributionSpec.from_json(payload["spec"])
-        basis = MultiIndexSet.from_json(payload["basis"], dim=spec.dim)
+        basis = MultiIndexSet(payload["basis"], dim=spec.dim)
         coefficients = np.asarray(payload["coefficients"], dtype=float)
         diagnostics = FitDiagnostics.from_dict(payload["diagnostics"])
     except KeyError as exc:

@@ -1,9 +1,10 @@
 """Design-matrix assembly and multi-right-hand-side least squares.
 
 One orthonormal-basis design matrix serves all response components at once:
-a single SVD factorization resolves every column of the right-hand side,
-falling back to the minimum-2-norm solution when the system is
-rank-deficient or underdetermined.
+``DesignBuilder(spec, x).matrix(basis)`` builds it, and a single SVD
+factorization in ``solve_with_condition`` resolves every column of the
+right-hand side, falling back to the minimum-2-norm solution when the
+system is rank-deficient or underdetermined.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .multi_index import MultiIndexSet
 from .polynomial_basis import DistributionSpec, univariate_table
 
 #: Relative cutoff under which singular values are treated as zero in the
@@ -69,14 +69,6 @@ class TrainingData:
         return self.responses.shape[1]
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Basis evaluations at the training inputs; columns follow set order."""
-
-    entries: np.ndarray
-    column_index: MultiIndexSet
-
-
 class DesignBuilder:
     """Reusable design-matrix assembler for one fixed input sample.
 
@@ -104,69 +96,43 @@ class DesignBuilder:
         return table
 
     def column(self, index: tuple[int, ...]) -> np.ndarray:
+        """Values of the term ``index`` at every input row; DataError if the
+        index length is not the input width or a value is not finite."""
         cached = self._columns.get(index)
         if cached is not None:
             return cached
+        if len(index) != self.spec.dim:
+            raise DataError(f"term {index} has {len(index)} entries, the inputs have {self.spec.dim}")
         col = np.ones(self.n_rows)
         for n, degree in enumerate(index):
             if degree:
                 col = col * self._table(n, degree)[:, degree]
+        if not np.isfinite(col).all():
+            row = int(np.flatnonzero(~np.isfinite(col))[0])
+            raise DataError(f"term {index} is not finite at input row {row}")
         self._columns[index] = col
         return col
 
     def matrix(self, basis) -> np.ndarray:
         """Columns in ``basis`` order: a MultiIndexSet or a sequence of index tuples."""
-        if isinstance(basis, MultiIndexSet) and basis.dim != self.spec.dim:
-            raise DataError(
-                f"basis dimension {basis.dim} does not match input width {self.spec.dim}"
-            )
         return np.column_stack([self.column(index) for index in basis])
 
 
-def assemble_design(spec: DistributionSpec, basis: MultiIndexSet, inputs) -> DesignMatrix:
-    """Design matrix d_qk = Psi_k(x_q) over the given basis and inputs."""
-    builder = DesignBuilder(spec, inputs)
-    return DesignMatrix(entries=builder.matrix(basis), column_index=basis)
-
-
-def _entries(design) -> np.ndarray:
-    matrix = design.entries if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)
-    return np.atleast_2d(matrix)
-
-
 def solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unchecked least squares plus the condition number from lstsq's own SVD."""
+    """K x M least-squares coefficients for all columns of ``rhs``, and the condition number.
+
+    Min-norm when rank-deficient or underdetermined (singular values below
+    ``OLS_RANK_RTOL`` times the largest count as zero); the condition number
+    comes from lstsq's own singular values.  Unchecked: DesignBuilder and
+    TrainingData reject non-finite entries.
+    """
     coeffs, _, _, s = np.linalg.lstsq(matrix, rhs, rcond=OLS_RANK_RTOL)
     return coeffs, condition_from_singular_values(s, matrix.shape[0], matrix.shape[1])
 
 
-def solve_ols(design, rhs) -> np.ndarray:
-    """Least-squares coefficients for all response columns at once.
-
-    Returns the K x M coefficient matrix minimizing the residual Frobenius
-    norm; when rank-deficient or underdetermined, each column is the
-    minimum-2-norm minimizer (singular values below ``OLS_RANK_RTOL`` times
-    the largest are treated as zero).
-    """
-    matrix = _entries(design)
-    b = np.asarray(rhs, dtype=float)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    if matrix.shape[0] != b.shape[0]:
-        raise DataError(
-            f"design has {matrix.shape[0]} rows but right-hand side has {b.shape[0]}"
-        )
-    if not np.all(np.isfinite(matrix)):
-        raise DataError("non-finite entries in design matrix")
-    if not np.all(np.isfinite(b)):
-        raise DataError("non-finite entries in right-hand side")
-    coeffs, _ = solve_with_condition(matrix, b)
-    return coeffs[:, 0] if squeeze else coeffs
-
-
 def condition_from_singular_values(s: np.ndarray, n_rows: int, n_cols: int) -> float:
-    """Spectral condition number from precomputed singular values."""
+    """sigma_max / sigma_min from precomputed singular values; +inf when the
+    matrix is wide or sigma_min <= ``COND_SINGULARITY_RTOL`` * sigma_max."""
     if n_cols > n_rows:
         return float("inf")
     smax = float(s[0]) if len(s) else 0.0
@@ -174,18 +140,6 @@ def condition_from_singular_values(s: np.ndarray, n_rows: int, n_cols: int) -> f
     if smin <= smax * COND_SINGULARITY_RTOL:
         return float("inf")
     return smax / smin
-
-
-def condition_number(design) -> float:
-    """Spectral condition number sigma_max / sigma_min of the design.
-
-    Returns +inf when the matrix has more columns than rows or when the
-    smallest singular value falls below ``COND_SINGULARITY_RTOL`` times the
-    largest.
-    """
-    matrix = _entries(design)
-    s = np.linalg.svd(matrix, compute_uv=False)
-    return condition_from_singular_values(s, matrix.shape[0], matrix.shape[1])
 
 
 def rmse(predicted, actual) -> np.ndarray:

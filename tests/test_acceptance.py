@@ -18,7 +18,7 @@ import pytest
 import mvsapce as mv
 from mvsapce.multi_index import total_degree_set, zero_set
 from mvsapce.polynomial_basis import HERMITE, LEGENDRE
-from mvsapce.regression import write_data_csv
+from mvsapce.regression import DesignBuilder, solve_with_condition, write_data_csv
 
 from conftest import build_model, quadrature_gram, tensor_quadrature_gram
 
@@ -107,8 +107,8 @@ def recovery_runs(uniform_3d_module):
         q = 10 * size
         x_train = mv.sample_inputs(spec, q, [seed, 0])
         x_test = mv.sample_inputs(spec, 200, [seed, 1])
-        y_train = mv.assemble_design(spec, support, x_train).entries @ truth
-        y_test = mv.assemble_design(spec, support, x_test).entries @ truth
+        y_train = DesignBuilder(spec, x_train).matrix(support) @ truth
+        y_test = DesignBuilder(spec, x_test).matrix(support) @ truth
         model = mv.fit_mvsa(
             mv.TrainingData(x_train, y_train), spec, mv.MvsaConfig(kappa=KAPPA)
         )
@@ -231,9 +231,10 @@ def test_criterion_6_consistency_identities():
         # joint multi-column solve equals column-wise solves
         design = rng.normal(size=(50, 12))
         rhs = rng.normal(size=(50, 5))
-        joint = mv.solve_ols(design, rhs)
+        joint, _ = solve_with_condition(design, rhs)
         for m in range(rhs.shape[1]):
-            assert np.max(np.abs(joint[:, m] - mv.solve_ols(design, rhs[:, m]))) <= 1e-12
+            single, _ = solve_with_condition(design, rhs[:, m])
+            assert np.max(np.abs(joint[:, m] - single)) <= 1e-12
 
 
 def test_criterion_7_fit_performance(beam_runs):

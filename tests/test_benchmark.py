@@ -8,7 +8,6 @@ from mvsapce.benchmark import (
     CellResult,
     ExperimentPlan,
     ExperimentReport,
-    beam_deflection,
     beam_deflection_rows,
     plan_hash,
     run_beam_experiment,
@@ -35,50 +34,53 @@ class TestBeamDeflection:
     def test_midpoint_closed_form(self):
         # at l = L/2 the formula reduces to 5 P L^4 / (32 E w h^3)
         w, h, length, modulus, load = NOMINAL
-        deflection = beam_deflection(NOMINAL, n_points=999)
+        deflection = beam_deflection_rows([NOMINAL], 999)[0]
         expected = 5.0 * load * length**4 / (32.0 * modulus * w * h**3)
         assert deflection[499] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(8.0375e-3, rel=1e-4)
 
     def test_symmetry(self):
-        deflection = beam_deflection(NOMINAL, n_points=999)
+        deflection = beam_deflection_rows([NOMINAL], 999)[0]
         assert np.allclose(deflection, deflection[::-1], rtol=1e-12, atol=0.0)
 
     def test_strictly_positive_inside(self):
-        assert np.all(beam_deflection(NOMINAL, n_points=50) > 0.0)
+        assert np.all(beam_deflection_rows([NOMINAL], 50)[0] > 0.0)
 
     def test_linear_in_load(self):
         doubled = NOMINAL.copy()
         doubled[4] *= 2.0
-        assert np.array_equal(beam_deflection(doubled, 100), 2.0 * beam_deflection(NOMINAL, 100))
+        twice, once = beam_deflection_rows([doubled, NOMINAL], 100)
+        assert np.array_equal(twice, 2.0 * once)
 
     def test_inverse_in_youngs_modulus(self):
         doubled = NOMINAL.copy()
         doubled[3] *= 2.0
-        assert np.array_equal(beam_deflection(doubled, 100), beam_deflection(NOMINAL, 100) / 2.0)
+        half, once = beam_deflection_rows([doubled, NOMINAL], 100)
+        assert np.array_equal(half, once / 2.0)
 
     def test_dummies_are_ignored(self):
         padded = np.concatenate([NOMINAL, [10.0, 12.0, 9.0]])
-        assert np.array_equal(beam_deflection(padded, 64), beam_deflection(NOMINAL, 64))
+        assert np.array_equal(beam_deflection_rows([padded], 64), beam_deflection_rows([NOMINAL], 64))
 
     def test_rows_match_scalar_version(self):
+        # each row of a batch equals that row evaluated on its own
         rng = np.random.default_rng(0)
         rows = NOMINAL * rng.uniform(0.9, 1.1, size=(6, 5))
         batch = beam_deflection_rows(rows, 33)
         for q in range(6):
-            assert np.array_equal(batch[q], beam_deflection(rows[q], 33))
+            assert np.array_equal(batch[q], beam_deflection_rows(rows[q:q + 1], 33)[0])
 
     def test_rejects_nonpositive_parameters(self):
         bad = NOMINAL.copy()
         bad[0] = 0.0
         with pytest.raises(DomainError):
-            beam_deflection(bad, 10)
+            beam_deflection_rows([bad], 10)
         with pytest.raises(DomainError):
             beam_deflection_rows(np.vstack([NOMINAL, bad]), 10)
 
     def test_rejects_short_parameter_vector(self):
         with pytest.raises(DataError):
-            beam_deflection([1.0, 2.0], 10)
+            beam_deflection_rows([[1.0, 2.0]], 10)
 
 
 class TestBeamConfig:

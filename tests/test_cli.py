@@ -108,6 +108,39 @@ class TestFit:
         )
         assert proc.returncode == 0
 
+    def test_overflowing_design_exits_2(self, fit_assets, tmp_path):
+        # td:2 puts He_2(x1) in the first design, and He_2(1e200) overflows
+        x = fit_assets["x"].copy()
+        x[5, 0] = 1e200
+        data = tmp_path / "far.csv"
+        write_data_csv(data, x, fit_assets["y"])
+        proc = run_cli(
+            "fit", "--data", data, "--inputs", 2, "--outputs", 1,
+            "--dist", fit_assets["dist"], "--out", tmp_path / "m.json", "--init", "td:2",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert last_json_line(proc)["error"] == "term (2, 0) is not finite at input row 5"
+
+    def test_oversized_td_init_exits_3_without_enumerating(self, tmp_path, monkeypatch, capsys):
+        from mvsapce import cli
+
+        prefix = f"{tmp_path}/"
+        assert cli.main(["beam-data", "--M", "10", "--seed", "0", "--test-size", "1", "--prefix", prefix]) == 0
+
+        def enumeration_forbidden(*args):
+            raise AssertionError("total_degree_set was called")
+
+        # td:8 in 20 inputs has C(28, 8) = 3,108,105 members
+        monkeypatch.setattr(cli, "total_degree_set", enumeration_forbidden)
+        code = cli.main([
+            "fit", "--data", f"{prefix}train.csv", "--inputs", "20", "--outputs", "10",
+            "--dist", f"{prefix}dist.json", "--init", "td:8", "--out", f"{prefix}m.json",
+        ])
+        assert code == 3
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["kind"] == "configuration error"
+        assert payload["error"] == "initial set size 3108105 must be smaller than the sample count 150"
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize(
         "params",
@@ -204,6 +237,19 @@ class TestPredict:
         proc = run_cli("predict", "--model", fit_assets["model"], "--data", empty, "--out", out)
         assert proc.returncode == 0
         assert out.read_bytes() == b"y1\r\n"
+
+    def test_non_finite_design_exits_2(self, fit_assets, tmp_path):
+        # He_k(1e200) overflows for every k >= 2, and the model has such terms in x1
+        assert max(index[0] for index in load_model(fit_assets["model"]).basis) >= 2
+        far = tmp_path / "far.csv"
+        write_data_csv(far, np.array([[0.5, -0.5], [1e200, 0.0]]), np.zeros((2, 1)))
+        out = tmp_path / "preds.csv"
+        proc = run_cli("predict", "--model", fit_assets["model"], "--data", far, "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        payload = last_json_line(proc)
+        assert payload["kind"] == "data error"
+        assert "is not finite at input row 1" in payload["error"]
+        assert not out.exists()
 
 
 def _malformed_models():

@@ -27,7 +27,7 @@ from mvsapce.mvsa_engine import (
     sensitivity_indicators,
 )
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
-from mvsapce.regression import DesignBuilder, TrainingData, assemble_design, solve_with_condition
+from mvsapce.regression import DesignBuilder, TrainingData, solve_with_condition
 
 
 def reference_expand(data, spec, config, builder):
@@ -132,7 +132,7 @@ def test_random_truths_with_few_outputs(case):
     q = int(rng.integers(30, 80))
     m = int(rng.integers(1, 8))
     x = spec.sample(q, rng)
-    y = assemble_design(spec, support, x).entries @ rng.normal(size=(len(support), m))
+    y = DesignBuilder(spec, x).matrix(support) @ rng.normal(size=(len(support), m))
     y = y + 1e-3 * rng.normal(size=y.shape)
     data = TrainingData(x, y)
     assert data.n_outputs <= data.n_samples

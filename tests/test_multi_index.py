@@ -178,5 +178,5 @@ class TestRandomGrowth:
 class TestSerialization:
     def test_round_trip_preserves_order(self):
         s = MultiIndexSet([(1, 0), (0, 0), (0, 2)])
-        assert MultiIndexSet.from_json(s.to_json()) == s
+        assert MultiIndexSet(s.to_json()) == s
         assert s.to_json() == [[1, 0], [0, 0], [0, 2]]

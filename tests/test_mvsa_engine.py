@@ -19,7 +19,7 @@ from mvsapce.mvsa_engine import (
     sensitivity_indicators,
 )
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
-from mvsapce.regression import TrainingData, assemble_design, condition_number
+from mvsapce.regression import DesignBuilder, TrainingData, solve_with_condition
 
 from conftest import build_model
 
@@ -125,8 +125,6 @@ class TestExpansion:
         # re-solve the extended system at every recorded step: the accepted
         # index must carry the largest indicator among the admissible
         # candidates, with the lexicographic tie-break
-        from mvsapce.regression import DesignBuilder
-
         rng = np.random.default_rng(9)
         x = rng.normal(size=(35, 2))
         y = np.column_stack([np.exp(0.3 * x[:, 0]), np.cos(x[:, 1])])
@@ -160,14 +158,14 @@ class TestPruning:
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, (40, 3))
         basis = total_degree_set(3, 2)
-        design = assemble_design(uniform_3d, basis, x)
-        data = TrainingData(x, design.entries @ rng.normal(size=(len(basis), 2)))
+        design = DesignBuilder(uniform_3d, x).matrix(basis)
+        data = TrainingData(x, design @ rng.normal(size=(len(basis), 2)))
         result = prune_basis(data, uniform_3d, basis)
         assert result.basis == basis
         assert result.removed == ()
         assert np.allclose(
             result.coefficients,
-            np.linalg.lstsq(design.entries, data.responses, rcond=1e-12)[0],
+            np.linalg.lstsq(design, data.responses, rcond=1e-12)[0],
             atol=1e-13,
         )
 
@@ -182,9 +180,9 @@ class TestPruning:
         data = TrainingData(x, 2.0 * column)
         spec = normal_spec(2)
         basis = MultiIndexSet([(0, 0), (1, 0), (0, 1)])
-        design = assemble_design(spec, basis, x)
-        assert condition_number(design) == np.inf
-        coeffs = np.linalg.lstsq(design.entries, data.responses, rcond=1e-12)[0]
+        design = DesignBuilder(spec, x).matrix(basis)
+        coeffs, cond = solve_with_condition(design, data.responses)
+        assert cond == np.inf
         eta = sensitivity_indicators(coeffs)
         expected_victim = min(
             ((eta[i], k) for i, k in enumerate(basis.indices) if k != (0, 0)),
@@ -207,7 +205,7 @@ class TestPruning:
         assert len(result.basis) <= 8
         assert result.condition_number <= config.kappa
         # brute-force replay
-        from mvsapce.regression import DesignBuilder, condition_from_singular_values
+        from mvsapce.regression import condition_from_singular_values
 
         builder = DesignBuilder(uniform_3d, x)
         current = basis
@@ -245,14 +243,14 @@ class TestFitMvsa:
         support = MultiIndexSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
         truth = rng.uniform(0.5, 2.0, size=(5, 2))
         x = rng.uniform(-1, 1, (100, 3))
-        y = assemble_design(uniform_3d, support, x).entries @ truth
+        y = DesignBuilder(uniform_3d, x).matrix(support) @ truth
         model = fit_mvsa(TrainingData(x, y), uniform_3d)
         positions = {k: i for i, k in enumerate(model.basis.indices)}
         assert all(k in positions for k in support)
         for row, k in enumerate(support):
             assert np.max(np.abs(model.coefficients[positions[k]] - truth[row])) < 1e-8
         x_test = rng.uniform(-1, 1, (50, 3))
-        y_test = assemble_design(uniform_3d, support, x_test).entries @ truth
+        y_test = DesignBuilder(uniform_3d, x_test).matrix(support) @ truth
         assert np.max(np.abs(predict(model, x_test) - y_test)) < 1e-8
 
     def test_single_sample_rejected_before_any_solve(self):

@@ -3,20 +3,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvsapce.errors import DataError
+from mvsapce.errors import DataError, DomainError
 from mvsapce.multi_index import MultiIndexSet, total_degree_set
+from mvsapce.mvsa_engine import fit_fixed
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
 from mvsapce.regression import (
+    DesignBuilder,
     TrainingData,
-    assemble_design,
-    condition_number,
     load_data_csv,
     load_inputs_csv,
     rmse,
-    solve_ols,
+    solve_with_condition,
     write_data_csv,
     write_responses_csv,
 )
+
+
+def solver_condition(design):
+    """The condition number that the one solve path reports for ``design``."""
+    return solve_with_condition(design, np.zeros((design.shape[0], 1)))[1]
 
 
 class TestTrainingData:
@@ -42,20 +47,20 @@ class TestTrainingData:
 
 class TestAssembleDesign:
     def test_constant_basis_gives_ones(self, standard_normal_2d):
-        design = assemble_design(standard_normal_2d, MultiIndexSet([(0, 0)]), np.zeros((5, 2)))
-        assert np.array_equal(design.entries, np.ones((5, 1)))
+        design = DesignBuilder(standard_normal_2d, np.zeros((5, 2))).matrix(MultiIndexSet([(0, 0)]))
+        assert np.array_equal(design, np.ones((5, 1)))
 
     def test_first_degree_row(self):
         spec = DistributionSpec.of([Marginal.normal(0, 1)])
-        design = assemble_design(spec, MultiIndexSet([(0,), (1,)]), [[0.5]])
-        assert np.allclose(design.entries, [[1.0, 0.5]], rtol=0, atol=0)
+        design = DesignBuilder(spec, [[0.5]]).matrix(MultiIndexSet([(0,), (1,)]))
+        assert np.allclose(design, [[1.0, 0.5]], rtol=0, atol=0)
 
     def test_hermite_degree_two_zero_crossing(self, standard_normal_2d):
         # He_2(1) = 0, so the (2, 0) column vanishes at x1 = 1
         basis = MultiIndexSet([(0, 0), (2, 0)])
-        design = assemble_design(standard_normal_2d, basis, [[1.0, -1.0]])
-        assert design.entries[0, 0] == 1.0
-        assert abs(design.entries[0, 1]) < 1e-15
+        design = DesignBuilder(standard_normal_2d, [[1.0, -1.0]]).matrix(basis)
+        assert design[0, 0] == 1.0
+        assert abs(design[0, 1]) < 1e-15
 
     def test_matches_eval_multivariate(self, uniform_3d):
         from mvsapce.polynomial_basis import eval_multivariate
@@ -63,17 +68,36 @@ class TestAssembleDesign:
         rng = np.random.default_rng(3)
         basis = total_degree_set(3, 3)
         x = rng.uniform(-1, 1, (6, 3))
-        design = assemble_design(uniform_3d, basis, x)
+        design = DesignBuilder(uniform_3d, x).matrix(basis)
         for q in range(6):
             for j, index in enumerate(basis):
-                assert design.entries[q, j] == pytest.approx(
+                assert design[q, j] == pytest.approx(
                     eval_multivariate(uniform_3d, index, x[q]), rel=1e-12
                 )
 
     def test_domain_error_carries_row_context(self):
         spec = DistributionSpec.of([Marginal.lognormal(1.0, 0.1)])
         with pytest.raises(DataError, match="row 1"):
-            assemble_design(spec, MultiIndexSet([(0,)]), [[1.0], [-2.0]])
+            DesignBuilder(spec, [[1.0], [-2.0]]).matrix(MultiIndexSet([(0,)]))
+        uniform = DistributionSpec.of([Marginal.uniform(-1.0, 1.0)])
+        with pytest.raises(DomainError, match="row 2"):
+            DesignBuilder(uniform, [[0.5], [1.0], [1.5]])
+
+    def test_rejects_index_of_wrong_length(self, standard_normal_2d):
+        builder = DesignBuilder(standard_normal_2d, np.zeros((3, 2)))
+        with pytest.raises(DataError, match=r"term \(0, 1, 0\) has 3 entries, the inputs have 2"):
+            builder.matrix([(0, 0), (0, 1, 0)])
+        with pytest.raises(DataError, match="has 1 entries"):
+            builder.matrix(MultiIndexSet([(0,), (1,)]))
+
+    def test_rejects_non_finite_column(self, standard_normal_2d):
+        # He_2(1e200) overflows; the error names the term and the first bad row
+        builder = DesignBuilder(standard_normal_2d, [[0.0, 1.0], [1e200, 0.0], [-1e200, 0.0]])
+        assert np.array_equal(builder.column((1, 0)), [0.0, 1e200, -1e200])
+        with pytest.raises(DataError, match=r"term \(2, 0\) is not finite at input row 1"):
+            builder.matrix([(0, 0), (2, 0)])
+        with pytest.raises(DataError, match=r"term \(1, 1\) is not finite at input row 0"):
+            DesignBuilder(standard_normal_2d, [[1e160, 1e160]]).column((1, 1))
 
 
 class TestSolveOls:
@@ -82,28 +106,34 @@ class TestSolveOls:
         q_factor, _ = np.linalg.qr(rng.normal(size=(4, 2)))
         design = 2.0 * q_factor
         rhs = 2.0 * q_factor[:, :1]
-        coeffs = solve_ols(design, rhs)
+        coeffs, _ = solve_with_condition(design, rhs)
         assert np.allclose(coeffs, [[1.0], [0.0]], atol=1e-14)
 
     def test_identity_design_returns_rhs(self):
         rhs = np.arange(12.0).reshape(4, 3)
-        assert np.allclose(solve_ols(np.eye(4), rhs), rhs, atol=1e-14)
+        assert np.allclose(solve_with_condition(np.eye(4), rhs)[0], rhs, atol=1e-14)
 
     def test_min_norm_underdetermined(self):
-        coeffs = solve_ols(np.array([[1.0, 1.0]]), np.array([2.0]))
+        coeffs, cond = solve_with_condition(np.array([[1.0, 1.0]]), np.array([2.0]))
         assert np.allclose(coeffs, [1.0, 1.0], atol=1e-14)
+        assert cond == np.inf
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(DataError):
-            solve_ols(np.array([[np.nan]]), np.array([1.0]))
-        with pytest.raises(DataError):
-            solve_ols(np.eye(2), np.array([np.inf, 0.0]))
+    def test_rejects_non_finite(self, standard_normal_2d):
+        # the solve itself is unchecked: a non-finite design entry stops at
+        # DesignBuilder, a non-finite response at TrainingData, so a fit
+        # never hands either to LAPACK
+        x = np.array([[0.0, 0.0], [1e200, 1.0], [1.0, -1.0], [0.5, 2.0]])
+        data = TrainingData(x, np.arange(4.0))
+        with pytest.raises(DataError, match="not finite at input row 1"):
+            fit_fixed(data, standard_normal_2d, total_degree_set(2, 2))
+        with pytest.raises(DataError, match="non-finite entries in responses"):
+            TrainingData(np.eye(2), np.array([np.inf, 0.0]))
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(11)
         design = rng.normal(size=(40, 7))
         rhs = rng.normal(size=(40, 3))
-        coeffs = solve_ols(design, rhs)
+        coeffs, _ = solve_with_condition(design, rhs)
         residual = rhs - design @ coeffs
         assert np.max(np.abs(design.T @ residual)) <= 1e-8 * np.max(np.abs(rhs))
 
@@ -112,8 +142,8 @@ class TestSolveOls:
         basis = total_degree_set(3, 2)
         truth = rng.normal(size=(len(basis), 4))
         x = rng.uniform(-1, 1, (80, 3))
-        design = assemble_design(uniform_3d, basis, x)
-        recovered = solve_ols(design, design.entries @ truth)
+        design = DesignBuilder(uniform_3d, x).matrix(basis)
+        recovered, _ = solve_with_condition(design, design @ truth)
         assert np.max(np.abs(recovered - truth)) <= 1e-8
 
     @given(
@@ -131,33 +161,33 @@ class TestSolveOls:
         # any fixed entrywise bound; the equivalence targets posed systems
         s = np.linalg.svd(design, compute_uv=False)
         assume(s[-1] > 1e-6 * s[0])
-        joint = solve_ols(design, rhs)
+        joint, _ = solve_with_condition(design, rhs)
         for m in range(n_rhs):
-            single = solve_ols(design, rhs[:, m])
+            single, _ = solve_with_condition(design, rhs[:, m])
             assert np.max(np.abs(joint[:, m] - single)) <= 1e-12
 
 
 class TestConditionNumber:
     def test_single_ones_column(self):
-        assert condition_number(np.ones((6, 1))) == 1.0
+        assert solver_condition(np.ones((6, 1))) == 1.0
 
     def test_diagonal(self):
-        assert condition_number(np.diag([2.0, 1.0])) == pytest.approx(2.0, rel=1e-14)
+        assert solver_condition(np.diag([2.0, 1.0])) == pytest.approx(2.0, rel=1e-14)
 
     def test_near_collinear_is_infinite(self):
         design = np.array([[1.0, 1.0], [0.0, 1e-16], [0.0, 0.0]])
-        assert condition_number(design) == np.inf
+        assert solver_condition(design) == np.inf
 
     def test_underdetermined_is_infinite(self):
-        assert condition_number(np.ones((2, 5))) == np.inf
+        assert solver_condition(np.ones((2, 5))) == np.inf
 
     def test_invariant_under_column_permutation_and_scaling(self):
         rng = np.random.default_rng(9)
         design = rng.normal(size=(20, 6))
-        base = condition_number(design)
+        base = solver_condition(design)
         permuted = design[:, rng.permutation(6)]
-        assert condition_number(permuted) == pytest.approx(base, rel=1e-12)
-        assert condition_number(3.5 * design) == pytest.approx(base, rel=1e-12)
+        assert solver_condition(permuted) == pytest.approx(base, rel=1e-12)
+        assert solver_condition(3.5 * design) == pytest.approx(base, rel=1e-12)
 
 
 class TestRmse:
