@@ -14,7 +14,7 @@ from .benchmark import (
     write_experiment_report,
 )
 from .errors import ConfigError, DataError, DomainError, MvsaError
-from .multi_index import MultiIndexSet, hyperbolic_set, total_degree_set, zero_set
+from .multi_index import MultiIndexSet, total_degree_set, zero_set
 from .mvsa_engine import (
     MvsaConfig,
     PceModel,
@@ -27,12 +27,7 @@ from .mvsa_engine import (
     save_model,
     sensitivity_indicators,
 )
-from .polynomial_basis import (
-    DistributionSpec,
-    Marginal,
-    eval_multivariate,
-    eval_univariate,
-)
+from .polynomial_basis import DistributionSpec, Marginal
 from .regression import TrainingData, rmse
 from .uq import (
     MomentReport,
@@ -62,13 +57,10 @@ __all__ = [
     "SensitivityReport",
     "TrainingData",
     "beam_deflection_rows",
-    "eval_multivariate",
-    "eval_univariate",
     "expand_basis",
     "fit_fixed",
     "fit_mvsa",
     "generalized_sobol",
-    "hyperbolic_set",
     "load_model",
     "moments",
     "monte_carlo_reference",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, MvsaError
 from .multi_index import parse_total_degree, total_degree_set
-from .mvsa_engine import FitDiagnostics, MvsaConfig, PceModel, fit_fixed, fit_mvsa, predict
+from .mvsa_engine import FitDiagnostics, MvsaConfig, fit_fixed, fit_mvsa, predict
 from .polynomial_basis import DistributionSpec, Marginal
 from .regression import TrainingData, make_output_dir, rmse, write_csv_table, write_json_file
 from .uq import RNG_ALGORITHM, MomentReport, moments, monte_carlo_reference
@@ -156,13 +156,6 @@ def _parse_method(method: str) -> int | None:
     return degree
 
 
-def _fit_method(method: str, data: TrainingData, spec: DistributionSpec, kappa: float) -> PceModel:
-    degree = _parse_method(method)
-    if degree is None:
-        return fit_mvsa(data, spec, MvsaConfig(kappa=kappa))
-    return fit_fixed(data, spec, total_degree_set(spec.dim, degree))
-
-
 @dataclass(frozen=True)
 class CellResult:
     """Outcome of one (method, Q, seed) cell."""
@@ -210,6 +203,12 @@ def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentR
         plan.mcs_seed,
         vectorized=True,
     )
+    # Each method's basis, None for mvsa, is built once and shared by its cells.
+    bases = {}
+    for method in plan.methods:
+        degree = _parse_method(method)
+        bases[method] = None if degree is None else total_degree_set(spec.dim, degree)
+    mvsa_config = MvsaConfig(kappa=plan.kappa)
     cells: list[CellResult] = []
     for q in plan.training_sizes:
         for seed in plan.seeds:
@@ -218,7 +217,11 @@ def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentR
                 key = {"method": method, "training_size": q, "seed": seed}
                 try:
                     started = time.perf_counter()
-                    model = _fit_method(method, data, spec, plan.kappa)
+                    basis = bases[method]
+                    if basis is None:
+                        model = fit_mvsa(data, spec, mvsa_config)
+                    else:
+                        model = fit_fixed(data, spec, basis)
                     fit_seconds = time.perf_counter() - started
                     cell_rmse = rmse(predict(model, test.inputs), test.responses)
                     moment_report = moments(model)

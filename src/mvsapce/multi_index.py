@@ -15,10 +15,6 @@ from .errors import ConfigError, DataError
 
 MultiIndex = tuple[int, ...]
 
-#: Absolute slack on the q-quasi-norm comparison; keeps boundary indices
-#: whose irrational norm lands a few ulps above p.
-HYPERBOLIC_NORM_TOL = 1e-12
-
 
 class MultiIndexSet:
     """Ordered, duplicate-free collection of multi-indices of one dimension."""
@@ -183,24 +179,3 @@ def parse_total_degree(token: str) -> int | None:
     if degree < 0:
         raise ConfigError(f"total-degree token needs degree >= 0, got {token!r}")
     return degree
-
-
-def hyperbolic_set(dim: int, degree: int, q: float) -> MultiIndexSet:
-    """All multi-indices with q-quasi-norm at most ``degree``, lexicographic.
-
-    The q-quasi-norm is (sum_n k_n^q)^(1/q) with 0 < q <= 1; q = 1 recovers
-    the total-degree set exactly.  Because the norm is at least the l1-norm,
-    candidates are drawn from the total-degree set and filtered.
-    """
-    if dim < 1:
-        raise ConfigError(f"dimension must be >= 1, got {dim}")
-    if degree < 0:
-        raise ConfigError(f"degree must be >= 0, got {degree}")
-    if not 0.0 < q <= 1.0:
-        raise ConfigError(f"q must lie in (0, 1], got {q}")
-    kept = []
-    for index in _total_degree_indices(dim, degree):
-        norm = sum(k ** q for k in index if k > 0) ** (1.0 / q)
-        if norm <= degree + HYPERBOLIC_NORM_TOL:
-            kept.append(index)
-    return MultiIndexSet(kept, dim=dim)

@@ -12,6 +12,7 @@ hold again.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
@@ -36,7 +37,7 @@ class MvsaConfig:
     """Knobs of the adaptive fit.
 
     kappa is the largest tolerated spectral condition number of the design
-    matrix (must exceed 1); initial_set defaults to the zero index;
+    matrix (finite, above 1); initial_set defaults to the zero index;
     max_iterations, when given, caps the number of accepted expansion steps.
     """
 
@@ -45,8 +46,8 @@ class MvsaConfig:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if not self.kappa > 1.0:
-            raise ConfigError(f"kappa must exceed 1, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa > 1.0):
+            raise ConfigError(f"kappa must be finite and exceed 1, got {self.kappa}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
 

@@ -164,13 +164,6 @@ class DistributionSpec:
     def families(self) -> tuple[str, ...]:
         return tuple(m.family for m in self.marginals)
 
-    def standardize(self, x_raw) -> np.ndarray:
-        """Standardize one N-vector of physical inputs."""
-        x = np.asarray(x_raw, dtype=float)
-        if x.shape != (self.dim,):
-            raise DataError(f"expected input of shape ({self.dim},), got {x.shape}")
-        return self.standardize_rows(x[None, :])[0]
-
     def standardize_rows(self, inputs) -> np.ndarray:
         """Standardize a Q x N matrix column by column."""
         x = np.asarray(inputs, dtype=float)
@@ -256,24 +249,3 @@ def univariate_table(family: str, max_degree: int, z) -> np.ndarray:
     else:
         raise ConfigError(f"unknown polynomial family {family!r}")
     return table
-
-
-def eval_univariate(family: str, degree: int, z: float) -> float:
-    """Value of the orthonormal polynomial of the given degree at z."""
-    return float(univariate_table(family, degree, z)[0, degree])
-
-
-def eval_multivariate(spec: DistributionSpec, k, x_raw) -> float:
-    """Tensor-product orthonormal polynomial Psi_k at one physical input.
-
-    Standardizes ``x_raw`` per marginal, then multiplies the univariate
-    values psi_{k_n}(z_n) over all dimensions.
-    """
-    k = tuple(int(v) for v in k)
-    if len(k) != spec.dim:
-        raise DataError(f"multi-index length {len(k)} does not match dimension {spec.dim}")
-    z = spec.standardize(x_raw)
-    value = 1.0
-    for n, (family, degree) in enumerate(zip(spec.families, k)):
-        value *= eval_univariate(family, degree, z[n])
-    return value

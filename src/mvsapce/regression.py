@@ -104,9 +104,11 @@ class DesignBuilder:
         if len(index) != self.spec.dim:
             raise DataError(f"term {index} has {len(index)} entries, the inputs have {self.spec.dim}")
         col = np.ones(self.n_rows)
-        for n, degree in enumerate(index):
-            if degree:
-                col = col * self._table(n, degree)[:, degree]
+        # An overflow is reported by the finite check below, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, degree in enumerate(index):
+                if degree:
+                    col = col * self._table(n, degree)[:, degree]
         if not np.isfinite(col).all():
             row = int(np.flatnonzero(~np.isfinite(col))[0])
             raise DataError(f"term {index} is not finite at input row {row}")

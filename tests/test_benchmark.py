@@ -192,16 +192,11 @@ class TestRunBeamExperiment:
     def test_fit_failures_are_recorded(self, monkeypatch):
         import mvsapce.benchmark as bench
 
-        calls = {"n": 0}
-        original = bench._fit_method
+        def failing(data, spec, basis):
+            raise DataError("synthetic failure")
 
-        def flaky(method, data, spec, kappa):
-            calls["n"] += 1
-            if method == "td:1":
-                raise DataError("synthetic failure")
-            return original(method, data, spec, kappa)
-
-        monkeypatch.setattr(bench, "_fit_method", flaky)
+        # Only the td:1 cell makes a fixed-basis fit.
+        monkeypatch.setattr(bench, "fit_fixed", failing)
         config = BeamConfig(response_dim=5)
         plan = ExperimentPlan(
             training_sizes=(20,), test_size=10, seeds=(0,), methods=("mvsa", "td:1"),

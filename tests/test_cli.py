@@ -86,12 +86,14 @@ class TestFit:
         assert "x1,x2,x3" in proc.stderr and "x1,x2" in proc.stderr
 
     def test_bad_kappa_exits_3(self, fit_assets, tmp_path):
-        proc = run_cli(
-            "fit", "--data", fit_assets["data"], "--inputs", 2, "--outputs", 1,
-            "--dist", fit_assets["dist"], "--out", tmp_path / "m.json", "--kappa", 0.5,
-        )
-        assert proc.returncode == 3
-        assert "kappa" in proc.stderr
+        for kappa in ("0.5", "inf"):
+            proc = run_cli(
+                "fit", "--data", fit_assets["data"], "--inputs", 2, "--outputs", 1,
+                "--dist", fit_assets["dist"], "--out", tmp_path / "m.json", "--kappa", kappa,
+            )
+            assert proc.returncode == 3, kappa
+            assert "kappa" in proc.stderr, kappa
+            assert not (tmp_path / "m.json").exists()
 
     def test_unknown_flag_exits_3(self, fit_assets, tmp_path):
         proc = run_cli(
@@ -120,6 +122,7 @@ class TestFit:
         )
         assert proc.returncode == 2, proc.stderr
         assert last_json_line(proc)["error"] == "term (2, 0) is not finite at input row 5"
+        assert proc.stderr == "mvsapce: data error: term (2, 0) is not finite at input row 5\n"
 
     def test_oversized_td_init_exits_3_without_enumerating(self, tmp_path, monkeypatch, capsys):
         from mvsapce import cli
@@ -249,6 +252,7 @@ class TestPredict:
         payload = last_json_line(proc)
         assert payload["kind"] == "data error"
         assert "is not finite at input row 1" in payload["error"]
+        assert proc.stderr == f"mvsapce: data error: {payload['error']}\n"
         assert not out.exists()
 
 
@@ -346,8 +350,8 @@ class TestBenchmarkCommands:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--kappa", "0.5"), ("--seeds", "-1"), ("--methods", ""), ("--mcs-seed", "-1")],
-        ids=["kappa", "negative-seed", "no-methods", "negative-mcs-seed"],
+        [("--kappa", "0.5"), ("--kappa", "inf"), ("--seeds", "-1"), ("--methods", ""), ("--mcs-seed", "-1")],
+        ids=["kappa", "infinite-kappa", "negative-seed", "no-methods", "negative-mcs-seed"],
     )
     def test_invalid_compare_plan_exits_3(self, tmp_path, flag, value):
         plan = {"--seeds": "0", "--methods": "mvsa", flag: value}

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvsapce.errors import ConfigError, DataError
-from mvsapce.multi_index import MultiIndexSet, hyperbolic_set, total_degree_set, zero_set
+from mvsapce.multi_index import MultiIndexSet, total_degree_set, zero_set
 
 
 class TestSetConstruction:
@@ -113,26 +113,10 @@ class TestGeneratedSets:
         assert len(total_degree_set(20, 2)) == 231
         assert len(total_degree_set(5, 4)) == 126
 
-    def test_hyperbolic_q1_equals_total_degree(self):
-        for dim, degree in [(1, 4), (2, 3), (3, 5), (4, 2)]:
-            assert hyperbolic_set(dim, degree, 1.0) == total_degree_set(dim, degree)
-
-    def test_hyperbolic_excludes_interactions(self):
-        assert hyperbolic_set(2, 2, 0.5).indices == (
-            (0, 0), (0, 1), (0, 2), (1, 0), (2, 0),
-        )
-
-    def test_hyperbolic_3d_low_budget(self):
-        assert set(hyperbolic_set(3, 1, 0.5)) == {
-            (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-        }
-
     def test_generated_sets_downward_closed(self):
         for dim in range(1, 6):
             for degree in range(0, 7):
                 assert total_degree_set(dim, degree).is_downward_closed()
-                for q in (0.3, 0.5, 0.75, 1.0):
-                    assert hyperbolic_set(dim, degree, q).is_downward_closed()
 
     def test_admissible_equals_forward_on_total_degree(self):
         for dim, degree in [(2, 2), (3, 3), (4, 1)]:
@@ -144,10 +128,6 @@ class TestGeneratedSets:
             total_degree_set(0, 2)
         with pytest.raises(ConfigError):
             total_degree_set(2, -1)
-        with pytest.raises(ConfigError):
-            hyperbolic_set(2, 2, 0.0)
-        with pytest.raises(ConfigError):
-            hyperbolic_set(2, 2, 1.5)
 
 
 class TestRandomGrowth:

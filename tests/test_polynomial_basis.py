@@ -9,10 +9,9 @@ from mvsapce.polynomial_basis import (
     LEGENDRE,
     DistributionSpec,
     Marginal,
-    eval_multivariate,
-    eval_univariate,
     univariate_table,
 )
+from mvsapce.regression import DesignBuilder
 
 from conftest import quadrature_gram, tensor_quadrature_gram
 
@@ -76,7 +75,7 @@ class TestStandardize:
     def test_spec_error_names_component(self):
         spec = DistributionSpec.of([Marginal.normal(0, 1), Marginal.lognormal(1, 0.5)])
         with pytest.raises(DomainError, match="component 1"):
-            spec.standardize([0.0, -3.0])
+            spec.standardize_rows([[0.0, -3.0]])
 
     def test_rows_error_names_row_and_component(self):
         spec = DistributionSpec.of([Marginal.uniform(0, 1)])
@@ -98,22 +97,32 @@ class TestStandardize:
         assert abs(z.var(ddof=1) - target_var) < 5e-3
 
 
+def psi(family, degree, z):
+    """Orthonormal polynomial of one degree at one point, from the table."""
+    return univariate_table(family, degree, z)[0, degree]
+
+
+def psi_multi(spec, index, x):
+    """Tensor-product polynomial at one physical input row, from the design."""
+    return DesignBuilder(spec, [x]).matrix([index])[0, 0]
+
+
 class TestUnivariatePolynomials:
     def test_constant_term(self):
-        assert eval_univariate(HERMITE, 0, 2.7) == 1.0
+        assert psi(HERMITE, 0, 2.7) == 1.0
 
     def test_hermite_degree_two(self):
         # He_2(z) = z^2 - 1 with norm sqrt(2!)
-        assert eval_univariate(HERMITE, 2, 0.0) == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-15)
+        assert psi(HERMITE, 2, 0.0) == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-15)
 
     def test_legendre_degree_one(self):
         # P_1(z) = z with norm sqrt(3)
-        assert eval_univariate(LEGENDRE, 1, 0.5) == pytest.approx(0.5 * math.sqrt(3.0), rel=1e-15)
+        assert psi(LEGENDRE, 1, 0.5) == pytest.approx(0.5 * math.sqrt(3.0), rel=1e-15)
 
     def test_degree_cap_guard(self):
         with pytest.raises(ConfigError):
-            eval_univariate(HERMITE, 31, 0.0)
-        assert math.isfinite(eval_univariate(HERMITE, 30, 1.0))
+            psi(HERMITE, 31, 0.0)
+        assert math.isfinite(psi(HERMITE, 30, 1.0))
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
@@ -127,21 +136,21 @@ class TestUnivariatePolynomials:
 
 class TestMultivariatePolynomials:
     def test_zero_index_is_one(self, standard_normal_2d):
-        assert eval_multivariate(standard_normal_2d, (0, 0), [12.0, -4.0]) == 1.0
+        assert psi_multi(standard_normal_2d, (0, 0), [12.0, -4.0]) == 1.0
 
     def test_first_degree_product(self, standard_normal_2d):
         a, b = 0.7, -1.9
-        assert eval_multivariate(standard_normal_2d, (1, 1), [a, b]) == pytest.approx(a * b, rel=1e-14)
+        assert psi_multi(standard_normal_2d, (1, 1), [a, b]) == pytest.approx(a * b, rel=1e-14)
 
     def test_legendre_tensor_value(self):
         spec = DistributionSpec.of([Marginal.uniform(-1, 1)] * 2)
         # P_2(0.3) = (3 * 0.09 - 1) / 2 = -0.365, norm sqrt(5)
         expected = math.sqrt(5.0) * (3 * 0.3**2 - 1.0) / 2.0
-        assert eval_multivariate(spec, (2, 0), [0.3, 0.9]) == pytest.approx(expected, rel=1e-14)
+        assert psi_multi(spec, (2, 0), [0.3, 0.9]) == pytest.approx(expected, rel=1e-14)
 
     def test_dimension_mismatch(self, standard_normal_2d):
         with pytest.raises(DataError):
-            eval_multivariate(standard_normal_2d, (1,), [0.0, 0.0])
+            psi_multi(standard_normal_2d, (1,), [0.0, 0.0])
 
     @pytest.mark.parametrize(
         "families",

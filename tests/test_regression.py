@@ -62,18 +62,19 @@ class TestAssembleDesign:
         assert design[0, 0] == 1.0
         assert abs(design[0, 1]) < 1e-15
 
-    def test_matches_eval_multivariate(self, uniform_3d):
-        from mvsapce.polynomial_basis import eval_multivariate
-
+    def test_matches_legendre_closed_form(self, uniform_3d):
+        # On U[-1, 1] inputs are their own reference variable, and each entry
+        # is prod_n sqrt(2 k_n + 1) P_{k_n}(x_n) with numpy's Legendre series.
         rng = np.random.default_rng(3)
         basis = total_degree_set(3, 3)
         x = rng.uniform(-1, 1, (6, 3))
         design = DesignBuilder(uniform_3d, x).matrix(basis)
         for q in range(6):
             for j, index in enumerate(basis):
-                assert design[q, j] == pytest.approx(
-                    eval_multivariate(uniform_3d, index, x[q]), rel=1e-12
-                )
+                expected = 1.0
+                for x_n, k_n in zip(x[q], index):
+                    expected *= np.sqrt(2 * k_n + 1) * np.polynomial.legendre.legval(x_n, [0] * k_n + [1])
+                assert design[q, j] == pytest.approx(expected, rel=1e-12)
 
     def test_domain_error_carries_row_context(self):
         spec = DistributionSpec.of([Marginal.lognormal(1.0, 0.1)])
