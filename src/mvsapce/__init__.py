@@ -14,7 +14,7 @@ from .benchmark import (
     write_experiment_report,
 )
 from .errors import ConfigError, DataError, DomainError, MvsaError
-from .multi_index import MultiIndexSet, total_degree_set, zero_set
+from .multi_index import MultiIndexSet, total_degree_set
 from .mvsa_engine import (
     MvsaConfig,
     PceModel,
@@ -75,5 +75,4 @@ __all__ = [
     "sobol_indices",
     "total_degree_set",
     "write_experiment_report",
-    "zero_set",
 ]

@@ -139,10 +139,9 @@ class ExperimentPlan:
             raise ConfigError("mcs_seed must lie outside the plan's seed list")
         if self.mcs_samples < 2:
             raise ConfigError(f"mcs_samples must be >= 2, got {self.mcs_samples}")
-        if not self.methods:
-            raise ConfigError("plan needs at least one method")
-        for method in self.methods:
-            _parse_method(method)
+        # Distinct by meaning: td:2 and td:02 name the same basis.
+        if len({_parse_method(method) for method in self.methods}) != len(self.methods) or not self.methods:
+            raise ConfigError("plan methods must be non-empty and distinct")
         MvsaConfig(kappa=self.kappa)  # the adaptive fit's own kappa check
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -23,8 +22,8 @@ from .benchmark import (
     write_experiment_report,
 )
 from .errors import ConfigError, DataError, MvsaError
-from .multi_index import parse_total_degree, total_degree_set
-from .mvsa_engine import MvsaConfig, check_initial_size, fit_mvsa, load_model, predict, save_model
+from .multi_index import parse_total_degree
+from .mvsa_engine import MvsaConfig, fit_mvsa, load_model, predict, save_model
 from .polynomial_basis import DistributionSpec
 from .regression import (
     load_data_csv,
@@ -52,16 +51,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _initial_set(token: str, dim: int, n_samples: int):
-    if token == "zero":
-        return None
-    degree = parse_total_degree(token)
+def _initial_degree(token: str) -> int:
+    """Total degree p of the initial set named by ``--init``: zero (p = 0) or td:<p>."""
+    degree = 0 if token == "zero" else parse_total_degree(token)
     if degree is None:
         raise ConfigError(f"--init must be 'zero' or 'td:<p>', got {token!r}")
-    # The set has C(N + p, p) members; reject an oversized one before
-    # enumerating it, which at N = 20 takes seconds from p = 6 on.
-    check_initial_size(math.comb(dim + degree, degree), n_samples)
-    return total_degree_set(dim, degree)
+    return degree
 
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -78,10 +73,7 @@ def _cmd_fit(args) -> dict:
             f"--inputs {args.inputs} does not match distribution spec with {spec.dim} marginals"
         )
     data = load_data_csv(args.data, args.inputs, args.outputs)
-    config = MvsaConfig(
-        kappa=args.kappa,
-        initial_set=_initial_set(args.init, spec.dim, data.n_samples),
-    )
+    config = MvsaConfig(kappa=args.kappa, initial_degree=_initial_degree(args.init))
     started = time.perf_counter()
     model = fit_mvsa(data, spec, config)
     fit_seconds = time.perf_counter() - started

@@ -14,7 +14,14 @@ class DataError(MvsaError):
 
 
 class DomainError(DataError):
-    """An input value lies outside the support of its marginal distribution."""
+    """An input value lies outside the support of its marginal distribution.
+
+    ``row`` is the position of the first such value, when known.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ConfigError(MvsaError):

@@ -91,13 +91,7 @@ class MultiIndexSet:
 
     def is_downward_closed(self) -> bool:
         """True iff every backward neighbor of every member is a member."""
-        for index in self.indices:
-            for n, k_n in enumerate(index):
-                if k_n != 0:
-                    backward = index[:n] + (k_n - 1,) + index[n + 1:]
-                    if backward not in self._members:
-                        return False
-        return True
+        return all(is_admissible(index, self._members) for index in self.indices)
 
     def forward_neighbors(self) -> "MultiIndexSet":
         """All increments k + e_n of members that are not themselves members."""
@@ -117,17 +111,7 @@ class MultiIndexSet:
         """
         if not self.is_downward_closed():
             raise ConfigError("admissible neighbors require a downward-closed set")
-        admissible = []
-        for neighbor in self.forward_neighbors():
-            ok = True
-            for n, k_n in enumerate(neighbor):
-                if k_n != 0:
-                    backward = neighbor[:n] + (k_n - 1,) + neighbor[n + 1:]
-                    if backward not in self._members:
-                        ok = False
-                        break
-            if ok:
-                admissible.append(neighbor)
+        admissible = [k for k in self.forward_neighbors() if is_admissible(k, self._members)]
         return MultiIndexSet(admissible, dim=self.dim)
 
     def max_total_degree(self) -> int:
@@ -142,11 +126,11 @@ class MultiIndexSet:
         return [list(index) for index in self.indices]
 
 
-def zero_set(dim: int) -> MultiIndexSet:
-    """The singleton set containing only the zero multi-index."""
-    if dim < 1:
-        raise ConfigError(f"dimension must be >= 1, got {dim}")
-    return MultiIndexSet([(0,) * dim])
+def is_admissible(index: MultiIndex, members) -> bool:
+    """True iff every backward neighbor k - e_n (k_n > 0) of ``index`` is in ``members``."""
+    return all(
+        index[:n] + (k_n - 1,) + index[n + 1:] in members for n, k_n in enumerate(index) if k_n
+    )
 
 
 def _total_degree_indices(dim: int, budget: int) -> Iterator[MultiIndex]:

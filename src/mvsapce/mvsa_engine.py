@@ -19,7 +19,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .multi_index import MultiIndex, MultiIndexSet, zero_set
+from .multi_index import MultiIndex, MultiIndexSet, is_admissible, total_degree_set
 from .polynomial_basis import DistributionSpec
 from .regression import (
     DesignBuilder,
@@ -37,30 +37,18 @@ class MvsaConfig:
     """Knobs of the adaptive fit.
 
     kappa is the largest tolerated spectral condition number of the design
-    matrix (finite, above 1); initial_set defaults to the zero index;
-    max_iterations, when given, caps the number of accepted expansion steps.
+    matrix (finite, above 1); the expansion starts from the total-degree
+    set of degree initial_degree, by default the zero index alone.
     """
 
     kappa: float = 100.0
-    initial_set: MultiIndexSet | None = None
-    max_iterations: int | None = None
+    initial_degree: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and self.kappa > 1.0):
             raise ConfigError(f"kappa must be finite and exceed 1, got {self.kappa}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-
-    def resolve_initial_set(self, dim: int) -> MultiIndexSet:
-        if self.initial_set is None:
-            return zero_set(dim)
-        if self.initial_set.dim != dim:
-            raise ConfigError(
-                f"initial set dimension {self.initial_set.dim} does not match inputs ({dim})"
-            )
-        if not self.initial_set.is_downward_closed():
-            raise ConfigError("initial multi-index set must be downward-closed")
-        return self.initial_set
+        if self.initial_degree < 0:
+            raise ConfigError(f"initial_degree must be >= 0, got {self.initial_degree}")
 
 
 @dataclass(frozen=True)
@@ -164,12 +152,6 @@ def sensitivity_indicators(coefficients) -> np.ndarray:
     return np.sum(coeffs * coeffs, axis=1)
 
 
-def check_initial_size(size: int, n_samples: int) -> None:
-    """An initial set must be smaller than the sample count; ConfigError otherwise."""
-    if size >= n_samples:
-        raise ConfigError(f"initial set size {size} must be smaller than the sample count {n_samples}")
-
-
 def _response_factor(responses: np.ndarray) -> np.ndarray:
     """Right-hand side of the adaptive steps: Y itself, or a Q x Q factor of it.
 
@@ -195,11 +177,7 @@ def _admit_successors(chosen: MultiIndex, members: set, frontier: list) -> None:
     """
     for n in range(len(chosen)):
         candidate = chosen[:n] + (chosen[n] + 1,) + chosen[n + 1:]
-        if all(
-            candidate[:j] + (k_j - 1,) + candidate[j + 1:] in members
-            for j, k_j in enumerate(candidate)
-            if k_j and j != n
-        ):
+        if is_admissible(candidate, members):
             bisect.insort(frontier, candidate)
 
 
@@ -220,10 +198,12 @@ def expand_basis(
     lexicographically smallest index).
     """
     config = config or MvsaConfig()
-    if data.n_inputs != spec.dim:
-        raise DataError(f"data width {data.n_inputs} does not match spec dimension {spec.dim}")
-    initial = config.resolve_initial_set(spec.dim)
-    check_initial_size(len(initial), data.n_samples)
+    # The initial set has C(N + p, p) members; reject an oversized one before
+    # enumerating it, which at N = 20 takes seconds from p = 6 on.
+    size = math.comb(spec.dim + config.initial_degree, config.initial_degree)
+    if size >= data.n_samples:
+        raise ConfigError(f"initial set size {size} must be smaller than the sample count {data.n_samples}")
+    initial = total_degree_set(spec.dim, config.initial_degree)
     builder = _builder or DesignBuilder(spec, data.inputs)
     rhs = _response_factor(data.responses) if _factor is None else _factor
     basis = list(initial.indices)
@@ -256,9 +236,6 @@ def expand_basis(
         basis.append(chosen)
         members.add(chosen)
         _admit_successors(chosen, members, frontier)
-        if config.max_iterations is not None and len(steps) >= config.max_iterations:
-            termination = "max_iterations"
-            break
     trace = ExpansionTrace(initial=initial, steps=tuple(steps), termination=termination)
     return MultiIndexSet(extended, dim=spec.dim), trace
 
@@ -341,8 +318,6 @@ def fit_fixed(data: TrainingData, spec: DistributionSpec, basis: MultiIndexSet) 
     """
     if len(basis) == 0:
         raise ConfigError("fixed-basis fit requires a non-empty basis")
-    if data.n_inputs != spec.dim:
-        raise DataError(f"data width {data.n_inputs} does not match spec dimension {spec.dim}")
     builder = DesignBuilder(spec, data.inputs)
     coeffs, cond = solve_with_condition(builder.matrix(basis), data.responses)
     diagnostics = FitDiagnostics.of(basis, cond, 0, 0, "fixed")
@@ -350,16 +325,19 @@ def fit_fixed(data: TrainingData, spec: DistributionSpec, basis: MultiIndexSet) 
 
 
 def predict(model: PceModel, inputs) -> np.ndarray:
-    """Evaluate the expansion at new inputs; returns a Q' x M matrix."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs.shape[1] != model.spec.dim:
-        raise DataError(
-            f"inputs have width {inputs.shape[1]}, model expects {model.spec.dim}"
-        )
-    if inputs.shape[0] == 0:
-        return np.empty((0, model.n_outputs))
-    builder = DesignBuilder(model.spec, inputs)
-    return builder.matrix(model.basis) @ model.coefficients
+    """Evaluate the expansion at new inputs; returns a Q' x M matrix.
+
+    DataError if a prediction is not finite, which a finite design can
+    still produce when its product with the coefficients overflows.
+    """
+    design = DesignBuilder(model.spec, inputs).matrix(model.basis)
+    # An overflow is reported by the finite check below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs = design @ model.coefficients
+    bad = ~np.isfinite(outputs).all(axis=1)
+    if bad.any():
+        raise DataError(f"prediction is not finite at input row {int(np.argmax(bad))}")
+    return outputs
 
 
 # -- persistence ----------------------------------------------------------------

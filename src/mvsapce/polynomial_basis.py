@@ -92,22 +92,19 @@ class Marginal:
         """Map physical values onto the reference variable.
 
         Accepts a scalar or ndarray; raises DomainError for values outside
-        the support.
+        the support, with ``row`` the flat position of the first one.
         """
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise DomainError(f"non-finite value for {self.kind} marginal")
+        _require(np.isfinite(x), f"non-finite value for {self.kind} marginal")
         if self.kind == "normal":
             mean, std = self.params
             return (x - mean) / std
         if self.kind == "lognormal":
-            if np.any(x <= 0.0):
-                raise DomainError("lognormal marginal requires x > 0")
+            _require(x > 0.0, "lognormal marginal requires x > 0")
             mu, sigma = self.log_parameters()
             return (np.log(x) - mu) / sigma
         lower, upper = self.params
-        if np.any(x < lower) or np.any(x > upper):
-            raise DomainError(f"value outside uniform support [{lower}, {upper}]")
+        _require((x >= lower) & (x <= upper), f"value outside uniform support [{lower}, {upper}]")
         return 2.0 * (x - lower) / (upper - lower) - 1.0
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -176,8 +173,7 @@ class DistributionSpec:
             try:
                 out[:, n] = marginal.standardize(x[:, n])
             except DomainError as exc:
-                bad = _first_offending_row(marginal, x[:, n])
-                raise DomainError(f"row {bad}, input component {n}: {exc}") from None
+                raise DomainError(f"row {exc.row}, input component {n}: {exc}") from None
         return out
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -197,13 +193,10 @@ class DistributionSpec:
         return cls(tuple(Marginal.from_dict(entry) for entry in payload))
 
 
-def _first_offending_row(marginal: Marginal, column: np.ndarray) -> int:
-    for q, value in enumerate(column):
-        try:
-            marginal.standardize(value)
-        except DomainError:
-            return q
-    return -1
+def _require(valid: np.ndarray, reason: str) -> None:
+    """DomainError(reason) naming the first False entry of ``valid``, if any."""
+    if not valid.all():
+        raise DomainError(reason, row=int(np.argmin(valid)))
 
 
 def univariate_table(family: str, max_degree: int, z) -> np.ndarray:

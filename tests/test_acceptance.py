@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import mvsapce as mv
-from mvsapce.multi_index import total_degree_set, zero_set
+from mvsapce.multi_index import total_degree_set
 from mvsapce.polynomial_basis import HERMITE, LEGENDRE
 from mvsapce.regression import DesignBuilder, solve_with_condition, write_data_csv
 
@@ -97,7 +97,7 @@ def recovery_runs(uniform_3d_module):
     for seed in range(20):
         rng = np.random.default_rng([seed, 101])
         size = int(rng.integers(3, 9))
-        support = zero_set(3)
+        support = total_degree_set(3, 0)
         while len(support) < size:
             candidates = [
                 k for k in support.admissible_forward_neighbors() if sum(k) <= 4

@@ -138,6 +138,8 @@ class TestExperimentPlan:
             ExperimentPlan(training_sizes=(50,), methods=("lar",))
         with pytest.raises(ConfigError):
             ExperimentPlan(training_sizes=(50,), methods=("td:x",))
+        with pytest.raises(ConfigError, match="distinct"):
+            ExperimentPlan(training_sizes=(50,), methods=("td:2", "td:02"))
 
     def test_hash_tracks_content(self):
         config = BeamConfig(response_dim=10)

@@ -125,7 +125,7 @@ class TestFit:
         assert proc.stderr == "mvsapce: data error: term (2, 0) is not finite at input row 5\n"
 
     def test_oversized_td_init_exits_3_without_enumerating(self, tmp_path, monkeypatch, capsys):
-        from mvsapce import cli
+        from mvsapce import cli, mvsa_engine
 
         prefix = f"{tmp_path}/"
         assert cli.main(["beam-data", "--M", "10", "--seed", "0", "--test-size", "1", "--prefix", prefix]) == 0
@@ -134,7 +134,7 @@ class TestFit:
             raise AssertionError("total_degree_set was called")
 
         # td:8 in 20 inputs has C(28, 8) = 3,108,105 members
-        monkeypatch.setattr(cli, "total_degree_set", enumeration_forbidden)
+        monkeypatch.setattr(mvsa_engine, "total_degree_set", enumeration_forbidden)
         code = cli.main([
             "fit", "--data", f"{prefix}train.csv", "--inputs", "20", "--outputs", "10",
             "--dist", f"{prefix}dist.json", "--init", "td:8", "--out", f"{prefix}m.json",
@@ -255,6 +255,19 @@ class TestPredict:
         assert proc.stderr == f"mvsapce: data error: {payload['error']}\n"
         assert not out.exists()
 
+    def test_overflowing_prediction_exits_2(self, fit_assets, tmp_path):
+        # The design column x1 = 1e300 is finite; its product with 1e10 is not.
+        model = tmp_path / "model.json"
+        save_model(build_model(fit_assets["spec"], [(0, 0), (1, 0)], [0.0, 1e10]), model)
+        far = tmp_path / "far.csv"
+        write_data_csv(far, np.array([[0.5, -0.5], [1e300, 0.0]]), np.zeros((2, 1)))
+        out = tmp_path / "preds.csv"
+        proc = run_cli("predict", "--model", model, "--data", far, "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        assert last_json_line(proc)["error"] == "prediction is not finite at input row 1"
+        assert proc.stderr == "mvsapce: data error: prediction is not finite at input row 1\n"
+        assert not out.exists()
+
 
 def _malformed_models():
     valid = {
@@ -350,8 +363,11 @@ class TestBenchmarkCommands:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--kappa", "0.5"), ("--kappa", "inf"), ("--seeds", "-1"), ("--methods", ""), ("--mcs-seed", "-1")],
-        ids=["kappa", "infinite-kappa", "negative-seed", "no-methods", "negative-mcs-seed"],
+        [
+            ("--kappa", "0.5"), ("--kappa", "inf"), ("--seeds", "-1"), ("--methods", ""),
+            ("--methods", "mvsa,mvsa"), ("--mcs-seed", "-1"),
+        ],
+        ids=["kappa", "infinite-kappa", "negative-seed", "no-methods", "duplicate-methods", "negative-mcs-seed"],
     )
     def test_invalid_compare_plan_exits_3(self, tmp_path, flag, value):
         plan = {"--seeds": "0", "--methods": "mvsa", flag: value}

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvsapce.errors import ConfigError, DataError
-from mvsapce.multi_index import MultiIndexSet, total_degree_set, zero_set
+from mvsapce.multi_index import MultiIndexSet, total_degree_set
 
 
 class TestSetConstruction:
@@ -50,7 +50,7 @@ class TestDownwardClosed:
 
 class TestForwardNeighbors:
     def test_from_zero(self):
-        assert zero_set(2).forward_neighbors().indices == ((0, 1), (1, 0))
+        assert total_degree_set(2, 0).forward_neighbors().indices == ((0, 1), (1, 0))
 
     def test_two_member_set(self):
         s = MultiIndexSet([(0, 0), (1, 0)])
@@ -68,7 +68,7 @@ class TestForwardNeighbors:
 
 class TestAdmissibleNeighbors:
     def test_from_zero(self):
-        assert set(zero_set(2).admissible_forward_neighbors()) == {(1, 0), (0, 1)}
+        assert set(total_degree_set(2, 0).admissible_forward_neighbors()) == {(1, 0), (0, 1)}
 
     def test_excludes_unreachable_pair(self):
         s = MultiIndexSet([(0, 0), (1, 0)])
@@ -133,7 +133,7 @@ class TestGeneratedSets:
 class TestRandomGrowth:
     def test_fifty_random_admissible_additions_stay_closed(self):
         rng = np.random.default_rng(2024)
-        s = zero_set(3)
+        s = total_degree_set(3, 0)
         for _ in range(50):
             candidates = s.admissible_forward_neighbors().indices
             s = s.with_index(candidates[rng.integers(len(candidates))])
@@ -145,7 +145,7 @@ class TestRandomGrowth:
     )
     @settings(max_examples=60, deadline=None)
     def test_growth_invariants(self, dim, picks):
-        s = zero_set(dim)
+        s = total_degree_set(dim, 0)
         for pick in picks:
             admissible = s.admissible_forward_neighbors()
             forward = s.forward_neighbors()

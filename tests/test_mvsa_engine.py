@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvsapce.errors import ConfigError, DataError
-from mvsapce.multi_index import MultiIndexSet, total_degree_set, zero_set
+from mvsapce.multi_index import MultiIndexSet, total_degree_set
 from mvsapce.mvsa_engine import (
     MvsaConfig,
     expand_basis,
@@ -58,14 +58,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             MvsaConfig(kappa=1.0)
 
-    def test_initial_set_must_be_downward_closed(self):
-        config = MvsaConfig(initial_set=MultiIndexSet([(0, 0), (1, 1)]))
-        data = TrainingData(np.zeros((10, 2)), np.zeros((10, 1)))
-        with pytest.raises(ConfigError):
-            fit_mvsa(data, normal_spec(2), config)
+    def test_initial_degree_must_be_non_negative(self):
+        with pytest.raises(ConfigError, match="initial_degree"):
+            MvsaConfig(initial_degree=-1)
 
     def test_initial_set_must_be_smaller_than_sample_count(self):
-        config = MvsaConfig(initial_set=total_degree_set(2, 1))
+        config = MvsaConfig(initial_degree=1)
         data = TrainingData(np.zeros((3, 2)), np.zeros((3, 1)))
         with pytest.raises(ConfigError):
             fit_mvsa(data, normal_spec(2), config)
@@ -93,9 +91,9 @@ class TestExpansion:
         # so acceptance is driven purely by the lexicographic tie-break
         rng = np.random.default_rng(2)
         data = TrainingData(rng.normal(size=(20, 2)), np.zeros((20, 3)))
-        _, trace = expand_basis(data, normal_spec(2), MvsaConfig(max_iterations=3))
-        assert [s.added for s in trace.steps] == [(0, 1), (0, 2), (0, 3)]
-        assert all(s.eta == 0.0 for s in trace.steps)
+        _, trace = expand_basis(data, normal_spec(2))
+        assert [s.added for s in trace.steps[:3]] == [(0, 1), (0, 2), (0, 3)]
+        assert all(s.eta == 0.0 for s in trace.steps[:3])
 
     def test_pure_square_expansion(self):
         # f(x) = x^2 = psi_0 + sqrt(2) psi_2 in the orthonormal basis
@@ -130,7 +128,7 @@ class TestExpansion:
         y = np.column_stack([np.exp(0.3 * x[:, 0]), np.cos(x[:, 1])])
         data = TrainingData(x, y)
         spec = normal_spec(2)
-        _, trace = expand_basis(data, spec, MvsaConfig(max_iterations=8))
+        _, trace = expand_basis(data, spec)
         builder = DesignBuilder(spec, x)
         current = trace.initial
         for step in trace.steps:
@@ -143,14 +141,6 @@ class TestExpansion:
             assert step.added == best
             assert step.eta == pytest.approx(lookup[best], rel=1e-12)
             current = current.with_index(step.added)
-
-    def test_max_iterations_cap(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(60, 2))
-        data = TrainingData(x, np.tanh(x).sum(axis=1))
-        _, trace = expand_basis(data, normal_spec(2), MvsaConfig(max_iterations=4))
-        assert len(trace.steps) == 4
-        assert trace.termination == "max_iterations"
 
 
 class TestPruning:
@@ -335,7 +325,7 @@ class TestFitFixed:
         rng = np.random.default_rng(16)
         x = rng.normal(size=(20, 1))
         y = np.column_stack([x[:, 0], 2.0 * x[:, 0]])
-        model = fit_fixed(TrainingData(x, y), normal_spec(1), zero_set(1))
+        model = fit_fixed(TrainingData(x, y), normal_spec(1), total_degree_set(1, 0))
         assert np.allclose(model.coefficients, y.mean(axis=0, keepdims=True), atol=1e-12)
 
     def test_min_norm_interpolates_at_full_row_rank(self):

@@ -82,6 +82,14 @@ class TestStandardize:
         with pytest.raises(DomainError, match="row 2.*component 0"):
             spec.standardize_rows([[0.5], [0.1], [7.0]])
 
+    def test_rows_error_row_matches_reason(self):
+        # Row 0 is outside the lognormal support, but the non-finite check
+        # runs first, so the reported row must be the non-finite one.
+        spec = DistributionSpec.of([Marginal.lognormal(1, 0.5)])
+        with pytest.raises(DomainError) as raised:
+            spec.standardize_rows([[-1.0], [1.0], [np.nan]])
+        assert str(raised.value) == "row 2, input component 0: non-finite value for lognormal marginal"
+
     @pytest.mark.parametrize(
         "marginal, target_var",
         [
