@@ -77,8 +77,24 @@ def beam_deflection_rows(inputs, n_points: int) -> np.ndarray:
     if np.min(x[:, :5]) <= 0.0:
         raise DomainError("beam parameters must all be positive")
     w, h, length, modulus, load = (x[:, j][:, None] for j in range(5))
-    ell = np.arange(1, n_points + 1)[None, :] * (length / (n_points + 1))
-    return load * ell * (length**3 - 2.0 * ell**2 * length + ell**3) / (2.0 * modulus * w * h**3)
+    # load * l * (L**3 - 2 l**2 L + l**3) / (2 E w h**3), one operation at a
+    # time on two Q x M buffers.  Each step is the elementwise operation the
+    # one-line expression performs, so the result has the same bits; l**3
+    # stays a power, since a product of squares rounds differently.
+    grid = np.arange(1, n_points + 1)[None, :]
+    step = length / (n_points + 1)
+    ell = grid * step
+    cube = np.power(ell, 3)
+    np.square(ell, out=ell)
+    ell *= 2.0
+    ell *= length
+    np.subtract(length**3, ell, out=ell)
+    cube += ell
+    np.multiply(grid, step, out=ell)
+    ell *= load
+    ell *= cube
+    ell /= 2.0 * modulus * w * h**3
+    return ell
 
 
 def sample_inputs(spec: DistributionSpec, size: int, seed) -> np.ndarray:

@@ -75,7 +75,9 @@ class DesignBuilder:
     Standardizes the inputs once and caches per-dimension univariate
     tables and per-multi-index columns, so that repeated assemblies over
     growing or shrinking bases (as in adaptive fitting) cost only the new
-    columns.
+    columns.  Each column is the product of its univariate factors taken
+    in increasing input order, so it has the same bits whichever call
+    built it.
     """
 
     def __init__(self, spec: DistributionSpec, inputs):
@@ -89,35 +91,49 @@ class DesignBuilder:
         return self.z.shape[0]
 
     def _table(self, n: int, degree: int) -> np.ndarray:
+        """psi_0..psi_degree of input n, one row per degree."""
         table = self._tables[n]
-        if table is None or table.shape[1] <= degree:
-            table = univariate_table(self.spec.families[n], degree, self.z[:, n])
+        if table is None or table.shape[0] <= degree:
+            table = np.ascontiguousarray(univariate_table(self.spec.families[n], degree, self.z[:, n]).T)
             self._tables[n] = table
         return table
 
-    def column(self, index: tuple[int, ...]) -> np.ndarray:
-        """Values of the term ``index`` at every input row; DataError if the
+    def _gather(self, misses) -> None:
+        """Build and cache the columns of the distinct uncached terms
+        ``misses`` in one pass; DataError naming the first bad term if an
         index length is not the input width or a value is not finite."""
-        cached = self._columns.get(index)
-        if cached is not None:
-            return cached
-        if len(index) != self.spec.dim:
-            raise DataError(f"term {index} has {len(index)} entries, the inputs have {self.spec.dim}")
-        col = np.ones(self.n_rows)
+        for index in misses:
+            if len(index) != self.spec.dim:
+                raise DataError(f"term {index} has {len(index)} entries, the inputs have {self.spec.dim}")
+        degrees = np.array(misses, dtype=np.intp)
+        tops = degrees.max(axis=0)
+        block = np.ones((len(misses), self.n_rows))
         # An overflow is reported by the finite check below, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            for n, degree in enumerate(index):
-                if degree:
-                    col = col * self._table(n, degree)[:, degree]
-        if not np.isfinite(col).all():
-            row = int(np.flatnonzero(~np.isfinite(col))[0])
-            raise DataError(f"term {index} is not finite at input row {row}")
-        self._columns[index] = col
-        return col
+            for n in np.flatnonzero(tops):
+                act = np.flatnonzero(degrees[:, n])
+                block[act] *= self._table(n, tops[n])[degrees[act, n]]
+        if not np.isfinite(block).all():
+            bad = ~np.isfinite(block)
+            term = int(np.argmax(bad.any(axis=1)))
+            row = int(np.argmax(bad[term]))
+            raise DataError(f"term {misses[term]} is not finite at input row {row}")
+        self._columns.update(zip(misses, block))
+
+    def column(self, index: tuple[int, ...]) -> np.ndarray:
+        """Values of the term ``index`` at every input row: the one-term case of ``matrix``."""
+        if index not in self._columns:
+            self._gather([index])
+        return self._columns[index]
 
     def matrix(self, basis) -> np.ndarray:
         """Columns in ``basis`` order: a MultiIndexSet or a sequence of index tuples."""
-        return np.column_stack([self.column(index) for index in basis])
+        columns = [self._columns.get(index) for index in basis]
+        misses = [index for index, col in zip(basis, columns) if col is None]
+        if misses:
+            self._gather(list(dict.fromkeys(misses)))
+            columns = [self._columns[index] if col is None else col for index, col in zip(basis, columns)]
+        return np.array(columns).T
 
 
 def solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:

@@ -215,9 +215,10 @@ def monte_carlo_reference(
             offset = y[0].copy()
             sum_d = np.zeros_like(offset)
             sum_d2 = np.zeros_like(offset)
+        # d is a fresh array, never the one f returned, so it may be squared in place.
         d = y - offset
         sum_d += d.sum(axis=0)
-        sum_d2 += (d * d).sum(axis=0)
+        sum_d2 += np.square(d, out=d).sum(axis=0)
         count += n
     mean_d = sum_d / samples
     mean = offset + mean_d

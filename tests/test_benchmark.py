@@ -70,6 +70,18 @@ class TestBeamDeflection:
         for q in range(6):
             assert np.array_equal(batch[q], beam_deflection_rows(rows[q:q + 1], 33)[0])
 
+    def test_bitwise_equal_to_one_line_closed_form(self):
+        # the in-place evaluation performs the same elementwise operations
+        # as this expression, so it must reproduce it bit for bit
+        def closed_form(x, n_points):
+            w, h, length, modulus, load = (x[:, j][:, None] for j in range(5))
+            ell = np.arange(1, n_points + 1)[None, :] * (length / (n_points + 1))
+            return load * ell * (length**3 - 2.0 * ell**2 * length + ell**3) / (2.0 * modulus * w * h**3)
+
+        rng = np.random.default_rng(12)
+        rows = NOMINAL * rng.uniform(0.5, 1.5, size=(64, 5))
+        assert np.array_equal(beam_deflection_rows(rows, 257), closed_form(rows, 257))
+
     def test_rejects_nonpositive_parameters(self):
         bad = NOMINAL.copy()
         bad[0] = 0.0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mvsapce.errors import DataError, DomainError
 from mvsapce.multi_index import MultiIndexSet, total_degree_set
 from mvsapce.mvsa_engine import fit_fixed
-from mvsapce.polynomial_basis import DistributionSpec, Marginal
+from mvsapce.polynomial_basis import DistributionSpec, Marginal, univariate_table
 from mvsapce.regression import (
     DesignBuilder,
     TrainingData,
@@ -99,6 +99,66 @@ class TestAssembleDesign:
             builder.matrix([(0, 0), (2, 0)])
         with pytest.raises(DataError, match=r"term \(1, 1\) is not finite at input row 0"):
             DesignBuilder(standard_normal_2d, [[1e160, 1e160]]).column((1, 1))
+
+
+MIXED_4D = DistributionSpec.of(
+    [Marginal.normal(0.0, 1.0), Marginal.uniform(-1.0, 1.0), Marginal.lognormal(2.0, 0.5), Marginal.uniform(0.0, 3.0)]
+)
+
+
+def mixed_inputs(rows, seed=0):
+    return MIXED_4D.sample(rows, np.random.default_rng(seed))
+
+
+class TestDesignGather:
+    """matrix() builds every uncached column of a call in one pass."""
+
+    def test_td3_equals_products_in_increasing_input_order(self):
+        x = mixed_inputs(40)
+        basis = total_degree_set(4, 3)
+        z = MIXED_4D.standardize_rows(x)
+        tables = [univariate_table(family, 3, z[:, n]) for n, family in enumerate(MIXED_4D.families)]
+        expected = np.ones((40, len(basis)))
+        for j, index in enumerate(basis):
+            for n, degree in enumerate(index):
+                if degree:
+                    expected[:, j] = expected[:, j] * tables[n][:, degree]
+        assert np.array_equal(DesignBuilder(MIXED_4D, x).matrix(basis), expected)
+
+    def test_warm_builder_matches_fresh_builder(self):
+        x = mixed_inputs(30, seed=1)
+        terms = list(total_degree_set(4, 3))
+        warm = DesignBuilder(MIXED_4D, x)
+        warm.matrix(terms[::3][::-1])
+        warm.column(terms[7])
+        # hits and misses interleaved, not in lexicographic order, one repeat
+        order = [terms[i] for i in np.random.default_rng(2).permutation(len(terms))]
+        order.insert(5, order[20])
+        fresh = DesignBuilder(MIXED_4D, x).matrix(order)
+        assert np.array_equal(warm.matrix(order), fresh)
+        assert np.array_equal(fresh[:, 5], fresh[:, 21])
+        reference = DesignBuilder(MIXED_4D, x).matrix(terms)
+        assert np.array_equal(fresh, reference[:, [terms.index(t) for t in order]])
+        assert np.array_equal(DesignBuilder(MIXED_4D, x).column(order[3]), fresh[:, 3])
+
+    def test_first_non_finite_term_in_basis_order(self):
+        # He_3 of x1 overflows at rows 1 and 2, He_2 only at row 2
+        x = mixed_inputs(4, seed=3)
+        x[1, 0] = 1e110
+        x[2, 0] = 1e200
+        builder = DesignBuilder(MIXED_4D, x)
+        builder.matrix([(0, 0, 0, 0), (1, 0, 0, 0)])
+        basis = [(0, 0, 0, 0), (0, 1, 0, 1), (3, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)]
+        with pytest.raises(DataError, match=r"term \(3, 0, 0, 0\) is not finite at input row 1"):
+            builder.matrix(basis)
+        with pytest.raises(DataError, match=r"term \(2, 0, 0, 0\) is not finite at input row 2"):
+            builder.matrix(basis[::-1])
+
+    def test_wrong_length_in_a_batch(self):
+        builder = DesignBuilder(MIXED_4D, mixed_inputs(3))
+        builder.matrix([(0, 0, 0, 0), (1, 0, 0, 0)])
+        with pytest.raises(DataError, match=r"^term \(0, 2, 0\) has 3 entries, the inputs have 4$"):
+            builder.matrix([(1, 0, 0, 0), (0, 0, 1, 0), (0, 2, 0), (0, 1)])
 
 
 class TestSolveOls:

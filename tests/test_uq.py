@@ -11,6 +11,7 @@ from mvsapce.mvsa_engine import fit_fixed, predict
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
 from mvsapce.regression import TrainingData
 from mvsapce.uq import (
+    MC_BATCH_SIZE,
     generalized_sobol,
     moments,
     monte_carlo_reference,
@@ -201,6 +202,35 @@ class TestMonteCarloReference:
         b = monte_carlo_reference(f, spec, 5000, seed=7, vectorized=True)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.variance, b.variance)
+
+    def test_matches_two_pass_reference_and_leaves_outputs_alone(self):
+        # Spans a full batch and a partial one.  f hands back an array it
+        # keeps, which the reference must read but never write.
+        spec = normals(2)
+        samples = MC_BATCH_SIZE + 17
+        returned = []
+
+        def f(rows):
+            y = np.column_stack([rows[:, 0] * rows[:, 1], np.exp(rows[:, 0])])
+            returned.append((y, y.copy()))
+            return y
+
+        report = monte_carlo_reference(f, spec, samples, seed=3, vectorized=True)
+        assert len(returned) == 2
+        for y, original in returned:
+            assert np.array_equal(y, original)
+        y = np.vstack([original for _, original in returned])
+        d = y - y[0]
+        sum_d = np.zeros(2)
+        sum_d2 = np.zeros(2)
+        for start in range(0, samples, MC_BATCH_SIZE):
+            batch = d[start:start + MC_BATCH_SIZE]
+            sum_d += batch.sum(axis=0)
+            sum_d2 += (batch * batch).sum(axis=0)
+        mean_d = sum_d / samples
+        variance = np.maximum(sum_d2 - samples * mean_d * mean_d, 0.0) / (samples - 1)
+        assert np.array_equal(report.mean, y[0] + mean_d)
+        assert np.array_equal(report.variance, variance)
 
     def test_failure_names_sample_index(self):
         spec = normals(1)
