@@ -143,8 +143,9 @@ class ExperimentPlan:
         object.__setattr__(self, "training_sizes", tuple(int(q) for q in self.training_sizes))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "methods", tuple(self.methods))
-        if not self.training_sizes:
-            raise ConfigError("plan needs at least one training size")
+        sizes = self.training_sizes
+        if not sizes or len(set(sizes)) != len(sizes) or min(sizes) < 1:
+            raise ConfigError(f"plan training sizes must be non-empty, distinct and >= 1, got {sizes}")
         if self.test_size < 1:
             raise ConfigError(f"test_size must be >= 1, got {self.test_size}")
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
@@ -270,24 +271,24 @@ _METRICS = ("rmse", "moments", "timing", "degrees")
 _REPORT_HEADER = ("method", "Q", "seed", "output_index_or_aggregate", "value")
 
 
-def _per_output(prefix: str, values) -> list[tuple[str, str]]:
-    return [(f"{prefix}{m + 1}", repr(float(v))) for m, v in enumerate(values)]
+def _per_output(prefix: str, values: np.ndarray) -> list[tuple[str, float]]:
+    return [(f"{prefix}{m + 1}", v) for m, v in enumerate(values.tolist())]
 
 
 def _cell_values(metric: str, cell: CellResult):
     """(output_index_or_aggregate, value) pairs of one completed cell."""
     if metric == "rmse":
-        return _per_output("", cell.rmse) + [("max", repr(float(np.max(cell.rmse))))]
+        return _per_output("", cell.rmse) + [("max", float(np.max(cell.rmse)))]
     if metric == "moments":
         return _per_output("mean:", cell.mean) + _per_output("std:", cell.std)
     if metric == "timing":
-        return [("fit_seconds", repr(float(cell.fit_seconds)))]
+        return [("fit_seconds", cell.fit_seconds)]
     diag = cell.diagnostics
     return [
         ("max_total_degree", diag.max_total_degree),
         ("max_univariate_degree", diag.max_univariate_degree),
         ("basis_size", diag.basis_size),
-        ("condition_number", repr(float(diag.condition_number))),
+        ("condition_number", diag.condition_number),
         ("iterations", diag.iterations),
         ("pruned_count", diag.pruned_count),
     ]

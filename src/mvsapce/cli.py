@@ -104,8 +104,7 @@ def _cmd_uq(args) -> dict:
     model = load_model(args.model)
     moment_report = moments(model)
     sens = sensitivity_report(model)
-    prefix = str(args.out_prefix)
-    files = {name: f"{prefix}{name}.csv" for name in ("moments", "sobol", "generalized")}
+    files = {name: f"{args.out_prefix}{name}.csv" for name in ("moments", "sobol", "generalized")}
     make_output_dir(Path(files["moments"]).parent)
     write_moments_csv(moment_report, files["moments"])
     write_sobol_csv(sens, files["sobol"])

@@ -348,7 +348,7 @@ def model_to_json(model: PceModel) -> dict:
         "format_version": MODEL_FORMAT_VERSION,
         "spec": model.spec.to_json(),
         "basis": model.basis.to_json(),
-        "coefficients": [[float(v) for v in row] for row in model.coefficients],
+        "coefficients": model.coefficients.tolist(),
         "diagnostics": model.diagnostics.to_dict(),
     }
 

@@ -181,6 +181,17 @@ def _output_errors(path):
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+@contextmanager
+def _input_errors(path, what: str):
+    """A missing, unreadable or non-UTF-8 input file is a DataError."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc}") from None
+
+
 def make_output_dir(path) -> None:
     """Create an output directory and its parents unless it exists."""
     with _output_errors(path):
@@ -189,23 +200,19 @@ def make_output_dir(path) -> None:
 
 def write_json_file(path, payload) -> None:
     """Write ``payload`` as one line of JSON followed by a newline."""
+    # dumps runs the C encoder, and a payload it cannot encode leaves no file.
+    text = json.dumps(payload) + "\n"
     with _output_errors(path), Path(path).open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
+        handle.write(text)
 
 
 def read_json_file(path, what: str):
     """Parse a JSON file; a missing, unreadable or invalid file is a DataError."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{what} file not found: {path}")
-    try:
-        with path.open(encoding="utf-8") as handle:
+    with _input_errors(path, what), Path(path).open(encoding="utf-8") as handle:
+        try:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {what} file {path}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON ({exc})") from None
 
 
 # -- CSV interface ------------------------------------------------------------
@@ -218,46 +225,34 @@ def _expected_header(n_inputs: int, n_outputs: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n_inputs)] + [f"y{j + 1}" for j in range(n_outputs)]
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            rows = [row for row in reader if row]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if header is None:
-        raise DataError(f"empty CSV file: {path}")
-    return [name.strip() for name in header], rows
-
-
-def _parse_matrix(rows: list[list[str]], width: int, path) -> np.ndarray:
-    if not rows:
-        return np.empty((0, width))
-    out = np.empty((len(rows), width))
-    for q, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {q + 1} has {len(row)} fields, expected {width}")
-        try:
-            out[q] = [float(v) for v in row]
-        except ValueError as exc:
-            raise DataError(f"{path}: row {q + 1}: {exc}") from None
-    return out
+def _read_table(path, n_inputs: int, n_outputs: int | None) -> np.ndarray:
+    """The rows of a data file with header ``x1..xN,y1..yM``; ``n_outputs=None`` takes M from the header."""
+    with _input_errors(path, "data"), Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        # An empty file has an empty header, which no expected header matches.
+        header = [name.strip() for name in next(reader, [])]
+        if n_outputs is None:
+            n_outputs = max(len(header) - n_inputs, 0)
+        expected = _expected_header(n_inputs, n_outputs)
+        if header != expected:
+            raise DataError(
+                f"{path}: expected header {','.join(expected)} "
+                f"({n_inputs} inputs, {n_outputs} outputs), got {','.join(header)}"
+            )
+        rows = []
+        for q, row in enumerate(row for row in reader if row):
+            if len(row) != len(expected):
+                raise DataError(f"{path}: row {q + 1} has {len(row)} fields, expected {len(expected)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DataError(f"{path}: row {q + 1}: {exc}") from None
+    return np.array(rows).reshape(len(rows), len(expected))
 
 
 def load_data_csv(path, n_inputs: int, n_outputs: int) -> TrainingData:
     """Load a paired x/y data file with header ``x1..xN,y1..yM``."""
-    header, rows = _read_rows(path)
-    expected = _expected_header(n_inputs, n_outputs)
-    if header != expected:
-        raise DataError(
-            f"{path}: expected header {','.join(expected)} "
-            f"({n_inputs} inputs, {n_outputs} outputs), got {','.join(header)}"
-        )
-    data = _parse_matrix(rows, n_inputs + n_outputs, path)
+    data = _read_table(path, n_inputs, n_outputs)
     if data.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
     return TrainingData(inputs=data[:, :n_inputs], responses=data[:, n_inputs:])
@@ -265,22 +260,15 @@ def load_data_csv(path, n_inputs: int, n_outputs: int) -> TrainingData:
 
 def load_inputs_csv(path, n_inputs: int) -> np.ndarray:
     """Load input columns ``x1..xN`` from a data file, ignoring y columns."""
-    header, rows = _read_rows(path)
-    expected_x = _expected_header(n_inputs, 0)
-    if header[:n_inputs] != expected_x:
-        raise DataError(
-            f"{path}: expected leading columns {','.join(expected_x)} "
-            f"({n_inputs} inputs), got {','.join(header[:n_inputs])}"
-        )
-    extra = len(header) - n_inputs
-    if extra and header[n_inputs:] != _expected_header(0, extra):
-        raise DataError(f"{path}: trailing columns must be y1..yM, got {','.join(header[n_inputs:])}")
-    data = _parse_matrix(rows, len(header), path)
-    return data[:, :n_inputs]
+    return _read_table(path, n_inputs, None)[:, :n_inputs]
 
 
 def write_csv_table(path, header, rows) -> None:
-    """Write a header row, then stream ``rows`` (excel dialect: CRLF, minimal quoting)."""
+    """Write a header row, then stream ``rows`` (excel dialect: CRLF, minimal quoting).
+
+    Rows hold Python numbers. The csv module writes a float as its ``repr``,
+    which is the one float format of every file the toolkit writes.
+    """
     with _output_errors(path), Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -292,12 +280,11 @@ def write_data_csv(path, inputs: np.ndarray, responses: np.ndarray) -> None:
     inputs = np.atleast_2d(inputs)
     responses = np.atleast_2d(responses)
     header = _expected_header(inputs.shape[1], responses.shape[1])
-    rows = ([repr(float(v)) for v in row] for row in np.hstack([inputs, responses]))
+    rows = (row.tolist() for row in np.hstack([inputs, responses], dtype=float))
     write_csv_table(path, header, rows)
 
 
 def write_responses_csv(path, responses: np.ndarray) -> None:
     """Write responses only, header ``y1..yM``."""
-    responses = np.atleast_2d(responses)
-    rows = ([repr(float(v)) for v in row] for row in responses)
-    write_csv_table(path, _expected_header(0, responses.shape[1]), rows)
+    responses = np.atleast_2d(np.asarray(responses, dtype=float))
+    write_csv_table(path, _expected_header(0, responses.shape[1]), (row.tolist() for row in responses))

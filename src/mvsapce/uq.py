@@ -231,9 +231,10 @@ def monte_carlo_reference(
 
 def write_moments_csv(report: MomentReport, path) -> None:
     """One row per output: index, mean, variance, std, zero-variance flag."""
+    columns = zip(report.mean.tolist(), report.variance.tolist(), report.std.tolist())
     rows = (
-        [m + 1, repr(float(mean)), repr(float(variance)), repr(float(std)), int(variance == 0.0)]
-        for m, (mean, variance, std) in enumerate(zip(report.mean, report.variance, report.std))
+        [m, mean, variance, std, int(variance == 0.0)]
+        for m, (mean, variance, std) in enumerate(columns, 1)
     )
     write_csv_table(path, ["output", "mean", "variance", "std", "zero_variance"], rows)
 
@@ -247,7 +248,7 @@ def write_sobol_csv(report: SensitivityReport, path) -> None:
         + [f"total_y{m + 1}" for m in range(n_outputs)]
     )
     rows = (
-        [n + 1] + [repr(float(v)) for v in first] + [repr(float(v)) for v in total]
+        [n + 1] + first.tolist() + total.tolist()
         for n, (first, total) in enumerate(zip(report.per_output_first, report.per_output_total))
     )
     write_csv_table(path, header, rows)
@@ -255,31 +256,22 @@ def write_sobol_csv(report: SensitivityReport, path) -> None:
 
 def write_generalized_csv(report: SensitivityReport, path) -> None:
     """One row per input: generalized first-order and total-effect indices."""
-    rows = (
-        [n + 1, repr(float(first)), repr(float(total))]
-        for n, (first, total) in enumerate(zip(report.generalized_first, report.generalized_total))
-    )
+    columns = zip(report.generalized_first.tolist(), report.generalized_total.tolist())
+    rows = ([n, first, total] for n, (first, total) in enumerate(columns, 1))
     write_csv_table(path, ["input", "generalized_first", "generalized_total"], rows)
 
 
 def _report_json(report) -> dict:
     """A report's fields in declaration order, arrays as nested lists."""
-    payload = {}
-    for f in fields(report):
-        value = getattr(report, f.name)
-        payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
-    return payload
+    return {f.name: np.asarray(getattr(report, f.name)).tolist() for f in fields(report)}
 
 
-def uq_report_json(model: PceModel) -> dict:
-    """Combined moments and sensitivity report as a JSON-ready dict."""
+def write_uq_report_json(model: PceModel, path) -> None:
+    """Combined moments and sensitivity report as one JSON file."""
     degrees, squared, variance = _variance_parts(model)
-    return {
+    payload = {
         "moments": _report_json(_moment_report(model, variance)),
         "sensitivity": _report_json(_sensitivity(degrees, squared, variance)),
         "rng_algorithm": RNG_ALGORITHM,
     }
-
-
-def write_uq_report_json(model: PceModel, path) -> None:
-    write_json_file(path, uq_report_json(model))
+    write_json_file(path, payload)

@@ -152,6 +152,11 @@ class TestExperimentPlan:
             ExperimentPlan(training_sizes=(50,), methods=("td:x",))
         with pytest.raises(ConfigError, match="distinct"):
             ExperimentPlan(training_sizes=(50,), methods=("td:2", "td:02"))
+        with pytest.raises(ConfigError, match="distinct"):
+            ExperimentPlan(training_sizes=(50, 50))
+        for sizes in ((0,), (50, -1)):
+            with pytest.raises(ConfigError, match=">= 1"):
+                ExperimentPlan(training_sizes=sizes)
 
     def test_hash_tracks_content(self):
         config = BeamConfig(response_dim=10)

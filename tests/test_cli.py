@@ -241,6 +241,26 @@ class TestPredict:
         assert proc.returncode == 0
         assert out.read_bytes() == b"y1\r\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1,z2\n0.5,0.5\n", "expected header x1,x2 (2 inputs, 0 outputs), got x1,z2"),
+            ("x1,x2\n0.5\n", "row 1 has 1 fields, expected 2"),
+            ("x1,x2\n0.5,abc\n", "row 1: could not convert"),
+            ("", "expected header x1,x2 (2 inputs, 0 outputs), got "),
+        ],
+        ids=["bad-header", "ragged-row", "non-numeric", "empty-file"],
+    )
+    def test_malformed_data_exits_2(self, fit_assets, tmp_path, text, message):
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        out = tmp_path / "o.csv"
+        proc = run_cli("predict", "--model", fit_assets["model"], "--data", data, "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        payload = last_json_line(proc)
+        assert payload["kind"] == "data error" and message in payload["error"]
+        assert not out.exists()
+
     def test_non_finite_design_exits_2(self, fit_assets, tmp_path):
         # He_k(1e200) overflows for every k >= 2, and the model has such terms in x1
         assert max(index[0] for index in load_model(fit_assets["model"]).basis) >= 2
@@ -362,21 +382,28 @@ class TestBenchmarkCommands:
         assert summary["failures"] == []
 
     @pytest.mark.parametrize(
-        "flag, value",
+        "flag, value, rule",
         [
-            ("--kappa", "0.5"), ("--kappa", "inf"), ("--seeds", "-1"), ("--methods", ""),
-            ("--methods", "mvsa,mvsa"), ("--mcs-seed", "-1"),
+            ("--kappa", "0.5", "kappa"), ("--kappa", "inf", "kappa"), ("--seeds", "-1", "seeds"),
+            ("--methods", "", "methods"), ("--methods", "mvsa,mvsa", "methods"),
+            ("--mcs-seed", "-1", "mcs_seed"), ("--Q", "30,30", "training sizes"),
+            ("--Q", "0", "training sizes"),
         ],
-        ids=["kappa", "infinite-kappa", "negative-seed", "no-methods", "duplicate-methods", "negative-mcs-seed"],
+        ids=[
+            "kappa", "infinite-kappa", "negative-seed", "no-methods", "duplicate-methods",
+            "negative-mcs-seed", "duplicate-Q", "zero-Q",
+        ],
     )
-    def test_invalid_compare_plan_exits_3(self, tmp_path, flag, value):
-        plan = {"--seeds": "0", "--methods": "mvsa", flag: value}
+    def test_invalid_compare_plan_exits_3(self, tmp_path, flag, value, rule):
+        plan = {"--Q": "25", "--seeds": "0", "--methods": "mvsa", flag: value}
         proc = run_cli(
-            "compare", "--Q", "25", "--M", 5, "--test-size", 30, "--mcs-samples", 400,
+            "compare", "--M", 5, "--test-size", 30, "--mcs-samples", 400,
             "--out-dir", tmp_path, *[part for item in plan.items() for part in item],
         )
         assert proc.returncode == 3, proc.stderr
         assert last_json_line(proc)["kind"] == "configuration error"
+        assert rule in last_json_line(proc)["error"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_compare_defaults_include_td_baselines(self, tmp_path):
         proc = run_cli(

@@ -6,7 +6,9 @@ import pytest
 from mvsapce.errors import ConfigError, DataError
 from mvsapce.multi_index import MultiIndexSet, total_degree_set
 from mvsapce.mvsa_engine import (
+    FitDiagnostics,
     MvsaConfig,
+    PceModel,
     expand_basis,
     fit_fixed,
     fit_mvsa,
@@ -378,6 +380,28 @@ class TestPersistence:
         restored = model_from_json(json.loads(json.dumps(payload)))
         assert restored.basis == model.basis
         assert np.array_equal(restored.coefficients, model.coefficients)
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # Built by hand: floats as their repr, an infinite condition number as Infinity.
+        diagnostics = FitDiagnostics(
+            condition_number=float("inf"), iterations=1, pruned_count=0, max_total_degree=1,
+            max_univariate_degree=1, basis_size=2, termination="ill_conditioned",
+        )
+        model = PceModel(
+            spec=normal_spec(1),
+            basis=MultiIndexSet([(0,), (1,)]),
+            coefficients=np.array([[0.1, -0.0, 1e-05], [1e16, 5e-324, 2.0]]),
+            diagnostics=diagnostics,
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_bytes() == (
+            b'{"format_version": 1, "spec": [{"kind": "normal", "params": [0.0, 1.0]}], '
+            b'"basis": [[0], [1]], "coefficients": [[0.1, -0.0, 1e-05], [1e+16, 5e-324, 2.0]], '
+            b'"diagnostics": {"condition_number": Infinity, "iterations": 1, "pruned_count": 0, '
+            b'"max_total_degree": 1, "max_univariate_degree": 1, "basis_size": 2, '
+            b'"termination": "ill_conditioned"}}\n'
+        )
 
     def test_load_errors(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

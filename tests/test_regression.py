@@ -15,6 +15,7 @@ from mvsapce.regression import (
     rmse,
     solve_with_condition,
     write_data_csv,
+    write_json_file,
     write_responses_csv,
 )
 
@@ -310,3 +311,34 @@ class TestCsvInterface:
         path = tmp_path / "y.csv"
         write_responses_csv(path, np.empty((0, 3)))
         assert path.read_text().splitlines()[0] == "y1,y2,y3"
+
+    def test_data_bytes_are_pinned(self, tmp_path):
+        # Each float is written as its repr, built here by hand.
+        path = tmp_path / "data.csv"
+        write_data_csv(path, np.array([[-0.0, 5e-324]]), np.array([[1e16, 1e-05, 0.1]]))
+        assert path.read_bytes() == b"x1,x2,y1,y2,y3\r\n-0.0,5e-324,1e+16,1e-05,0.1\r\n"
+
+    def test_responses_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "y.csv"
+        write_responses_csv(path, np.array([[0.1, -0.0], [1e16, 5e-324], [1e-05, 2.0]]))
+        assert path.read_bytes() == b"y1,y2\r\n0.1,-0.0\r\n1e+16,5e-324\r\n1e-05,2.0\r\n"
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [("x1", "x1,x2 (2 inputs, 0 outputs), got x1"), ("x1,x2,z1", "x1,x2,y1 (2 inputs, 1 outputs), got x1,x2,z1")],
+        ids=["short", "wrong-trailing-name"],
+    )
+    def test_inputs_header_error_names_expected_header(self, tmp_path, header, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n0.5,0.5\n")
+        with pytest.raises(DataError) as error:
+            load_inputs_csv(path, 2)
+        assert str(error.value) == f"{path}: expected header {message}"
+
+
+class TestJsonFile:
+    def test_unencodable_payload_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            write_json_file(path, {"fine": 1.0, "bad": object()})
+        assert not path.exists()
