@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .benchmark import (
@@ -81,7 +82,7 @@ def _cmd_fit(args) -> dict:
     return {
         "command": "fit",
         "model": str(args.out),
-        **model.diagnostics.to_dict(),
+        **asdict(model.diagnostics),
         "oversampling_ratio": data.n_samples / model.diagnostics.basis_size,
         "fit_seconds": fit_seconds,
     }

@@ -9,6 +9,7 @@ the toolkit produces identical bases.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, DataError
@@ -25,7 +26,10 @@ class MultiIndexSet:
         normalized = []
         members = set()
         for raw in indices:
-            index = tuple(int(v) for v in raw)
+            try:
+                index = tuple(map(operator.index, raw))
+            except TypeError:
+                raise DataError(f"multi-index {raw!r} has a non-integer entry") from None
             if any(v < 0 for v in index):
                 raise DataError(f"multi-index {index} has a negative entry")
             if index in members:
@@ -81,7 +85,7 @@ class MultiIndexSet:
         appended = list(self.indices)
         seen = set(self._members)
         for raw in extra:
-            index = tuple(int(v) for v in raw)
+            index = tuple(raw)
             if index not in seen:
                 appended.append(index)
                 seen.add(index)

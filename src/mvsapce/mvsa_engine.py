@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from typing import get_type_hints
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .multi_index import MultiIndex, MultiIndexSet, is_admissible, total_degree_set
-from .polynomial_basis import DistributionSpec
+from .polynomial_basis import DEGREE_CAP, DistributionSpec
 from .regression import (
     DesignBuilder,
     TrainingData,
@@ -105,14 +104,6 @@ class FitDiagnostics:
             basis_size=len(basis),
             termination=termination,
         )
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in get_type_hints(type(self))}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FitDiagnostics":
-        # Each field is coerced by its annotated type (float, int or str).
-        return cls(**{name: kind(payload[name]) for name, kind in get_type_hints(cls).items()})
 
 
 @dataclass(frozen=True)
@@ -349,7 +340,7 @@ def model_to_json(model: PceModel) -> dict:
         "spec": model.spec.to_json(),
         "basis": model.basis.to_json(),
         "coefficients": model.coefficients.tolist(),
-        "diagnostics": model.diagnostics.to_dict(),
+        "diagnostics": asdict(model.diagnostics),
     }
 
 
@@ -364,11 +355,21 @@ def model_from_json(payload: dict) -> PceModel:
         spec = DistributionSpec.from_json(payload["spec"])
         basis = MultiIndexSet(payload["basis"], dim=spec.dim)
         coefficients = np.asarray(payload["coefficients"], dtype=float)
-        diagnostics = FitDiagnostics.from_dict(payload["diagnostics"])
+        stored = payload["diagnostics"]
+        # Rebuilt from the four observed fields, so the comparison below also
+        # checks every type and the fields that follow from the basis.
+        diagnostics = FitDiagnostics.of(
+            basis, float(stored["condition_number"]), int(stored["iterations"]),
+            int(stored["pruned_count"]), str(stored["termination"]),
+        )
     except KeyError as exc:
         raise DataError(f"model JSON is missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed model JSON: {exc}") from None
+    if asdict(diagnostics) != stored:
+        raise DataError(f"model diagnostics {stored} differ from {asdict(diagnostics)}, rebuilt from the basis")
+    if diagnostics.max_univariate_degree > DEGREE_CAP:
+        raise DataError(f"model basis has degree {diagnostics.max_univariate_degree} above the cap {DEGREE_CAP}")
     # PceModel checks that the row count K matches the basis.
     if coefficients.ndim != 2 or coefficients.shape[1] < 1:
         raise DataError(f"coefficients must form a K x M array, M >= 1; got shape {coefficients.shape}")

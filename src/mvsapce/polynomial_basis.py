@@ -118,24 +118,6 @@ class Marginal:
         lower, upper = self.params
         return rng.uniform(lower, upper, size)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Marginal":
-        try:
-            kind = payload["kind"]
-            params = payload["params"]
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"malformed marginal entry: {payload!r}") from exc
-        try:
-            if len(params) != 2:
-                raise DataError(f"marginal params must have length 2, got {params!r}")
-            values = (float(params[0]), float(params[1]))
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"malformed marginal params {params!r}: {exc}") from None
-        return cls(kind, values)
-
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -184,13 +166,20 @@ class DistributionSpec:
         return out
 
     def to_json(self) -> list[dict]:
-        return [m.to_dict() for m in self.marginals]
+        return [{"kind": m.kind, "params": list(m.params)} for m in self.marginals]
 
     @classmethod
     def from_json(cls, payload: Sequence[dict]) -> "DistributionSpec":
+        """Decode a spec file's array; any fault in an entry is a DataError naming its position."""
         if not isinstance(payload, (list, tuple)) or len(payload) == 0:
             raise DataError("distribution spec JSON must be a non-empty array")
-        return cls(tuple(Marginal.from_dict(entry) for entry in payload))
+        marginals = []
+        for n, entry in enumerate(payload):
+            try:
+                marginals.append(Marginal(entry["kind"], tuple(entry["params"])))
+            except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+                raise DataError(f"distribution spec entry {n} {entry!r}: {exc}") from None
+        return cls(tuple(marginals))
 
 
 def _require(valid: np.ndarray, reason: str) -> None:

@@ -253,8 +253,6 @@ def _read_table(path, n_inputs: int, n_outputs: int | None) -> np.ndarray:
 def load_data_csv(path, n_inputs: int, n_outputs: int) -> TrainingData:
     """Load a paired x/y data file with header ``x1..xN,y1..yM``."""
     data = _read_table(path, n_inputs, n_outputs)
-    if data.shape[0] == 0:
-        raise DataError(f"{path}: no data rows")
     return TrainingData(inputs=data[:, :n_inputs], responses=data[:, n_inputs:])
 
 

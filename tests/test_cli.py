@@ -146,19 +146,44 @@ class TestFit:
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize(
-        "params",
-        [[0, "abc"], [0, None], 5],
-        ids=["non-numeric", "null", "not-a-list"],
+        "entry",
+        [
+            {"kind": "normal", "params": [0, "abc"]},
+            {"kind": "normal", "params": [0, None]},
+            {"kind": "normal", "params": 5},
+            {"kind": "gamma", "params": [0, 1]},
+            {"kind": "normal", "params": [0, -1]},
+            {"kind": "uniform", "params": [1, 1]},
+            {"kind": "normal", "params": [0, 1, 2]},
+            ["normal", [0, 1]],
+        ],
+        ids=["non-numeric", "null", "not-a-list", "unknown-kind", "negative-std", "uniform-bounds",
+             "three-params", "not-an-object"],
     )
-    def test_malformed_dist_params_exit_2(self, fit_assets, tmp_path, params):
+    def test_malformed_dist_params_exit_2(self, fit_assets, tmp_path, entry):
         dist = tmp_path / "dist.json"
-        dist.write_text(json.dumps([{"kind": "normal", "params": params}] * 2))
+        dist.write_text(json.dumps([{"kind": "normal", "params": [0, 1]}, entry]))
         proc = run_cli(
             "fit", "--data", fit_assets["data"], "--inputs", 2, "--outputs", 1,
             "--dist", dist, "--out", tmp_path / "m.json",
         )
         assert proc.returncode == 2, proc.stderr
-        assert last_json_line(proc)["kind"] == "data error"
+        payload = last_json_line(proc)
+        assert payload["kind"] == "data error"
+        assert payload["error"].startswith("distribution spec entry 1 ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "m.json").exists()
+
+    def test_header_only_data_exits_2(self, fit_assets, tmp_path):
+        data = tmp_path / "empty.csv"
+        data.write_text("x1,x2,y1\n")
+        proc = run_cli(
+            "fit", "--data", data, "--inputs", 2, "--outputs", 1,
+            "--dist", fit_assets["dist"], "--out", tmp_path / "m.json",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert last_json_line(proc)["error"] == "training data must contain at least one row"
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestUnreadableInputs:
@@ -289,8 +314,8 @@ class TestPredict:
         assert not out.exists()
 
 
-def _malformed_models():
-    valid = {
+def _valid_model():
+    return {
         "format_version": 1,
         "spec": [{"kind": "normal", "params": [0.0, 1.0]}] * 2,
         "basis": [[0, 0], [1, 0]],
@@ -300,21 +325,70 @@ def _malformed_models():
             "max_univariate_degree": 1, "basis_size": 2, "termination": "fixed",
         },
     }
-    ragged = dict(valid, coefficients=[[1.0], [2.0, 3.0]])
-    bad_diagnostics = dict(valid, diagnostics=dict(valid["diagnostics"], iterations="abc"))
-    all_nan = dict(valid, coefficients=[[float("nan")], [float("nan")]])
-    return {"ragged": ragged, "array": [valid], "diagnostics": bad_diagnostics, "nan": all_nan}
+
+
+def _malformed_models():
+    valid = _valid_model()
+    normal = valid["spec"][0]
+
+    def with_spec(entry):
+        return dict(valid, spec=[normal, entry])
+
+    def with_basis(entry):
+        return dict(valid, basis=[[0, 0], entry])
+
+    def with_diagnostics(**changes):
+        return dict(valid, diagnostics=dict(valid["diagnostics"], **changes))
+
+    return {
+        "ragged": dict(valid, coefficients=[[1.0], [2.0, 3.0]]),
+        "array": [valid],
+        "diagnostics": with_diagnostics(iterations="abc"),
+        "nan": dict(valid, coefficients=[[float("nan")], [float("nan")]]),
+        "unknown-kind": with_spec({"kind": "gamma", "params": [0.0, 1.0]}),
+        "negative-std": with_spec({"kind": "normal", "params": [0.0, -1.0]}),
+        "uniform-bounds": with_spec({"kind": "uniform", "params": [1.0, 1.0]}),
+        "float-entry": with_basis([1.7, 0]),
+        "string-entry": with_basis(["1", 0]),
+        "basis-size": with_diagnostics(basis_size=999),
+        "float-iterations": with_diagnostics(iterations=2.7),
+        "int-termination": with_diagnostics(termination=5),
+        "degree-31": dict(
+            with_basis([31, 0]), diagnostics=dict(valid["diagnostics"], max_total_degree=31, max_univariate_degree=31)
+        ),
+    }
 
 
 class TestMalformedModel:
-    @pytest.mark.parametrize("name", sorted(_malformed_models()))
-    def test_predict_exits_2(self, fit_assets, tmp_path, name):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(_malformed_models()[name]))
-        proc = run_cli("predict", "--model", path, "--data", fit_assets["data"], "--out", tmp_path / "o.csv")
+    def _run(self, fit_assets, tmp_path, command, payload):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        if command == "predict":
+            return run_cli("predict", "--model", path, "--data", fit_assets["data"], "--out", tmp_path / "out_.csv")
+        return run_cli("uq", "--model", path, "--out-prefix", tmp_path / "out_")
+
+    def _assert_data_error(self, proc, tmp_path):
         assert proc.returncode == 2, proc.stderr
         payload = last_json_line(proc)
         assert payload["status"] == "error" and payload["kind"] == "data error"
+        assert len(proc.stderr.splitlines()) == 1
+        assert list(tmp_path.glob("out_*")) == []
+
+    @pytest.mark.parametrize("command", ["predict", "uq"])
+    def test_valid_payload_exits_0(self, fit_assets, tmp_path, command):
+        proc = self._run(fit_assets, tmp_path, command, _valid_model())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("name", sorted(_malformed_models()))
+    def test_predict_exits_2(self, fit_assets, tmp_path, name):
+        proc = self._run(fit_assets, tmp_path, "predict", _malformed_models()[name])
+        self._assert_data_error(proc, tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(_malformed_models()))
+    def test_uq_exits_2(self, fit_assets, tmp_path, name):
+        proc = self._run(fit_assets, tmp_path, "uq", _malformed_models()[name])
+        self._assert_data_error(proc, tmp_path)
 
 
 class TestUq:

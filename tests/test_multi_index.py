@@ -20,6 +20,16 @@ class TestSetConstruction:
         with pytest.raises(DataError):
             MultiIndexSet([(0, 0), (1,)])
 
+    @pytest.mark.parametrize("entry", [(0, 1.7), ("1", 0)], ids=["float", "string"])
+    def test_rejects_non_integer_entries(self, entry):
+        with pytest.raises(DataError, match="non-integer entry"):
+            MultiIndexSet([entry])
+
+    def test_accepts_numpy_integers(self):
+        s = MultiIndexSet(np.array([[0, 1]]))
+        assert s.indices == ((0, 1),)
+        assert type(s.indices[0][1]) is int
+
     def test_empty_set_needs_dimension(self):
         with pytest.raises(DataError):
             MultiIndexSet([])
