@@ -22,7 +22,7 @@ from .benchmark import (
     run_beam_experiment,
     write_experiment_report,
 )
-from .errors import ConfigError, DataError, MvsaError
+from .errors import ConfigError, DataError
 from .multi_index import parse_total_degree
 from .mvsa_engine import MvsaConfig, fit_mvsa, load_model, predict, save_model
 from .polynomial_basis import DistributionSpec
@@ -219,10 +219,6 @@ def main(argv=None) -> int:
         return _fail("data error", exc, 2)
     except ConfigError as exc:
         return _fail("configuration error", exc, 3)
-    except MvsaError as exc:
-        return _fail("error", exc, 1)
-    except SystemExit:
-        raise
     except Exception as exc:  # internal error, but keep the diagnostic contract
         return _fail("internal error", exc, 1)
     print(json.dumps({"status": "ok", **payload}))

@@ -110,8 +110,9 @@ class FitDiagnostics:
 class PceModel:
     """Fitted expansion: distribution spec, basis, and K x M coefficients.
 
-    Immutable once constructed; safe to share across threads for
-    prediction and post-processing.
+    The coefficients must be finite, with K = len(basis) rows and M >= 1
+    columns; anything else is a DataError.  Immutable once constructed;
+    safe to share across threads for prediction and post-processing.
     """
 
     spec: DistributionSpec
@@ -122,12 +123,12 @@ class PceModel:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.ndim == 1:
-            coeffs = coeffs[:, None]
-        if coeffs.shape[0] != len(self.basis):
+        if coeffs.ndim != 2 or coeffs.shape[0] != len(self.basis) or coeffs.shape[1] < 1:
             raise DataError(
-                f"coefficient rows ({coeffs.shape[0]}) do not match basis size ({len(self.basis)})"
+                f"coefficients must form a {len(self.basis)} x M array, M >= 1; got shape {coeffs.shape}"
             )
+        if not np.all(np.isfinite(coeffs)):
+            raise DataError("non-finite entries in model coefficients")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -370,11 +371,7 @@ def model_from_json(payload: dict) -> PceModel:
         raise DataError(f"model diagnostics {stored} differ from {asdict(diagnostics)}, rebuilt from the basis")
     if diagnostics.max_univariate_degree > DEGREE_CAP:
         raise DataError(f"model basis has degree {diagnostics.max_univariate_degree} above the cap {DEGREE_CAP}")
-    # PceModel checks that the row count K matches the basis.
-    if coefficients.ndim != 2 or coefficients.shape[1] < 1:
-        raise DataError(f"coefficients must form a K x M array, M >= 1; got shape {coefficients.shape}")
-    if not np.all(np.isfinite(coefficients)):
-        raise DataError("non-finite entries in model coefficients")
+    # PceModel checks the coefficients' shape and finiteness.
     return PceModel(spec=spec, basis=basis, coefficients=coefficients, diagnostics=diagnostics)
 
 

@@ -176,6 +176,8 @@ class DistributionSpec:
         marginals = []
         for n, entry in enumerate(payload):
             try:
+                if not isinstance(entry["params"], list):
+                    raise TypeError(f"params must be an array, got {type(entry['params']).__name__}")
                 marginals.append(Marginal(entry["kind"], tuple(entry["params"])))
             except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
                 raise DataError(f"distribution spec entry {n} {entry!r}: {exc}") from None

@@ -58,19 +58,20 @@ class SensitivityReport:
     generalized_defined: bool
 
 
-def _variance_parts(model: PceModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Degrees, squared coefficients and per-output variance, computed once.
+def _variance(degrees: np.ndarray, squared: np.ndarray) -> np.ndarray:
+    """Per-output variance: squared coefficients summed over the non-constant rows."""
+    return squared[degrees.sum(axis=1) > 0].sum(axis=0)
 
-    Every moment and sensitivity index is read off these three arrays.
+
+def moments(model: PceModel) -> MomentReport:
+    """Mean and variance estimates read off the expansion coefficients.
+
+    The mean is the coefficient row of the zero multi-index (zeros with a
+    flag when the basis lacks it); the variance is the sum of squared
+    coefficients over all other rows.
     """
     degrees = np.asarray(model.basis.indices, dtype=int)
-    squared = model.coefficients * model.coefficients
-    nonconstant = degrees.sum(axis=1) > 0
-    variance = squared[nonconstant].sum(axis=0) if nonconstant.any() else np.zeros(model.n_outputs)
-    return degrees, squared, variance
-
-
-def _moment_report(model: PceModel, variance: np.ndarray) -> MomentReport:
+    variance = _variance(degrees, model.coefficients * model.coefficients)
     zero = (0,) * model.basis.dim
     if zero in model.basis:
         row = model.basis.indices.index(zero)
@@ -84,57 +85,6 @@ def _moment_report(model: PceModel, variance: np.ndarray) -> MomentReport:
         variance=variance,
         std=np.sqrt(variance),
         constant_term_present=present,
-    )
-
-
-def moments(model: PceModel) -> MomentReport:
-    """Mean and variance estimates read off the expansion coefficients.
-
-    The mean is the coefficient row of the zero multi-index (zeros with a
-    flag when the basis lacks it); the variance is the sum of squared
-    coefficients over all other rows.
-    """
-    _, _, variance = _variance_parts(model)
-    return _moment_report(model, variance)
-
-
-def _index_partitions(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Selector matrices (N x K) for first-order and total-effect subsets.
-
-    Row n of the first selector marks indices active in dimension n only;
-    row n of the total selector marks all indices active in dimension n.
-    """
-    active = degrees.T > 0
-    totals = degrees.sum(axis=1)
-    only_n = degrees.T == totals
-    first = active & only_n
-    return first, active
-
-
-def _sensitivity(degrees: np.ndarray, squared: np.ndarray, variance: np.ndarray) -> SensitivityReport:
-    first_sel, total_sel = _index_partitions(degrees)
-    first_num = first_sel.astype(float) @ squared
-    total_num = total_sel.astype(float) @ squared
-    # Per output: columns of zero-variance outputs stay 0 and are flagged.
-    defined = variance > 0.0
-    first = np.zeros_like(first_num)
-    total = np.zeros_like(total_num)
-    first[:, defined] = first_num[:, defined] / variance[defined]
-    total[:, defined] = total_num[:, defined] / variance[defined]
-    # Generalized: numerators and variance summed over outputs before the ratio.
-    aggregated = float(variance.sum())
-    if aggregated > 0.0:
-        gen_first = first_num.sum(axis=1) / aggregated
-        gen_total = total_num.sum(axis=1) / aggregated
-    else:
-        gen_first, gen_total = np.zeros(len(first_num)), np.zeros(len(total_num))
-    return SensitivityReport(
-        per_output_first=first,
-        per_output_total=total,
-        generalized_first=gen_first,
-        generalized_total=gen_total,
-        zero_variance_outputs=variance == 0.0,
-        generalized_defined=aggregated > 0.0,
     )
 
 
@@ -161,8 +111,38 @@ def generalized_sobol(model: PceModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sensitivity_report(model: PceModel) -> SensitivityReport:
-    """Full sensitivity post-processing with zero-variance masking."""
-    return _sensitivity(*_variance_parts(model))
+    """Full sensitivity post-processing with zero-variance masking.
+
+    Row n of the total selector marks the indices active in dimension n;
+    row n of the first-order selector those active in dimension n only.
+    """
+    degrees = np.asarray(model.basis.indices, dtype=int)
+    squared = model.coefficients * model.coefficients
+    variance = _variance(degrees, squared)
+    total_sel = degrees.T > 0
+    first_sel = total_sel & (degrees.T == degrees.sum(axis=1))
+    first_num = first_sel.astype(float) @ squared
+    total_num = total_sel.astype(float) @ squared
+    # Per output: columns of zero-variance outputs stay 0 and are flagged.
+    defined = variance > 0.0
+    first = np.divide(first_num, variance, out=np.zeros_like(first_num), where=defined)
+    total = np.divide(total_num, variance, out=np.zeros_like(total_num), where=defined)
+    # Generalized: numerators and variance summed over outputs before the ratio.
+    aggregated = float(variance.sum())
+    gen_first = np.divide(
+        first_num.sum(axis=1), aggregated, out=np.zeros(len(first_num)), where=aggregated > 0.0
+    )
+    gen_total = np.divide(
+        total_num.sum(axis=1), aggregated, out=np.zeros(len(total_num)), where=aggregated > 0.0
+    )
+    return SensitivityReport(
+        per_output_first=first,
+        per_output_total=total,
+        generalized_first=gen_first,
+        generalized_total=gen_total,
+        zero_variance_outputs=variance == 0.0,
+        generalized_defined=aggregated > 0.0,
+    )
 
 
 def monte_carlo_reference(
@@ -268,10 +248,9 @@ def _report_json(report) -> dict:
 
 def write_uq_report_json(model: PceModel, path) -> None:
     """Combined moments and sensitivity report as one JSON file."""
-    degrees, squared, variance = _variance_parts(model)
     payload = {
-        "moments": _report_json(_moment_report(model, variance)),
-        "sensitivity": _report_json(_sensitivity(degrees, squared, variance)),
+        "moments": _report_json(moments(model)),
+        "sensitivity": _report_json(sensitivity_report(model)),
         "rng_algorithm": RNG_ALGORITHM,
     }
     write_json_file(path, payload)

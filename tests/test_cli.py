@@ -156,9 +156,11 @@ class TestFit:
             {"kind": "uniform", "params": [1, 1]},
             {"kind": "normal", "params": [0, 1, 2]},
             ["normal", [0, 1]],
+            {"kind": "normal", "params": "12"},
+            {"kind": "normal", "params": {"0": 0, "1": 1}},
         ],
         ids=["non-numeric", "null", "not-a-list", "unknown-kind", "negative-std", "uniform-bounds",
-             "three-params", "not-an-object"],
+             "three-params", "not-an-object", "string-params", "object-params"],
     )
     def test_malformed_dist_params_exit_2(self, fit_assets, tmp_path, entry):
         dist = tmp_path / "dist.json"
@@ -348,6 +350,7 @@ def _malformed_models():
         "unknown-kind": with_spec({"kind": "gamma", "params": [0.0, 1.0]}),
         "negative-std": with_spec({"kind": "normal", "params": [0.0, -1.0]}),
         "uniform-bounds": with_spec({"kind": "uniform", "params": [1.0, 1.0]}),
+        "string-params": with_spec({"kind": "normal", "params": "12"}),
         "float-entry": with_basis([1.7, 0]),
         "string-entry": with_basis(["1", 0]),
         "basis-size": with_diagnostics(basis_size=999),

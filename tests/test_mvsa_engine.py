@@ -340,6 +340,37 @@ class TestFitFixed:
         assert np.max(np.abs(predict(model, x) - y)) < 1e-8
 
 
+class TestPceModel:
+    @pytest.mark.parametrize(
+        "coefficients, error",
+        [
+            (np.zeros(2), r"must form a 2 x M array, M >= 1; got shape \(2,\)"),
+            (np.zeros((2, 0)), r"got shape \(2, 0\)"),
+            (np.zeros((2, 1, 1)), r"got shape \(2, 1, 1\)"),
+            (np.zeros((3, 1)), r"got shape \(3, 1\)"),
+            (np.array([[1.0], [np.inf]]), "non-finite entries in model coefficients"),
+            (np.array([[np.nan, 1.0], [1.0, 1.0]]), "non-finite entries in model coefficients"),
+            ([[1, 2], [3, 4]], None),
+        ],
+        ids=["1d", "no-columns", "3d", "row-count", "inf", "nan", "int-list"],
+    )
+    def test_coefficient_rules(self, coefficients, error):
+        basis = MultiIndexSet([(0,), (1,)])
+        diagnostics = FitDiagnostics.of(basis, 1.0, 0, 0, "fixed")
+
+        def build():
+            return PceModel(spec=normal_spec(1), basis=basis, coefficients=coefficients, diagnostics=diagnostics)
+
+        if error is not None:
+            with pytest.raises(DataError, match=error):
+                build()
+            return
+        model = build()
+        assert model.coefficients.dtype == np.float64
+        assert np.array_equal(model.coefficients, [[1.0, 2.0], [3.0, 4.0]])
+        assert model.n_outputs == 2
+
+
 class TestPredict:
     def test_mean_only_prediction(self, standard_normal_2d):
         model = build_model(standard_normal_2d, [(0, 0)], [[4.0, -2.0]])

@@ -324,3 +324,38 @@ class TestReportFiles:
             b'"zero_variance_outputs": [false, false, true], "generalized_defined": true}, '
             b'"rng_algorithm": "pcg64"}\n'
         )
+
+    def test_masked_report_bytes_are_pinned(self, tmp_path):
+        # No zero index and no variance anywhere: the mean is the flagged
+        # zero row, and every per-output and generalized index is masked.
+        spec = DistributionSpec.of([Marginal.normal(0.0, 1.0), Marginal.uniform(-1.0, 1.0)])
+        model = build_model(spec, [(1, 0), (0, 1)], [[0.0, -0.0], [0.0, 0.0]])
+        sens = sensitivity_report(model)
+        write_moments_csv(moments(model), tmp_path / "moments.csv")
+        write_sobol_csv(sens, tmp_path / "sobol.csv")
+        write_generalized_csv(sens, tmp_path / "generalized.csv")
+        write_uq_report_json(model, tmp_path / "report.json")
+        assert (tmp_path / "moments.csv").read_bytes() == (
+            b"output,mean,variance,std,zero_variance\r\n"
+            b"1,0.0,0.0,0.0,1\r\n"
+            b"2,0.0,0.0,0.0,1\r\n"
+        )
+        assert (tmp_path / "sobol.csv").read_bytes() == (
+            b"input,first_y1,first_y2,total_y1,total_y2\r\n"
+            b"1,0.0,0.0,0.0,0.0\r\n"
+            b"2,0.0,0.0,0.0,0.0\r\n"
+        )
+        assert (tmp_path / "generalized.csv").read_bytes() == (
+            b"input,generalized_first,generalized_total\r\n"
+            b"1,0.0,0.0\r\n"
+            b"2,0.0,0.0\r\n"
+        )
+        assert (tmp_path / "report.json").read_bytes() == (
+            b'{"moments": {"mean": [0.0, 0.0], "variance": [0.0, 0.0], "std": [0.0, 0.0], '
+            b'"constant_term_present": false}, '
+            b'"sensitivity": {"per_output_first": [[0.0, 0.0], [0.0, 0.0]], '
+            b'"per_output_total": [[0.0, 0.0], [0.0, 0.0]], "generalized_first": [0.0, 0.0], '
+            b'"generalized_total": [0.0, 0.0], "zero_variance_outputs": [true, true], '
+            b'"generalized_defined": false}, '
+            b'"rng_algorithm": "pcg64"}\n'
+        )
