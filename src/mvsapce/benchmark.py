@@ -50,15 +50,11 @@ class BeamConfig:
         if self.dummy_count < 0:
             raise ConfigError(f"dummy_count must be >= 0, got {self.dummy_count}")
 
-    @property
-    def n_inputs(self) -> int:
-        return 5 + self.dummy_count
-
     def distribution_spec(self) -> DistributionSpec:
         physical = [self.width, self.height, self.length, self.youngs_modulus, self.load]
         marginals = [Marginal.lognormal(*params) for params in physical]
         marginals += [Marginal.lognormal(*self.dummy)] * self.dummy_count
-        return DistributionSpec.of(marginals)
+        return DistributionSpec(marginals)
 
     def response(self, inputs: np.ndarray) -> np.ndarray:
         """Vectorized beam response for a Q x N input matrix."""
@@ -212,6 +208,12 @@ def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentR
     Fit failures are recorded in their cell and the run continues.
     """
     spec = config.distribution_spec()
+    # Each method's basis, None for mvsa, is built once and shared by its
+    # cells; built first, so a degree above the cap fails before any sample.
+    bases = {}
+    for method in plan.methods:
+        degree = _parse_method(method)
+        bases[method] = None if degree is None else total_degree_set(spec.dim, degree)
     reference = monte_carlo_reference(
         config.response,
         spec,
@@ -219,11 +221,6 @@ def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentR
         plan.mcs_seed,
         vectorized=True,
     )
-    # Each method's basis, None for mvsa, is built once and shared by its cells.
-    bases = {}
-    for method in plan.methods:
-        degree = _parse_method(method)
-        bases[method] = None if degree is None else total_degree_set(spec.dim, degree)
     mvsa_config = MvsaConfig(kappa=plan.kappa)
     cells: list[CellResult] = []
     for q in plan.training_sizes:

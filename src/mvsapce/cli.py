@@ -149,8 +149,9 @@ def _cmd_beam_data(args) -> dict:
     make_output_dir(Path(files["dist.json"]).parent)
     write_data_csv(files["train.csv"], train.inputs, train.responses)
     write_data_csv(files["test.csv"], test.inputs, test.responses)
-    write_json_file(files["dist.json"], config.distribution_spec().to_json())
-    return {"command": "beam-data", "files": files, "inputs": config.n_inputs, "outputs": args.M}
+    spec = config.distribution_spec()
+    write_json_file(files["dist.json"], spec.to_json())
+    return {"command": "beam-data", "files": files, "inputs": spec.dim, "outputs": args.M}
 
 
 def build_parser() -> _Parser:

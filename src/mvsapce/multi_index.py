@@ -13,6 +13,7 @@ import operator
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, DataError
+from .polynomial_basis import DEGREE_CAP
 
 MultiIndex = tuple[int, ...]
 
@@ -148,11 +149,14 @@ def _total_degree_indices(dim: int, budget: int) -> Iterator[MultiIndex]:
 
 
 def total_degree_set(dim: int, degree: int) -> MultiIndexSet:
-    """All multi-indices with l1-norm at most ``degree``, lexicographic."""
+    """All multi-indices with l1-norm at most ``degree``, lexicographic.
+
+    A degree above ``DEGREE_CAP`` is rejected before it is enumerated.
+    """
     if dim < 1:
         raise ConfigError(f"dimension must be >= 1, got {dim}")
-    if degree < 0:
-        raise ConfigError(f"degree must be >= 0, got {degree}")
+    if not 0 <= degree <= DEGREE_CAP:
+        raise ConfigError(f"total degree must lie in 0..{DEGREE_CAP}, got {degree}")
     return MultiIndexSet(_total_degree_indices(dim, degree), dim=dim)
 
 

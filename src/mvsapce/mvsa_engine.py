@@ -122,7 +122,10 @@ class PceModel:
     trace: ExpansionTrace | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
+        try:
+            coeffs = np.asarray(self.coefficients, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"model coefficients are not a numeric array: {exc}") from None
         if coeffs.ndim != 2 or coeffs.shape[0] != len(self.basis) or coeffs.shape[1] < 1:
             raise DataError(
                 f"coefficients must form a {len(self.basis)} x M array, M >= 1; got shape {coeffs.shape}"
@@ -136,12 +139,9 @@ class PceModel:
         return self.coefficients.shape[1]
 
 
-def sensitivity_indicators(coefficients) -> np.ndarray:
-    """Per-term aggregated variance contribution: eta_k = sum_m c_{m,k}^2."""
-    coeffs = np.asarray(coefficients, dtype=float)
-    if coeffs.ndim == 1:
-        coeffs = coeffs[:, None]
-    return np.sum(coeffs * coeffs, axis=1)
+def sensitivity_indicators(coefficients: np.ndarray) -> np.ndarray:
+    """Per-term aggregated variance contribution of a K x M array: eta_k = sum_m c_{k,m}^2."""
+    return np.sum(coefficients * coefficients, axis=1)
 
 
 def _response_factor(responses: np.ndarray) -> np.ndarray:
@@ -355,7 +355,7 @@ def model_from_json(payload: dict) -> PceModel:
             raise DataError(f"unsupported model format_version {version}")
         spec = DistributionSpec.from_json(payload["spec"])
         basis = MultiIndexSet(payload["basis"], dim=spec.dim)
-        coefficients = np.asarray(payload["coefficients"], dtype=float)
+        coefficients = payload["coefficients"]
         stored = payload["diagnostics"]
         # Rebuilt from the four observed fields, so the comparison below also
         # checks every type and the fields that follow from the basis.
@@ -371,7 +371,7 @@ def model_from_json(payload: dict) -> PceModel:
         raise DataError(f"model diagnostics {stored} differ from {asdict(diagnostics)}, rebuilt from the basis")
     if diagnostics.max_univariate_degree > DEGREE_CAP:
         raise DataError(f"model basis has degree {diagnostics.max_univariate_degree} above the cap {DEGREE_CAP}")
-    # PceModel checks the coefficients' shape and finiteness.
+    # PceModel converts the coefficients and checks their shape and finiteness.
     return PceModel(spec=spec, basis=basis, coefficients=coefficients, diagnostics=diagnostics)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -131,17 +131,9 @@ class DistributionSpec:
         if len(marginals) < 1:
             raise ConfigError("DistributionSpec requires at least one marginal")
 
-    @classmethod
-    def of(cls, marginals: Iterable[Marginal]) -> "DistributionSpec":
-        return cls(tuple(marginals))
-
     @property
     def dim(self) -> int:
         return len(self.marginals)
-
-    @property
-    def families(self) -> tuple[str, ...]:
-        return tuple(m.family for m in self.marginals)
 
     def standardize_rows(self, inputs) -> np.ndarray:
         """Standardize a Q x N matrix column by column."""

@@ -61,10 +61,6 @@ class TrainingData:
         return self.inputs.shape[0]
 
     @property
-    def n_inputs(self) -> int:
-        return self.inputs.shape[1]
-
-    @property
     def n_outputs(self) -> int:
         return self.responses.shape[1]
 
@@ -86,15 +82,11 @@ class DesignBuilder:
         self._tables: list[np.ndarray | None] = [None] * spec.dim
         self._columns: dict[tuple[int, ...], np.ndarray] = {}
 
-    @property
-    def n_rows(self) -> int:
-        return self.z.shape[0]
-
     def _table(self, n: int, degree: int) -> np.ndarray:
         """psi_0..psi_degree of input n, one row per degree."""
         table = self._tables[n]
         if table is None or table.shape[0] <= degree:
-            table = np.ascontiguousarray(univariate_table(self.spec.families[n], degree, self.z[:, n]).T)
+            table = np.ascontiguousarray(univariate_table(self.spec.marginals[n].family, degree, self.z[:, n]).T)
             self._tables[n] = table
         return table
 
@@ -107,7 +99,7 @@ class DesignBuilder:
                 raise DataError(f"term {index} has {len(index)} entries, the inputs have {self.spec.dim}")
         degrees = np.array(misses, dtype=np.intp)
         tops = degrees.max(axis=0)
-        block = np.ones((len(misses), self.n_rows))
+        block = np.ones((len(misses), len(self.z)))
         # An overflow is reported by the finite check below, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             for n in np.flatnonzero(tops):
@@ -140,24 +132,15 @@ def solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarra
     """K x M least-squares coefficients for all columns of ``rhs``, and the condition number.
 
     Min-norm when rank-deficient or underdetermined (singular values below
-    ``OLS_RANK_RTOL`` times the largest count as zero); the condition number
-    comes from lstsq's own singular values.  Unchecked: DesignBuilder and
-    TrainingData reject non-finite entries.
+    ``OLS_RANK_RTOL`` times the largest count as zero).  The condition number
+    comes from lstsq's own singular values; it is +inf for a wide or empty
+    design or when sigma_min <= ``COND_SINGULARITY_RTOL`` * sigma_max.
+    Unchecked: DesignBuilder and TrainingData reject non-finite entries.
     """
     coeffs, _, _, s = np.linalg.lstsq(matrix, rhs, rcond=OLS_RANK_RTOL)
-    return coeffs, condition_from_singular_values(s, matrix.shape[0], matrix.shape[1])
-
-
-def condition_from_singular_values(s: np.ndarray, n_rows: int, n_cols: int) -> float:
-    """sigma_max / sigma_min from precomputed singular values; +inf when the
-    matrix is wide or sigma_min <= ``COND_SINGULARITY_RTOL`` * sigma_max."""
-    if n_cols > n_rows:
-        return float("inf")
-    smax = float(s[0]) if len(s) else 0.0
-    smin = float(s[-1]) if len(s) else 0.0
-    if smin <= smax * COND_SINGULARITY_RTOL:
-        return float("inf")
-    return smax / smin
+    if matrix.shape[1] > matrix.shape[0] or len(s) == 0 or s[-1] <= s[0] * COND_SINGULARITY_RTOL:
+        return coeffs, float("inf")
+    return coeffs, float(s[0]) / float(s[-1])
 
 
 def rmse(predicted, actual) -> np.ndarray:

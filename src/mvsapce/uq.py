@@ -59,8 +59,16 @@ class SensitivityReport:
 
 
 def _variance(degrees: np.ndarray, squared: np.ndarray) -> np.ndarray:
-    """Per-output variance: squared coefficients summed over the non-constant rows."""
-    return squared[degrees.sum(axis=1) > 0].sum(axis=0)
+    """Per-output variance: squared coefficients summed over the non-constant rows.
+
+    Callers square and sum under ``np.errstate(over="ignore")``; a DataError
+    names the first output, numbered from 1 as in moments.csv, that is not finite.
+    """
+    variance = squared[degrees.sum(axis=1) > 0].sum(axis=0)
+    bad = ~np.isfinite(variance)
+    if bad.any():
+        raise DataError(f"variance of output {int(np.argmax(bad)) + 1} is not finite")
+    return variance
 
 
 def moments(model: PceModel) -> MomentReport:
@@ -71,7 +79,8 @@ def moments(model: PceModel) -> MomentReport:
     coefficients over all other rows.
     """
     degrees = np.asarray(model.basis.indices, dtype=int)
-    variance = _variance(degrees, model.coefficients * model.coefficients)
+    with np.errstate(over="ignore"):
+        variance = _variance(degrees, model.coefficients * model.coefficients)
     zero = (0,) * model.basis.dim
     if zero in model.basis:
         row = model.basis.indices.index(zero)
@@ -117,8 +126,15 @@ def sensitivity_report(model: PceModel) -> SensitivityReport:
     row n of the first-order selector those active in dimension n only.
     """
     degrees = np.asarray(model.basis.indices, dtype=int)
-    squared = model.coefficients * model.coefficients
-    variance = _variance(degrees, squared)
+    with np.errstate(over="ignore"):
+        squared = model.coefficients * model.coefficients
+        variance = _variance(degrees, squared)
+        aggregated = float(variance.sum())
+    if not np.isfinite(aggregated):
+        raise DataError("variance summed over all outputs is not finite")
+    # The constant row holds no variance; zeroed, a mean whose square
+    # overflows cannot turn the indices into nan.
+    squared[degrees.sum(axis=1) == 0] = 0.0
     total_sel = degrees.T > 0
     first_sel = total_sel & (degrees.T == degrees.sum(axis=1))
     first_num = first_sel.astype(float) @ squared
@@ -128,7 +144,6 @@ def sensitivity_report(model: PceModel) -> SensitivityReport:
     first = np.divide(first_num, variance, out=np.zeros_like(first_num), where=defined)
     total = np.divide(total_num, variance, out=np.zeros_like(total_num), where=defined)
     # Generalized: numerators and variance summed over outputs before the ratio.
-    aggregated = float(variance.sum())
     gen_first = np.divide(
         first_num.sum(axis=1), aggregated, out=np.zeros(len(first_num)), where=aggregated > 0.0
     )

@@ -72,9 +72,9 @@ def build_model(spec, indices, coefficients):
 
 @pytest.fixture
 def standard_normal_2d():
-    return DistributionSpec.of([Marginal.normal(0.0, 1.0), Marginal.normal(0.0, 1.0)])
+    return DistributionSpec([Marginal.normal(0.0, 1.0), Marginal.normal(0.0, 1.0)])
 
 
 @pytest.fixture
 def uniform_3d():
-    return DistributionSpec.of([Marginal.uniform(-1.0, 1.0)] * 3)
+    return DistributionSpec([Marginal.uniform(-1.0, 1.0)] * 3)

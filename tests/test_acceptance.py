@@ -128,7 +128,7 @@ def recovery_runs(uniform_3d_module):
 
 @pytest.fixture(scope="module")
 def uniform_3d_module():
-    return mv.DistributionSpec.of([mv.Marginal.uniform(-1.0, 1.0)] * 3)
+    return mv.DistributionSpec([mv.Marginal.uniform(-1.0, 1.0)] * 3)
 
 
 def test_criterion_1_orthonormality():
@@ -211,7 +211,7 @@ def test_criterion_5_termination_guarantees(beam_runs, recovery_runs):
 
 def test_criterion_6_consistency_identities():
     with criterion(6, "consistency identities"):
-        spec3 = mv.DistributionSpec.of([mv.Marginal.normal(0.0, 1.0)] * 3)
+        spec3 = mv.DistributionSpec([mv.Marginal.normal(0.0, 1.0)] * 3)
         basis = total_degree_set(3, 3)
         rng = np.random.default_rng(2718)
         # single-output generalized indices coincide with Sobol indices
@@ -269,7 +269,7 @@ def test_criterion_8_byte_identical_reports(tmp_path):
             with open(files_a[name], "rb") as fa, open(files_b[name], "rb") as fb:
                 assert fa.read() == fb.read(), name
         # fit, predict, and uq artifacts
-        spec = mv.DistributionSpec.of([mv.Marginal.normal(0.0, 1.0)] * 2)
+        spec = mv.DistributionSpec([mv.Marginal.normal(0.0, 1.0)] * 2)
         rng = np.random.default_rng(77)
         x = rng.normal(size=(50, 2))
         y = np.column_stack([np.exp(0.2 * x[:, 0]), x[:, 0] * x[:, 1]])

@@ -19,6 +19,8 @@ from mvsapce.mvsa_engine import FitDiagnostics
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
 from mvsapce.uq import MomentReport
 
+from conftest import build_model
+
 NOMINAL = np.array([0.15, 0.3, 5.0, 3e10, 1e4])
 
 
@@ -105,7 +107,7 @@ class TestBeamConfig:
         assert spec.marginals[5].params == (10.0, 1.0)
 
     def test_dummy_count_controls_dimension(self):
-        assert BeamConfig(dummy_count=0).n_inputs == 5
+        assert BeamConfig(dummy_count=0).distribution_spec().dim == 5
         assert BeamConfig(dummy_count=3).distribution_spec().dim == 8
 
     def test_validation(self):
@@ -124,12 +126,12 @@ class TestSampleInputs:
         assert not np.array_equal(a, sample_inputs(spec, 40, seed=6))
 
     def test_uniform_mean(self):
-        spec = DistributionSpec.of([Marginal.uniform(0.0, 1.0)])
+        spec = DistributionSpec([Marginal.uniform(0.0, 1.0)])
         draws = sample_inputs(spec, 10**6, seed=11)
         assert abs(draws.mean() - 0.5) < 2e-3
 
     def test_lognormal_std(self):
-        spec = DistributionSpec.of([Marginal.lognormal(0.15, 0.0075)])
+        spec = DistributionSpec([Marginal.lognormal(0.15, 0.0075)])
         draws = sample_inputs(spec, 10**6, seed=12)
         assert draws.std(ddof=1) == pytest.approx(0.0075, rel=0.02)
 
@@ -227,6 +229,24 @@ class TestRunBeamExperiment:
         assert failed[0].method == "td:1"
         assert "synthetic failure" in failed[0].error
         assert any(c.ok for c in report.cells)
+
+
+    def test_overflowing_variance_is_a_failed_cell(self, monkeypatch):
+        import mvsapce.benchmark as bench
+
+        def huge(data, spec, basis):
+            return build_model(spec, basis, np.full((len(basis), data.n_outputs), 1e300))
+
+        # Only the td:1 cell makes a fixed-basis fit; zero predictions keep its RMSE finite.
+        monkeypatch.setattr(bench, "fit_fixed", huge)
+        monkeypatch.setattr(bench, "predict", lambda model, inputs: np.zeros((len(inputs), model.n_outputs)))
+        plan = ExperimentPlan(
+            training_sizes=(20,), test_size=10, seeds=(0,), methods=("mvsa", "td:1"), mcs_samples=500,
+        )
+        report = run_beam_experiment(BeamConfig(response_dim=5), plan)
+        assert [(c.method, c.ok, c.error) for c in report.cells] == [
+            ("mvsa", True, ""), ("td:1", False, "variance of output 1 is not finite"),
+        ]
 
 
 class TestReportFiles:

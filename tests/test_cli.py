@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mvsapce.benchmark import BeamConfig, ExperimentPlan, beam_samples, run_beam_experiment
+from mvsapce.multi_index import total_degree_set
 from mvsapce.mvsa_engine import FitDiagnostics, load_model, predict, save_model
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
 from mvsapce.regression import load_data_csv, rmse, write_data_csv
@@ -30,7 +31,7 @@ def last_json_line(proc):
 @pytest.fixture(scope="module")
 def fit_assets(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
-    spec = DistributionSpec.of([Marginal.normal(0.0, 1.0), Marginal.normal(0.0, 1.0)])
+    spec = DistributionSpec([Marginal.normal(0.0, 1.0), Marginal.normal(0.0, 1.0)])
     rng = np.random.default_rng(0)
     x = rng.normal(size=(40, 2))
     y = 3.0 + x[:, :1]  # exactly representable, so the fit interpolates
@@ -344,6 +345,8 @@ def _malformed_models():
 
     return {
         "ragged": dict(valid, coefficients=[[1.0], [2.0, 3.0]]),
+        "string-coefficients": dict(valid, coefficients=[["a"], ["b"]]),
+        "huge-int-coefficient": dict(valid, coefficients=[[10**400], [1.0]]),
         "array": [valid],
         "diagnostics": with_diagnostics(iterations="abc"),
         "nan": dict(valid, coefficients=[[float("nan")], [float("nan")]]),
@@ -414,7 +417,7 @@ class TestUq:
             assert float(s_row["total_y1"]) == pytest.approx(float(g_row["generalized_total"]), abs=1e-14)
 
     def test_mean_only_model_masks_everything(self, tmp_path):
-        spec = DistributionSpec.of([Marginal.normal(0.0, 1.0)] * 2)
+        spec = DistributionSpec([Marginal.normal(0.0, 1.0)] * 2)
         model = build_model(spec, [(0, 0)], [[4.0, -1.0]])
         path = tmp_path / "mean_only.json"
         save_model(model, path)
@@ -428,8 +431,52 @@ class TestUq:
         assert all(row["zero_variance"] == "1" for row in rows)
         assert all(float(row["variance"]) == 0.0 for row in rows)
 
+    @pytest.mark.parametrize(
+        "dim, degree, outputs, value, message",
+        [
+            (2, 1, 1, 1e300, "variance of output 1 is not finite"),
+            (3, 2, 1000, 3e152, "variance summed over all outputs is not finite"),
+        ],
+        ids=["output", "summed"],
+    )
+    def test_overflowing_variance_exits_2(self, tmp_path, dim, degree, outputs, value, message):
+        basis = total_degree_set(dim, degree)
+        path = tmp_path / "huge.json"
+        spec = DistributionSpec([Marginal.normal(0.0, 1.0)] * dim)
+        save_model(build_model(spec, basis, np.full((len(basis), outputs), value)), path)
+        proc = run_cli("uq", "--model", path, "--out-prefix", tmp_path / "out_")
+        assert proc.returncode == 2, proc.stderr
+        assert last_json_line(proc)["error"] == message
+        assert proc.stderr == f"mvsapce: data error: {message}\n"
+        assert list(tmp_path.glob("out_*")) == []
+
+    def test_model_with_overflowing_variance_still_predicts(self, fit_assets, tmp_path):
+        path = tmp_path / "huge.json"
+        save_model(build_model(fit_assets["spec"], total_degree_set(2, 1), np.full((3, 1), 1e300)), path)
+        out = tmp_path / "preds.csv"
+        proc = run_cli("predict", "--model", path, "--data", fit_assets["data"], "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+
 
 class TestBenchmarkCommands:
+    def test_td_above_degree_cap_exits_3_before_sampling(self, tmp_path, monkeypatch, capsys):
+        from mvsapce import benchmark, cli
+
+        def sampling_forbidden(*args, **kwargs):
+            raise AssertionError("monte_carlo_reference was called")
+
+        monkeypatch.setattr(benchmark, "monte_carlo_reference", sampling_forbidden)
+        code = cli.main([
+            "compare", "--Q", "30", "--seeds", "0", "--methods", "mvsa,td:31", "--out-dir", f"{tmp_path}/td31",
+        ])
+        assert code == 3
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["kind"] == "configuration error"
+        assert payload["error"] == "total degree must lie in 0..30, got 31"
+        assert list(tmp_path.iterdir()) == []
+
     def test_seeds_flag_is_required(self, tmp_path):
         proc = run_cli("compare", "--Q", "30", "--M", 6, "--methods", "mvsa", "--out-dir", tmp_path)
         assert proc.returncode == 3

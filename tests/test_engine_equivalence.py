@@ -123,7 +123,7 @@ def test_beam_cells_with_compressed_responses(q, seed):
 def test_random_truths_with_few_outputs(case):
     rng = np.random.default_rng(1000 + case)
     dim = int(rng.integers(2, 5))
-    spec = DistributionSpec.of(
+    spec = DistributionSpec(
         [Marginal.uniform(-1.0, 1.0) if rng.random() < 0.5 else Marginal.normal(0.0, 1.0) for _ in range(dim)]
     )
     support = random_downward_closed_truth(rng, dim, int(rng.integers(3, 9)))

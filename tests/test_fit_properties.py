@@ -33,7 +33,7 @@ def problems(draw, outputs=st.integers(1, 5)):
     dim = draw(st.integers(2, 4))
     q = draw(st.integers(20, 80))
     m = draw(outputs)
-    spec = DistributionSpec.of(
+    spec = DistributionSpec(
         [Marginal.uniform(-1.0, 1.0) if rng.random() < 0.5 else Marginal.normal(0.0, 1.0) for _ in range(dim)]
     )
     support = random_downward_closed_truth(rng, dim, int(rng.integers(2, 8)))
@@ -90,7 +90,7 @@ def test_initial_degree_one_sample_below_the_size_limit(dim, degree):
     # Q = C(N + p, p) + 1 is the smallest sample count td:<p> accepts.
     size = math.comb(dim + degree, degree)
     rng = np.random.default_rng(dim * 10 + degree)
-    spec = DistributionSpec.of([Marginal.normal(0.0, 1.0)] * dim)
+    spec = DistributionSpec([Marginal.normal(0.0, 1.0)] * dim)
     x = spec.sample(size + 1, rng)
     data = TrainingData(x, np.column_stack([np.sin(x).sum(axis=1), x[:, 0] ** 2]))
     model = fit_mvsa(data, spec, MvsaConfig(initial_degree=degree))

@@ -139,6 +139,12 @@ class TestGeneratedSets:
         with pytest.raises(ConfigError):
             total_degree_set(2, -1)
 
+    def test_degree_above_cap_is_rejected_before_enumeration(self):
+        # td:31 in 20 inputs would have C(51, 31), about 7e13, members.
+        with pytest.raises(ConfigError, match="total degree must lie in 0..30, got 31"):
+            total_degree_set(20, 31)
+        assert len(total_degree_set(1, 30)) == 31
+
 
 class TestRandomGrowth:
     def test_fifty_random_admissible_additions_stay_closed(self):

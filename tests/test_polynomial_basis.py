@@ -73,19 +73,19 @@ class TestStandardize:
             Marginal.uniform(0.0, 1.0).standardize(1.5)
 
     def test_spec_error_names_component(self):
-        spec = DistributionSpec.of([Marginal.normal(0, 1), Marginal.lognormal(1, 0.5)])
+        spec = DistributionSpec([Marginal.normal(0, 1), Marginal.lognormal(1, 0.5)])
         with pytest.raises(DomainError, match="component 1"):
             spec.standardize_rows([[0.0, -3.0]])
 
     def test_rows_error_names_row_and_component(self):
-        spec = DistributionSpec.of([Marginal.uniform(0, 1)])
+        spec = DistributionSpec([Marginal.uniform(0, 1)])
         with pytest.raises(DomainError, match="row 2.*component 0"):
             spec.standardize_rows([[0.5], [0.1], [7.0]])
 
     def test_rows_error_row_matches_reason(self):
         # Row 0 is outside the lognormal support, but the non-finite check
         # runs first, so the reported row must be the non-finite one.
-        spec = DistributionSpec.of([Marginal.lognormal(1, 0.5)])
+        spec = DistributionSpec([Marginal.lognormal(1, 0.5)])
         with pytest.raises(DomainError) as raised:
             spec.standardize_rows([[-1.0], [1.0], [np.nan]])
         assert str(raised.value) == "row 2, input component 0: non-finite value for lognormal marginal"
@@ -151,7 +151,7 @@ class TestMultivariatePolynomials:
         assert psi_multi(standard_normal_2d, (1, 1), [a, b]) == pytest.approx(a * b, rel=1e-14)
 
     def test_legendre_tensor_value(self):
-        spec = DistributionSpec.of([Marginal.uniform(-1, 1)] * 2)
+        spec = DistributionSpec([Marginal.uniform(-1, 1)] * 2)
         # P_2(0.3) = (3 * 0.09 - 1) / 2 = -0.365, norm sqrt(5)
         expected = math.sqrt(5.0) * (3 * 0.3**2 - 1.0) / 2.0
         assert psi_multi(spec, (2, 0), [0.3, 0.9]) == pytest.approx(expected, rel=1e-14)
@@ -178,7 +178,7 @@ class TestMultivariatePolynomials:
 
 class TestSerialization:
     def test_round_trip(self):
-        spec = DistributionSpec.of(
+        spec = DistributionSpec(
             [Marginal.normal(1, 2), Marginal.lognormal(3, 0.5), Marginal.uniform(-1, 4)]
         )
         assert DistributionSpec.from_json(spec.to_json()) == spec

@@ -43,7 +43,7 @@ class TestTrainingData:
     def test_promotes_vector_responses(self):
         data = TrainingData(np.zeros((4, 2)), np.arange(4.0))
         assert data.responses.shape == (4, 1)
-        assert data.n_inputs == 2 and data.n_outputs == 1
+        assert data.inputs.shape[1] == 2 and data.n_outputs == 1
 
 
 class TestAssembleDesign:
@@ -52,7 +52,7 @@ class TestAssembleDesign:
         assert np.array_equal(design, np.ones((5, 1)))
 
     def test_first_degree_row(self):
-        spec = DistributionSpec.of([Marginal.normal(0, 1)])
+        spec = DistributionSpec([Marginal.normal(0, 1)])
         design = DesignBuilder(spec, [[0.5]]).matrix(MultiIndexSet([(0,), (1,)]))
         assert np.allclose(design, [[1.0, 0.5]], rtol=0, atol=0)
 
@@ -78,10 +78,10 @@ class TestAssembleDesign:
                 assert design[q, j] == pytest.approx(expected, rel=1e-12)
 
     def test_domain_error_carries_row_context(self):
-        spec = DistributionSpec.of([Marginal.lognormal(1.0, 0.1)])
+        spec = DistributionSpec([Marginal.lognormal(1.0, 0.1)])
         with pytest.raises(DataError, match="row 1"):
             DesignBuilder(spec, [[1.0], [-2.0]]).matrix(MultiIndexSet([(0,)]))
-        uniform = DistributionSpec.of([Marginal.uniform(-1.0, 1.0)])
+        uniform = DistributionSpec([Marginal.uniform(-1.0, 1.0)])
         with pytest.raises(DomainError, match="row 2"):
             DesignBuilder(uniform, [[0.5], [1.0], [1.5]])
 
@@ -102,7 +102,7 @@ class TestAssembleDesign:
             DesignBuilder(standard_normal_2d, [[1e160, 1e160]]).column((1, 1))
 
 
-MIXED_4D = DistributionSpec.of(
+MIXED_4D = DistributionSpec(
     [Marginal.normal(0.0, 1.0), Marginal.uniform(-1.0, 1.0), Marginal.lognormal(2.0, 0.5), Marginal.uniform(0.0, 3.0)]
 )
 
@@ -118,7 +118,7 @@ class TestDesignGather:
         x = mixed_inputs(40)
         basis = total_degree_set(4, 3)
         z = MIXED_4D.standardize_rows(x)
-        tables = [univariate_table(family, 3, z[:, n]) for n, family in enumerate(MIXED_4D.families)]
+        tables = [univariate_table(family, 3, z[:, n]) for n, family in enumerate(m.family for m in MIXED_4D.marginals)]
         expected = np.ones((40, len(basis)))
         for j, index in enumerate(basis):
             for n, degree in enumerate(index):

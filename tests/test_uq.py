@@ -27,7 +27,7 @@ from conftest import build_model
 
 
 def normals(dim):
-    return DistributionSpec.of([Marginal.normal(0.0, 1.0)] * dim)
+    return DistributionSpec([Marginal.normal(0.0, 1.0)] * dim)
 
 
 class TestMoments:
@@ -169,6 +169,31 @@ class TestGeneralizedSobol:
             assert np.max(np.abs(lhs_total - rhs_total)) <= 1e-12 * max(1.0, report.variance.sum())
 
 
+class TestOverflowingVariance:
+    """A variance that overflows is a DataError, never inf or nan behind a warning."""
+
+    @pytest.mark.parametrize("report", [moments, sensitivity_report])
+    def test_output_variance_names_the_first_bad_output(self, report):
+        coefficients = [[1.0, 1e300, 1e300], [1.0, 1e300, 1e300], [1.0, 1e300, 1e300]]
+        model = build_model(normals(2), [(0, 0), (1, 0), (0, 1)], coefficients)
+        with pytest.raises(DataError, match="^variance of output 2 is not finite$"):
+            report(model)
+
+    def test_summed_variance(self):
+        basis = total_degree_set(3, 2)
+        model = build_model(normals(3), basis, np.full((len(basis), 1000), 3e152))
+        assert np.isfinite(moments(model).variance).all()
+        with pytest.raises(DataError, match="^variance summed over all outputs is not finite$"):
+            sensitivity_report(model)
+
+    def test_overflowing_mean_square_leaves_indices_finite(self):
+        model = build_model(normals(2), [(0, 0), (1, 0), (0, 1)], [[1e300], [1.0], [2.0]])
+        assert moments(model).mean[0] == 1e300
+        report = sensitivity_report(model)
+        assert np.array_equal(report.per_output_first, [[0.2], [0.8]])
+        assert np.array_equal(report.generalized_total, [0.2, 0.8])
+
+
 class TestFittedModelConsistency:
     def test_sobol_of_fitted_additive_model(self):
         rng = np.random.default_rng(31)
@@ -287,7 +312,7 @@ class TestReportFiles:
     def test_report_bytes_are_pinned(self, tmp_path):
         # Dyadic coefficients make every square and sum exact, so these
         # bytes do not depend on the BLAS build or its summation order.
-        spec = DistributionSpec.of([Marginal.normal(0.0, 1.0), Marginal.uniform(-1.0, 1.0)])
+        spec = DistributionSpec([Marginal.normal(0.0, 1.0), Marginal.uniform(-1.0, 1.0)])
         model = build_model(
             spec,
             [(0, 0), (1, 0), (0, 1), (1, 1)],
@@ -328,7 +353,7 @@ class TestReportFiles:
     def test_masked_report_bytes_are_pinned(self, tmp_path):
         # No zero index and no variance anywhere: the mean is the flagged
         # zero row, and every per-output and generalized index is masked.
-        spec = DistributionSpec.of([Marginal.normal(0.0, 1.0), Marginal.uniform(-1.0, 1.0)])
+        spec = DistributionSpec([Marginal.normal(0.0, 1.0), Marginal.uniform(-1.0, 1.0)])
         model = build_model(spec, [(1, 0), (0, 1)], [[0.0, -0.0], [0.0, 0.0]])
         sens = sensitivity_report(model)
         write_moments_csv(moments(model), tmp_path / "moments.csv")
