@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,7 +145,7 @@ def solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarra
 
 
 def rmse(predicted, actual) -> np.ndarray:
-    """Root-mean-square error per response column."""
+    """Root-mean-square error per response column; DataError naming the first output whose RMSE is not finite."""
     pred = np.asarray(predicted, dtype=float)
     act = np.asarray(actual, dtype=float)
     if pred.shape != act.shape:
@@ -152,7 +153,13 @@ def rmse(predicted, actual) -> np.ndarray:
     if pred.ndim == 1:
         pred = pred[:, None]
         act = act[:, None]
-    return np.sqrt(np.mean((pred - act) ** 2, axis=0))
+    # An overflow is reported by the finite check below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = np.sqrt(np.mean((pred - act) ** 2, axis=0))
+    bad = ~np.isfinite(errors)
+    if bad.any():
+        raise DataError(f"RMSE of output {int(np.argmax(bad)) + 1} is not finite")
+    return errors
 
 
 @contextmanager
@@ -208,8 +215,29 @@ def _expected_header(n_inputs: int, n_outputs: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n_inputs)] + [f"y{j + 1}" for j in range(n_outputs)]
 
 
+#: The ASCII separators: loadtxt strips them around a number as whitespace, float() rejects them.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _bulk_lines(handle):
+    """The handle's remaining lines, for loadtxt; ValueError at a line that holds a separator."""
+    for line in handle:
+        if any(char in line for char in _SEPARATORS):
+            raise ValueError("separator character in a data line")
+        yield line
+
+
 def _read_table(path, n_inputs: int, n_outputs: int | None) -> np.ndarray:
-    """The rows of a data file with header ``x1..xN,y1..yM``; ``n_outputs=None`` takes M from the header."""
+    """The rows of a data file with header ``x1..xN,y1..yM``; ``n_outputs=None`` takes M from the header.
+
+    The body is parsed in one ``np.loadtxt`` call, which reads a field with
+    the same parser as ``float()`` and, once lines holding an ASCII
+    separator are refused (``_bulk_lines``), accepts fewer texts. Where it
+    stops (``1_0``, a quoted ``"1.5"``, non-ASCII digits, a ragged row, a
+    bad field) or finds another width, the file is read again from the start
+    by the csv loop, which returns what ``float()`` reads or raises the
+    row's error, with rows numbered without blank lines.
+    """
     with _input_errors(path, "data"), Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         # An empty file has an empty header, which no expected header matches.
@@ -222,6 +250,18 @@ def _read_table(path, n_inputs: int, n_outputs: int | None) -> np.ndarray:
                 f"{path}: expected header {','.join(expected)} "
                 f"({n_inputs} inputs, {n_outputs} outputs), got {','.join(header)}"
             )
+        try:
+            with warnings.catch_warnings():
+                # A body without rows warns; the csv loop below gives its (0, width) array.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(_bulk_lines(handle), delimiter=",", comments=None, ndmin=2)
+            if data.shape[1] == len(expected):
+                return data
+        except ValueError:
+            pass
+        handle.seek(0)
+        reader = csv.reader(handle)
+        next(reader)
         rows = []
         for q, row in enumerate(row for row in reader if row):
             if len(row) != len(expected):
@@ -247,13 +287,22 @@ def load_inputs_csv(path, n_inputs: int) -> np.ndarray:
 def write_csv_table(path, header, rows) -> None:
     """Write a header row, then stream ``rows`` (excel dialect: CRLF, minimal quoting).
 
-    Rows hold Python numbers. The csv module writes a float as its ``repr``,
-    which is the one float format of every file the toolkit writes.
+    Rows hold Python numbers and strings. The csv module writes a float as
+    its ``repr``, which is the one float format of every file the toolkit
+    writes; ``str`` gives the same text for Python floats and ints, so a row
+    is written as its fields' ``str`` joined by commas. A row the csv module
+    would quote (a field holding ``,``, ``"``, CR or LF) or write otherwise
+    (no fields, or one empty field) goes through ``csv.writer``.
     """
     with _output_errors(path), Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            line = ",".join(map(str, row))
+            if not line or line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
+                writer.writerow(row)
+            else:
+                handle.write(line + "\r\n")
 
 
 def write_data_csv(path, inputs: np.ndarray, responses: np.ndarray) -> None:

@@ -248,6 +248,19 @@ class TestRunBeamExperiment:
             ("mvsa", True, ""), ("td:1", False, "variance of output 1 is not finite"),
         ]
 
+    def test_overflowing_rmse_is_a_failed_cell(self, monkeypatch):
+        import mvsapce.benchmark as bench
+
+        # (1e200 - y)^2 overflows for every output; each cell fails, none warns.
+        monkeypatch.setattr(bench, "predict", lambda model, inputs: np.full((len(inputs), model.n_outputs), 1e200))
+        plan = ExperimentPlan(
+            training_sizes=(20,), test_size=10, seeds=(0,), methods=("mvsa", "td:1"), mcs_samples=500,
+        )
+        report = run_beam_experiment(BeamConfig(response_dim=5), plan)
+        assert [(c.method, c.ok, c.error) for c in report.cells] == [
+            ("mvsa", False, "RMSE of output 1 is not finite"), ("td:1", False, "RMSE of output 1 is not finite"),
+        ]
+
 
 class TestReportFiles:
     def test_files_and_summary(self, small_report, tmp_path):

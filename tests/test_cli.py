@@ -262,12 +262,15 @@ class TestPredict:
         assert proc.returncode == 2
 
     def test_header_only_input_gives_header_only_output(self, fit_assets, tmp_path):
+        # and writes nothing to stderr: no loadtxt warning about an empty body
         empty = tmp_path / "empty.csv"
-        empty.write_text("x1,x2\n")
         out = tmp_path / "out.csv"
-        proc = run_cli("predict", "--model", fit_assets["model"], "--data", empty, "--out", out)
-        assert proc.returncode == 0
-        assert out.read_bytes() == b"y1\r\n"
+        for text in [b"x1,x2\n", b"x1,x2\r\n"]:
+            empty.write_bytes(text)
+            proc = run_cli("predict", "--model", fit_assets["model"], "--data", empty, "--out", out)
+            assert proc.returncode == 0
+            assert out.read_bytes() == b"y1\r\n"
+            assert proc.stderr == ""
 
     @pytest.mark.parametrize(
         "text, message",

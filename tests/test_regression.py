@@ -1,6 +1,10 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from mvsapce.errors import DataError, DomainError
@@ -14,6 +18,7 @@ from mvsapce.regression import (
     load_inputs_csv,
     rmse,
     solve_with_condition,
+    write_csv_table,
     write_data_csv,
     write_json_file,
     write_responses_csv,
@@ -269,6 +274,13 @@ class TestRmse:
         with pytest.raises(DataError):
             rmse(np.zeros((2, 1)), np.zeros((3, 1)))
 
+    def test_overflowing_error_names_the_output(self):
+        # (1e200)^2 overflows; the first bad output is named, numbered from 1
+        with pytest.raises(DataError, match=r"^RMSE of output 2 is not finite$"):
+            rmse(np.array([[0.0, 1e200, 1e200]]), np.zeros((1, 3)))
+        with pytest.raises(DataError, match=r"^RMSE of output 1 is not finite$"):
+            rmse(np.array([[1e200]]), np.array([[0.0]]))
+
 
 class TestCsvInterface:
     def test_round_trip(self, tmp_path):
@@ -334,6 +346,155 @@ class TestCsvInterface:
         with pytest.raises(DataError) as error:
             load_inputs_csv(path, 2)
         assert str(error.value) == f"{path}: expected header {message}"
+
+
+def reference_read(text: str, width: int):
+    """Rows as the per-field csv loop reads a data file's body, or that loop's error message."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    rows = []
+    for q, row in enumerate(row for row in reader if row):
+        if len(row) != width:
+            return f"row {q + 1} has {len(row)} fields, expected {width}"
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            return f"row {q + 1}: {exc}"
+    return np.array(rows).reshape(len(rows), width)
+
+
+def read_outcome(path, width: int):
+    """The rows ``load_inputs_csv`` returns, or its message without the path."""
+    try:
+        return load_inputs_csv(path, width)
+    except DataError as error:
+        return str(error).removeprefix(f"{path}: ")
+
+
+def same_outcome(got, expected) -> bool:
+    if isinstance(expected, str) or isinstance(got, str):
+        return got == expected
+    # bitwise, so -0.0 and the nan bits count
+    return got.shape == expected.shape and np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+# Field texts of the second column of a two-column row, after a good row.
+READER_DECISIONS = {
+    "spaces": (" 1.5 ", [[1.5, 2.0]]),
+    "tab": ("\t1", [[1.0, 2.0]]),
+    "underscore": ("1_0", [[10.0, 2.0]]),
+    "quoted": ('"1.5"', [[1.5, 2.0]]),
+    "arabic-indic-digit": ("\u0661", [[1.0, 2.0]]),
+    "plus": ("+1", [[1.0, 2.0]]),
+    "leading-point": (".5", [[0.5, 2.0]]),
+    "capital-exponent": ("1E5", [[1e5, 2.0]]),
+    "inf": ("inf", [[math.inf, 2.0]]),
+    "minus-inf": ("-inf", [[-math.inf, 2.0]]),
+    "infinity": ("Infinity", [[math.inf, 2.0]]),
+    "nan": ("nan", [[math.nan, 2.0]]),
+    "overflow-to-inf": ("1e400", [[math.inf, 2.0]]),
+    "empty-field": ("", "row 2: could not convert string to float: ''"),
+    "hex": ("0x10", "row 2: could not convert string to float: '0x10'"),
+    "comment-mark": ("#1", "row 2: could not convert string to float: '#1'"),
+    # loadtxt strips U+001C..U+001F around a number; float() does not
+    "file-separator": ("\x1c1", "row 2: could not convert string to float: '\\x1c1'"),
+}
+
+
+class TestReaderDecisions:
+    """What the reader accepts and rejects: what float() reads, field by field."""
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [(f"{text},2", rows) for text, rows in READER_DECISIONS.values()]
+        + [
+            ("1,2,", "row 2 has 3 fields, expected 2"),
+            ("   ", "row 2 has 1 fields, expected 2"),
+            ("\r\n\r\n3,4", [[3.0, 4.0]]),
+            ("\r\n5,x", "row 2: could not convert string to float: 'x'"),
+        ],
+        ids=list(READER_DECISIONS) + ["trailing-comma", "whitespace-line", "blank-lines", "blank-line-then-bad"],
+    )
+    def test_field_texts(self, tmp_path, body, expected):
+        # A good first row, so the decision is made at row 2.
+        path = tmp_path / "data.csv"
+        path.write_bytes(f"x1,x2\r\n0.5,-0.0\r\n{body}\r\n".encode("utf-8"))
+        expected = expected if isinstance(expected, str) else np.array([[0.5, -0.0]] + expected)
+        assert same_outcome(read_outcome(path, 2), expected)
+
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats().map(repr),
+                    st.text(alphabet=list("0123456789.eE+-_ \t\"#xinfa,\r\n\x1c\x1f\u0661\u00a0"), max_size=6),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            max_size=4,
+        ),
+        newline=st.sampled_from(["\r\n", "\n", "\r"]),
+    )
+    @example(rows=[["1", "2"], ["3\x1e", "4"]], newline="\n")
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_the_per_field_loop(self, tmp_path, rows, newline):
+        text = "x1,x2" + newline + "".join(",".join(row) + newline for row in rows)
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert same_outcome(read_outcome(path, 2), reference_read(text, 2))
+
+    def test_header_only_body_has_its_width(self, tmp_path, recwarn):
+        path = tmp_path / "data.csv"
+        for body in ["", "\r\n", "\r\n\r\n"]:
+            path.write_bytes(f"x1,x2,y1\r\n{body}".encode("utf-8"))
+            assert load_inputs_csv(path, 2).shape == (0, 2)
+        assert not recwarn.list
+
+
+class TestWriterBytes:
+    """write_csv_table writes what csv.writer writes, row for row."""
+
+    ROWS = [
+        [-0.0, 5e-324, 1e16, 1e-05, 0.1],
+        [1, -7, 0, True, False],
+        # one quoting cause per row, so each guard is exercised alone
+        ["a,b", 2.5],
+        ['say "hi"', 2.5],
+        ["cr\rhere", 2.5],
+        ["lf\nhere", 2.5],
+        ["mvsa", "td:2\n", 30, 0, 1.0],
+        [""],
+        ["", ""],
+        [],
+        ["plain", 1e300, -math.inf, math.inf, math.nan],
+    ]
+
+    def test_matches_csv_writer(self, tmp_path):
+        header = ["method", "Q", "seed", "key", "value"]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows(self.ROWS)
+        path = tmp_path / "t.csv"
+        write_csv_table(path, header, iter(self.ROWS))
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    @given(
+        values=st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @example(values=[[-0.0, 5e-324, -2.2250738585072014e-308]])
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_finite_doubles_round_trip_bitwise(self, tmp_path, values):
+        array = np.array(values)
+        path = tmp_path / "data.csv"
+        write_data_csv(path, array[:, :2], array[:, 2:])
+        data = load_data_csv(path, 2, 1)
+        assert np.array_equal(np.hstack([data.inputs, data.responses]).view(np.uint64), array.view(np.uint64))
 
 
 class TestJsonFile:
