@@ -161,13 +161,14 @@ def total_degree_set(dim: int, degree: int) -> MultiIndexSet:
 
 
 def parse_total_degree(token: str) -> int | None:
-    """Degree p of a ``td:<p>`` token; None when ``token`` has another form."""
+    """Degree p of a ``td:<p>`` token, p being ASCII digits only; None when ``token`` has another form."""
     if not token.startswith("td:"):
         return None
+    digits = token[3:]
     try:
-        degree = int(token[3:])
+        # int() also refuses more digits than sys.get_int_max_str_digits().
+        if digits.isascii() and digits.isdigit():
+            return int(digits)
     except ValueError:
-        raise ConfigError(f"malformed total-degree token {token!r}") from None
-    if degree < 0:
-        raise ConfigError(f"total-degree token needs degree >= 0, got {token!r}")
-    return degree
+        pass
+    raise ConfigError(f"malformed total-degree token {token!r}")

@@ -319,8 +319,9 @@ def fit_fixed(data: TrainingData, spec: DistributionSpec, basis: MultiIndexSet) 
 def predict(model: PceModel, inputs) -> np.ndarray:
     """Evaluate the expansion at new inputs; returns a Q' x M matrix.
 
-    DataError if a prediction is not finite, which a finite design can
-    still produce when its product with the coefficients overflows.
+    DataError naming the first input row (from 1) whose prediction is not
+    finite, which a finite design can still produce when its product with
+    the coefficients overflows.
     """
     design = DesignBuilder(model.spec, inputs).matrix(model.basis)
     # An overflow is reported by the finite check below, not as a warning.
@@ -328,7 +329,7 @@ def predict(model: PceModel, inputs) -> np.ndarray:
         outputs = design @ model.coefficients
     bad = ~np.isfinite(outputs).all(axis=1)
     if bad.any():
-        raise DataError(f"prediction is not finite at input row {int(np.argmax(bad))}")
+        raise DataError(f"prediction is not finite at input row {int(np.argmax(bad)) + 1}")
     return outputs
 
 
@@ -345,11 +346,24 @@ def model_to_json(model: PceModel) -> dict:
     }
 
 
+def _holds_boolean(value) -> bool:
+    """True if a decoded JSON value is true or false, or holds one in its arrays and objects."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    types = set(map(type, value))
+    return bool in types or ((list in types or dict in types) and any(map(_holds_boolean, value)))
+
+
 def model_from_json(payload: dict) -> PceModel:
-    """Rebuild a model from its JSON payload; any malformed field is a DataError."""
+    """Rebuild a model from its JSON payload; any malformed field, JSON true or false included, is a DataError."""
     if not isinstance(payload, dict):
         raise DataError(f"model JSON must be an object, got {type(payload).__name__}")
     try:
+        for name in ("format_version", "spec", "basis", "coefficients", "diagnostics"):
+            if _holds_boolean(payload.get(name)):
+                raise DataError(f"model field {name!r} holds a boolean, not a number")
         version = payload["format_version"]
         if version != MODEL_FORMAT_VERSION:
             raise DataError(f"unsupported model format_version {version}")

@@ -136,7 +136,7 @@ class DistributionSpec:
         return len(self.marginals)
 
     def standardize_rows(self, inputs) -> np.ndarray:
-        """Standardize a Q x N matrix column by column."""
+        """Standardize a Q x N matrix column by column; a DomainError names its row from 1 and its column x<n>."""
         x = np.asarray(inputs, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DataError(
@@ -147,7 +147,7 @@ class DistributionSpec:
             try:
                 out[:, n] = marginal.standardize(x[:, n])
             except DomainError as exc:
-                raise DomainError(f"row {exc.row}, input component {n}: {exc}") from None
+                raise DomainError(f"row {exc.row + 1}, x{n + 1}: {exc}") from None
         return out
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -170,6 +170,8 @@ class DistributionSpec:
             try:
                 if not isinstance(entry["params"], list):
                     raise TypeError(f"params must be an array, got {type(entry['params']).__name__}")
+                if bool in map(type, entry["params"]):
+                    raise TypeError("params must be numbers, got a boolean")
                 marginals.append(Marginal(entry["kind"], tuple(entry["params"])))
             except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
                 raise DataError(f"distribution spec entry {n} {entry!r}: {exc}") from None

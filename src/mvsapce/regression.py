@@ -50,10 +50,10 @@ class TrainingData:
             raise DataError("training data must contain at least one row")
         if responses.shape[1] < 1:
             raise DataError("training data must contain at least one response column")
-        if not np.all(np.isfinite(inputs)):
-            raise DataError("non-finite entries in inputs")
-        if not np.all(np.isfinite(responses)):
-            raise DataError("non-finite entries in responses")
+        for name, values in (("x", inputs), ("y", responses)):
+            bad = np.argwhere(~np.isfinite(values))
+            if len(bad):
+                raise DataError(f"row {bad[0, 0] + 1}, {name}{bad[0, 1] + 1}: non-finite value")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "responses", responses)
 
@@ -93,8 +93,8 @@ class DesignBuilder:
 
     def _gather(self, misses) -> None:
         """Build and cache the columns of the distinct uncached terms
-        ``misses`` in one pass; DataError naming the first bad term if an
-        index length is not the input width or a value is not finite."""
+        ``misses`` in one pass; DataError naming the first bad term if its
+        length is not the input width or a value (input row from 1) is not finite."""
         for index in misses:
             if len(index) != self.spec.dim:
                 raise DataError(f"term {index} has {len(index)} entries, the inputs have {self.spec.dim}")
@@ -110,7 +110,7 @@ class DesignBuilder:
             bad = ~np.isfinite(block)
             term = int(np.argmax(bad.any(axis=1)))
             row = int(np.argmax(bad[term]))
-            raise DataError(f"term {misses[term]} is not finite at input row {row}")
+            raise DataError(f"term {misses[term]} is not finite at input row {row + 1}")
         self._columns.update(zip(misses, block))
 
     def column(self, index: tuple[int, ...]) -> np.ndarray:
@@ -285,24 +285,16 @@ def load_inputs_csv(path, n_inputs: int) -> np.ndarray:
 
 
 def write_csv_table(path, header, rows) -> None:
-    """Write a header row, then stream ``rows`` (excel dialect: CRLF, minimal quoting).
+    """Write a header row, then stream ``rows``, each as its fields' ``str`` joined by commas, with CRLF.
 
-    Rows hold Python numbers and strings. The csv module writes a float as
-    its ``repr``, which is the one float format of every file the toolkit
-    writes; ``str`` gives the same text for Python floats and ints, so a row
-    is written as its fields' ``str`` joined by commas. A row the csv module
-    would quote (a field holding ``,``, ``"``, CR or LF) or write otherwise
-    (no fields, or one empty field) goes through ``csv.writer``.
+    ``str`` of a float is its shortest round-trip ``repr``, the one float format of every file the
+    toolkit writes. No field may hold ``,``, ``"``, CR or LF and no row may be empty. That holds, as
+    fields are numbers, generated names (``x1``, ``first_y3``, ``mean:1``, ``mcs``) and validated method
+    tokens (``mvsa``, ``td:`` and ASCII digits), so nothing needs quoting and the bytes are the csv module's.
     """
     with _output_errors(path), Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            line = ",".join(map(str, row))
-            if not line or line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
-                writer.writerow(row)
-            else:
-                handle.write(line + "\r\n")
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
 
 
 def write_data_csv(path, inputs: np.ndarray, responses: np.ndarray) -> None:

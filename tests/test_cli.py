@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from mvsapce.benchmark import BeamConfig, ExperimentPlan, beam_samples, run_beam_experiment
-from mvsapce.multi_index import total_degree_set
+from mvsapce.errors import ConfigError
+from mvsapce.multi_index import parse_total_degree, total_degree_set
 from mvsapce.mvsa_engine import FitDiagnostics, load_model, predict, save_model
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
 from mvsapce.regression import load_data_csv, rmse, write_data_csv
@@ -122,8 +123,8 @@ class TestFit:
             "--dist", fit_assets["dist"], "--out", tmp_path / "m.json", "--init", "td:2",
         )
         assert proc.returncode == 2, proc.stderr
-        assert last_json_line(proc)["error"] == "term (2, 0) is not finite at input row 5"
-        assert proc.stderr == "mvsapce: data error: term (2, 0) is not finite at input row 5\n"
+        assert last_json_line(proc)["error"] == "term (2, 0) is not finite at input row 6"
+        assert proc.stderr == "mvsapce: data error: term (2, 0) is not finite at input row 6\n"
 
     def test_oversized_td_init_exits_3_without_enumerating(self, tmp_path, monkeypatch, capsys):
         from mvsapce import cli, mvsa_engine
@@ -159,9 +160,10 @@ class TestFit:
             ["normal", [0, 1]],
             {"kind": "normal", "params": "12"},
             {"kind": "normal", "params": {"0": 0, "1": 1}},
+            {"kind": "lognormal", "params": [True, 1]},
         ],
         ids=["non-numeric", "null", "not-a-list", "unknown-kind", "negative-std", "uniform-bounds",
-             "three-params", "not-an-object", "string-params", "object-params"],
+             "three-params", "not-an-object", "string-params", "object-params", "boolean-params"],
     )
     def test_malformed_dist_params_exit_2(self, fit_assets, tmp_path, entry):
         dist = tmp_path / "dist.json"
@@ -292,6 +294,21 @@ class TestPredict:
         assert payload["kind"] == "data error" and message in payload["error"]
         assert not out.exists()
 
+    def test_parse_and_domain_faults_in_first_data_row_say_row_1(self, fit_assets, tmp_path):
+        data = tmp_path / "first.csv"
+        out = tmp_path / "o.csv"
+        errors = []
+        for field in ["abc", "inf"]:
+            data.write_text(f"x1,x2\n{field},0.5\n0.1,0.2\n")
+            proc = run_cli("predict", "--model", fit_assets["model"], "--data", data, "--out", out)
+            assert proc.returncode == 2, proc.stderr
+            errors.append(last_json_line(proc)["error"])
+        assert errors == [
+            f"{data}: row 1: could not convert string to float: 'abc'",
+            "row 1, x1: non-finite value for normal marginal",
+        ]
+        assert not out.exists()
+
     def test_non_finite_design_exits_2(self, fit_assets, tmp_path):
         # He_k(1e200) overflows for every k >= 2, and the model has such terms in x1
         assert max(index[0] for index in load_model(fit_assets["model"]).basis) >= 2
@@ -302,7 +319,7 @@ class TestPredict:
         assert proc.returncode == 2, proc.stderr
         payload = last_json_line(proc)
         assert payload["kind"] == "data error"
-        assert "is not finite at input row 1" in payload["error"]
+        assert "is not finite at input row 2" in payload["error"]
         assert proc.stderr == f"mvsapce: data error: {payload['error']}\n"
         assert not out.exists()
 
@@ -315,8 +332,8 @@ class TestPredict:
         out = tmp_path / "preds.csv"
         proc = run_cli("predict", "--model", model, "--data", far, "--out", out)
         assert proc.returncode == 2, proc.stderr
-        assert last_json_line(proc)["error"] == "prediction is not finite at input row 1"
-        assert proc.stderr == "mvsapce: data error: prediction is not finite at input row 1\n"
+        assert last_json_line(proc)["error"] == "prediction is not finite at input row 2"
+        assert proc.stderr == "mvsapce: data error: prediction is not finite at input row 2\n"
         assert not out.exists()
 
 
@@ -362,6 +379,13 @@ def _malformed_models():
         "basis-size": with_diagnostics(basis_size=999),
         "float-iterations": with_diagnostics(iterations=2.7),
         "int-termination": with_diagnostics(termination=5),
+        # JSON true and false are not numbers, though Python reads them as 1 and 0.
+        "true-version": dict(valid, format_version=True),
+        "true-params": with_spec({"kind": "normal", "params": [True, 1.0]}),
+        "true-entry": with_basis([True, 0]),
+        "true-coefficient": dict(valid, coefficients=[[1.0], [True]]),
+        "true-pruned-count": with_diagnostics(pruned_count=True),
+        "false-condition-number": with_diagnostics(condition_number=False),
         "degree-31": dict(
             with_basis([31, 0]), diagnostics=dict(valid["diagnostics"], max_total_degree=31, max_univariate_degree=31)
         ),
@@ -554,6 +578,53 @@ class TestBenchmarkCommands:
         for name in ("rmse", "moments", "degrees", "summary"):
             with open(files_a[name], "rb") as fa, open(files_b[name], "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+
+REFUSED_TOKENS = ["td: 2", "td:+2", "td:2\n", "td:0_2", "td:\u0662", "td:\uff12", "td:", "td:" + "9" * 5000]
+
+
+class TestTotalDegreeGrammar:
+    """td:<p> takes one or more ASCII digits, wherever a token enters."""
+
+    def _exit_code(self, entry, token, fit_assets, tmp_path, capsys):
+        """The CLI's exit code for ``token`` at ``entry``; 3 (ConfigError) or 0 for the library entry points."""
+        from mvsapce import cli
+
+        if entry in ("parse_total_degree", "ExperimentPlan"):
+            try:
+                if entry == "parse_total_degree":
+                    assert parse_total_degree(token) == int(token[3:])
+                else:
+                    ExperimentPlan(training_sizes=(25,), methods=("mvsa", token))
+            except ConfigError:
+                return 3
+            return 0
+        if entry == "fit --init":
+            argv = [
+                "fit", "--data", fit_assets["data"], "--inputs", 2, "--outputs", 1,
+                "--dist", fit_assets["dist"], "--out", tmp_path / "m.json", "--init", token,
+            ]
+        else:
+            argv = [
+                "compare", "--Q", 25, "--M", 5, "--seeds", 0, "--test-size", 30, "--mcs-samples", 400,
+                "--methods", token, "--out-dir", tmp_path / "cmp",
+            ]
+        code = cli.main([str(arg) for arg in argv])
+        stderr = capsys.readouterr().err
+        assert len(stderr.splitlines()) == (1 if code else 0), stderr
+        return code
+
+    @pytest.mark.parametrize("entry", ["parse_total_degree", "ExperimentPlan", "fit --init", "compare --methods"])
+    @pytest.mark.parametrize(
+        "token, code",
+        [(token, 3) for token in REFUSED_TOKENS] + [("td:0", 0), ("td:2", 0), ("td:02", 0)],
+        ids=["space", "plus", "newline", "underscore", "arabic-indic", "fullwidth", "empty", "5000-digits",
+             "td0", "td2", "td02"],
+    )
+    def test_token(self, fit_assets, tmp_path, capsys, entry, token, code):
+        assert self._exit_code(entry, token, fit_assets, tmp_path, capsys) == code
+        assert (tmp_path / "m.json").exists() == (code == 0 and entry == "fit --init")
+        assert (tmp_path / "cmp").exists() == (code == 0 and entry == "compare --methods")
 
 
 class TestBeamData:

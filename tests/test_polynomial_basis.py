@@ -74,12 +74,12 @@ class TestStandardize:
 
     def test_spec_error_names_component(self):
         spec = DistributionSpec([Marginal.normal(0, 1), Marginal.lognormal(1, 0.5)])
-        with pytest.raises(DomainError, match="component 1"):
+        with pytest.raises(DomainError, match="^row 1, x2: "):
             spec.standardize_rows([[0.0, -3.0]])
 
     def test_rows_error_names_row_and_component(self):
         spec = DistributionSpec([Marginal.uniform(0, 1)])
-        with pytest.raises(DomainError, match="row 2.*component 0"):
+        with pytest.raises(DomainError, match="^row 3, x1: "):
             spec.standardize_rows([[0.5], [0.1], [7.0]])
 
     def test_rows_error_row_matches_reason(self):
@@ -88,7 +88,7 @@ class TestStandardize:
         spec = DistributionSpec([Marginal.lognormal(1, 0.5)])
         with pytest.raises(DomainError) as raised:
             spec.standardize_rows([[-1.0], [1.0], [np.nan]])
-        assert str(raised.value) == "row 2, input component 0: non-finite value for lognormal marginal"
+        assert str(raised.value) == "row 3, x1: non-finite value for lognormal marginal"
 
     @pytest.mark.parametrize(
         "marginal, target_var",
@@ -190,3 +190,7 @@ class TestSerialization:
             DistributionSpec.from_json([{"kind": "normal"}])
         with pytest.raises(DataError):
             DistributionSpec.from_json([{"kind": "normal", "params": [0.0]}])
+        # JSON true would otherwise read as 1.0: lognormal(1.0, 1.0)
+        for params in [[True, 1], [1.0, False]]:
+            with pytest.raises(DataError, match="^distribution spec entry 0 .*: params must be numbers, got a boolean$"):
+                DistributionSpec.from_json([{"kind": "lognormal", "params": params}])

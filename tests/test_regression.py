@@ -32,10 +32,14 @@ def solver_condition(design):
 
 class TestTrainingData:
     def test_rejects_non_finite(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^row 2, x1: non-finite value$"):
             TrainingData(np.array([[1.0], [np.nan]]), np.array([[1.0], [2.0]]))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^row 1, y1: non-finite value$"):
             TrainingData(np.array([[1.0]]), np.array([[np.inf]]))
+        # the first bad row, then its first bad column
+        responses = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, -np.inf], [np.nan, 8.0, 9.0]])
+        with pytest.raises(DataError, match="^row 2, y3: non-finite value$"):
+            TrainingData(np.zeros((3, 2)), responses)
 
     def test_rejects_row_mismatch(self):
         with pytest.raises(DataError):
@@ -84,10 +88,10 @@ class TestAssembleDesign:
 
     def test_domain_error_carries_row_context(self):
         spec = DistributionSpec([Marginal.lognormal(1.0, 0.1)])
-        with pytest.raises(DataError, match="row 1"):
+        with pytest.raises(DataError, match="^row 2, x1: "):
             DesignBuilder(spec, [[1.0], [-2.0]]).matrix(MultiIndexSet([(0,)]))
         uniform = DistributionSpec([Marginal.uniform(-1.0, 1.0)])
-        with pytest.raises(DomainError, match="row 2"):
+        with pytest.raises(DomainError, match="^row 3, x1: "):
             DesignBuilder(uniform, [[0.5], [1.0], [1.5]])
 
     def test_rejects_index_of_wrong_length(self, standard_normal_2d):
@@ -101,9 +105,9 @@ class TestAssembleDesign:
         # He_2(1e200) overflows; the error names the term and the first bad row
         builder = DesignBuilder(standard_normal_2d, [[0.0, 1.0], [1e200, 0.0], [-1e200, 0.0]])
         assert np.array_equal(builder.column((1, 0)), [0.0, 1e200, -1e200])
-        with pytest.raises(DataError, match=r"term \(2, 0\) is not finite at input row 1"):
+        with pytest.raises(DataError, match=r"term \(2, 0\) is not finite at input row 2"):
             builder.matrix([(0, 0), (2, 0)])
-        with pytest.raises(DataError, match=r"term \(1, 1\) is not finite at input row 0"):
+        with pytest.raises(DataError, match=r"term \(1, 1\) is not finite at input row 1"):
             DesignBuilder(standard_normal_2d, [[1e160, 1e160]]).column((1, 1))
 
 
@@ -155,9 +159,9 @@ class TestDesignGather:
         builder = DesignBuilder(MIXED_4D, x)
         builder.matrix([(0, 0, 0, 0), (1, 0, 0, 0)])
         basis = [(0, 0, 0, 0), (0, 1, 0, 1), (3, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)]
-        with pytest.raises(DataError, match=r"term \(3, 0, 0, 0\) is not finite at input row 1"):
+        with pytest.raises(DataError, match=r"term \(3, 0, 0, 0\) is not finite at input row 2"):
             builder.matrix(basis)
-        with pytest.raises(DataError, match=r"term \(2, 0, 0, 0\) is not finite at input row 2"):
+        with pytest.raises(DataError, match=r"term \(2, 0, 0, 0\) is not finite at input row 3"):
             builder.matrix(basis[::-1])
 
     def test_wrong_length_in_a_batch(self):
@@ -191,9 +195,9 @@ class TestSolveOls:
         # never hands either to LAPACK
         x = np.array([[0.0, 0.0], [1e200, 1.0], [1.0, -1.0], [0.5, 2.0]])
         data = TrainingData(x, np.arange(4.0))
-        with pytest.raises(DataError, match="not finite at input row 1"):
+        with pytest.raises(DataError, match="not finite at input row 2"):
             fit_fixed(data, standard_normal_2d, total_degree_set(2, 2))
-        with pytest.raises(DataError, match="non-finite entries in responses"):
+        with pytest.raises(DataError, match="^row 1, y1: non-finite value$"):
             TrainingData(np.eye(2), np.array([np.inf, 0.0]))
 
     def test_residual_orthogonality(self):
@@ -453,21 +457,16 @@ class TestReaderDecisions:
 
 
 class TestWriterBytes:
-    """write_csv_table writes what csv.writer writes, row for row."""
+    """write_csv_table writes what csv.writer writes, for the rows the toolkit writes."""
 
     ROWS = [
         [-0.0, 5e-324, 1e16, 1e-05, 0.1],
-        [1, -7, 0, True, False],
-        # one quoting cause per row, so each guard is exercised alone
-        ["a,b", 2.5],
-        ['say "hi"', 2.5],
-        ["cr\rhere", 2.5],
-        ["lf\nhere", 2.5],
-        ["mvsa", "td:2\n", 30, 0, 1.0],
-        [""],
-        ["", ""],
-        [],
-        ["plain", 1e300, -math.inf, math.inf, math.nan],
+        [1, -7, 0, 2, 10**20],
+        [1e300, -math.inf, math.inf, math.nan, -1e-300],
+        # report rows: a method token, Q, seed, an output key, a value
+        ["mvsa", 30, 0, "mean:1", 3.25],
+        ["td:02", 150, 9, "std:1000", 5e-324],
+        ["mcs", 0, 123456789, "mean:12", -0.0],
     ]
 
     def test_matches_csv_writer(self, tmp_path):
