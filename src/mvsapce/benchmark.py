@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -24,6 +25,14 @@ from .mvsa_engine import FitDiagnostics, MvsaConfig, fit_fixed, fit_mvsa, predic
 from .polynomial_basis import DistributionSpec, Marginal
 from .regression import TrainingData, make_output_dir, rmse, write_csv_table, write_json_file
 from .uq import RNG_ALGORITHM, MomentReport, moments, monte_carlo_reference
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, by ``operator.index``; ConfigError naming ``name`` for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,8 @@ class BeamConfig:
     dummy: tuple[float, float] = (10.0, 1.0)
 
     def __post_init__(self):
+        for name in ("response_dim", "dummy_count"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.response_dim < 1:
             raise ConfigError(f"response_dim must be >= 1, got {self.response_dim}")
         if self.dummy_count < 0:
@@ -136,8 +147,11 @@ class ExperimentPlan:
     mcs_seed: int = 123456789
 
     def __post_init__(self):
-        object.__setattr__(self, "training_sizes", tuple(int(q) for q in self.training_sizes))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        for name in ("test_size", "mcs_samples", "mcs_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("training_sizes", "seeds"):
+            values = tuple(_integer(f"{name} entry", value) for value in getattr(self, name))
+            object.__setattr__(self, name, values)
         object.__setattr__(self, "methods", tuple(self.methods))
         sizes = self.training_sizes
         if not sizes or len(set(sizes)) != len(sizes) or min(sizes) < 1:

@@ -23,13 +23,14 @@ from .benchmark import (
     write_experiment_report,
 )
 from .errors import ConfigError, DataError
-from .multi_index import parse_total_degree
+from .multi_index import parse_count, parse_total_degree
 from .mvsa_engine import MvsaConfig, fit_mvsa, load_model, predict, save_model
 from .polynomial_basis import DistributionSpec
 from .regression import (
     load_data_csv,
     load_inputs_csv,
     make_output_dir,
+    parse_number,
     read_json_file,
     write_data_csv,
     write_json_file,
@@ -60,11 +61,25 @@ def _initial_degree(token: str) -> int:
     return degree
 
 
-def _int_list(text: str, flag: str) -> tuple[int, ...]:
+def _count(text: str) -> int:
+    """An integer flag's value, by ``parse_count``; a refusal goes through argparse, which names the flag."""
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        return parse_count(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """A comma-separated list flag's values, each by ``_count``."""
+    return tuple(_count(part) for part in text.split(",") if part != "")
+
+
+def _kappa(text: str) -> float:
+    """A ``--kappa`` value, read as a data field is (``parse_number``)."""
+    try:
+        return parse_number(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_fit(args) -> dict:
@@ -123,9 +138,9 @@ def _cmd_uq(args) -> dict:
 def _cmd_compare(args) -> dict:
     config = BeamConfig(response_dim=args.M, dummy_count=args.dummy_count)
     plan = ExperimentPlan(
-        training_sizes=_int_list(args.Q, "--Q"),
+        training_sizes=args.Q,
         test_size=args.test_size,
-        seeds=_int_list(args.seeds, "--seeds"),
+        seeds=args.seeds,
         methods=tuple(part for part in args.methods.split(",") if part),
         kappa=args.kappa,
         mcs_samples=args.mcs_samples,
@@ -160,10 +175,10 @@ def build_parser() -> _Parser:
 
     fit = sub.add_parser("fit", help="fit an adaptive expansion from a CSV data file")
     fit.add_argument("--data", required=True, help="training CSV with header x1..xN,y1..yM")
-    fit.add_argument("--inputs", type=int, required=True, help="number of input columns N")
-    fit.add_argument("--outputs", type=int, required=True, help="number of output columns M")
+    fit.add_argument("--inputs", type=_count, required=True, help="number of input columns N")
+    fit.add_argument("--outputs", type=_count, required=True, help="number of output columns M")
     fit.add_argument("--dist", required=True, help="distribution spec JSON file")
-    fit.add_argument("--kappa", type=float, default=MvsaConfig.kappa)
+    fit.add_argument("--kappa", type=_kappa, default=MvsaConfig.kappa)
     fit.add_argument("--init", default="zero", help="initial basis: zero or td:<p>")
     fit.add_argument("--out", required=True, help="output model JSON path")
     fit.set_defaults(handler=_cmd_fit)
@@ -180,25 +195,25 @@ def build_parser() -> _Parser:
     uq.set_defaults(handler=_cmd_uq)
 
     compare = sub.add_parser("compare", help="compare adaptive and total-degree fits on the beam case")
-    compare.add_argument("--Q", required=True, help="comma-separated training sizes")
-    compare.add_argument("--M", type=int, default=BeamConfig.response_dim, help="response dimension")
-    compare.add_argument("--seeds", required=True, help="comma-separated seed list")
+    compare.add_argument("--Q", type=_int_list, required=True, help="comma-separated training sizes")
+    compare.add_argument("--M", type=_count, default=BeamConfig.response_dim, help="response dimension")
+    compare.add_argument("--seeds", type=_int_list, required=True, help="comma-separated seed list")
     compare.add_argument(
         "--methods", default=",".join(ExperimentPlan.methods), help="comma-separated methods (mvsa, td:<p>)"
     )
     compare.add_argument("--out-dir", required=True, help="directory for the report files")
-    compare.add_argument("--test-size", type=int, default=ExperimentPlan.test_size)
-    compare.add_argument("--mcs-samples", type=int, default=ExperimentPlan.mcs_samples)
-    compare.add_argument("--mcs-seed", type=int, default=ExperimentPlan.mcs_seed)
-    compare.add_argument("--kappa", type=float, default=ExperimentPlan.kappa)
-    compare.add_argument("--dummy-count", type=int, default=BeamConfig.dummy_count)
+    compare.add_argument("--test-size", type=_count, default=ExperimentPlan.test_size)
+    compare.add_argument("--mcs-samples", type=_count, default=ExperimentPlan.mcs_samples)
+    compare.add_argument("--mcs-seed", type=_count, default=ExperimentPlan.mcs_seed)
+    compare.add_argument("--kappa", type=_kappa, default=ExperimentPlan.kappa)
+    compare.add_argument("--dummy-count", type=_count, default=BeamConfig.dummy_count)
     compare.set_defaults(handler=_cmd_compare)
 
     beam = sub.add_parser("beam-data", help="write beam training/test CSVs and their distribution spec")
-    beam.add_argument("--M", type=int, default=100, help="response dimension")
-    beam.add_argument("--train-size", type=int, default=150)
-    beam.add_argument("--test-size", type=int, default=1000)
-    beam.add_argument("--seed", type=int, required=True)
+    beam.add_argument("--M", type=_count, default=100, help="response dimension")
+    beam.add_argument("--train-size", type=_count, default=150)
+    beam.add_argument("--test-size", type=_count, default=1000)
+    beam.add_argument("--seed", type=_count, required=True)
     beam.add_argument("--prefix", default="beam_", help="path prefix of train.csv, test.csv and dist.json")
     beam.set_defaults(handler=_cmd_beam_data)
 

@@ -160,15 +160,22 @@ def total_degree_set(dim: int, degree: int) -> MultiIndexSet:
     return MultiIndexSet(_total_degree_indices(dim, degree), dim=dim)
 
 
-def parse_total_degree(token: str) -> int | None:
-    """Degree p of a ``td:<p>`` token, p being ASCII digits only; None when ``token`` has another form."""
-    if not token.startswith("td:"):
-        return None
-    digits = token[3:]
+def parse_count(text: str) -> int:
+    """The non-negative integer that ``text`` writes in ASCII digits only; ConfigError for any other text."""
     try:
         # int() also refuses more digits than sys.get_int_max_str_digits().
-        if digits.isascii() and digits.isdigit():
-            return int(digits)
+        if text.isascii() and text.isdigit():
+            return int(text)
     except ValueError:
         pass
-    raise ConfigError(f"malformed total-degree token {token!r}")
+    raise ConfigError(f"expected ASCII digits, got {text!r}")
+
+
+def parse_total_degree(token: str) -> int | None:
+    """Degree p of a ``td:<p>`` token, p by ``parse_count``; None when ``token`` has another form."""
+    if not token.startswith("td:"):
+        return None
+    try:
+        return parse_count(token[3:])
+    except ConfigError:
+        raise ConfigError(f"malformed total-degree token {token!r}") from None

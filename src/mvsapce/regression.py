@@ -9,7 +9,6 @@ system is rank-deficient or underdetermined.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from contextlib import contextmanager
@@ -219,29 +218,44 @@ def _expected_header(n_inputs: int, n_outputs: int) -> list[str]:
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _bulk_lines(handle):
-    """The handle's remaining lines, for loadtxt; ValueError at a line that holds a separator."""
-    for line in handle:
-        if any(char in line for char in _SEPARATORS):
-            raise ValueError("separator character in a data line")
-        yield line
+def _loadtxt(lines) -> np.ndarray:
+    """The rows of ``lines`` (strings) in one streamed ``np.loadtxt`` call, at least 2-D;
+    ValueError at a field that is not a number or a line that holds an ASCII separator."""
+
+    def guarded():
+        for line in lines:
+            if any(char in line for char in _SEPARATORS):
+                raise ValueError("separator character in a data line")
+            yield line
+
+    with warnings.catch_warnings():
+        # A body without rows warns; its (0, 1) array is read as having no rows.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(guarded(), delimiter=",", comments=None, ndmin=2)
+
+
+def parse_number(text: str) -> float:
+    """The number in one data field: an ASCII number with optional whitespace, as ``np.loadtxt`` reads it
+    (no ``_``, no quotes), holding no ASCII separator; ValueError for any other text."""
+    try:
+        values = _loadtxt([text])
+        if values.shape == (1, 1):
+            return float(values[0, 0])
+    except ValueError:
+        pass
+    raise ValueError(f"could not convert string to float: {text!r}")
 
 
 def _read_table(path, n_inputs: int, n_outputs: int | None) -> np.ndarray:
     """The rows of a data file with header ``x1..xN,y1..yM``; ``n_outputs=None`` takes M from the header.
 
-    The body is parsed in one ``np.loadtxt`` call, which reads a field with
-    the same parser as ``float()`` and, once lines holding an ASCII
-    separator are refused (``_bulk_lines``), accepts fewer texts. Where it
-    stops (``1_0``, a quoted ``"1.5"``, non-ASCII digits, a ragged row, a
-    bad field) or finds another width, the file is read again from the start
-    by the csv loop, which returns what ``float()`` reads or raises the
-    row's error, with rows numbered without blank lines.
+    Every field is read by ``parse_number``'s grammar, and the body is parsed in one ``np.loadtxt``
+    call. Where that call refuses or finds another width, the body is scanned again only to name the
+    first bad row (rows numbered from 1 without blank lines) and, in that row, its first bad field.
     """
     with _input_errors(path, "data"), Path(path).open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
         # An empty file has an empty header, which no expected header matches.
-        header = [name.strip() for name in next(reader, [])]
+        header = [name.strip() for name in handle.readline().rstrip("\r\n").split(",")]
         if n_outputs is None:
             n_outputs = max(len(header) - n_inputs, 0)
         expected = _expected_header(n_inputs, n_outputs)
@@ -250,27 +264,31 @@ def _read_table(path, n_inputs: int, n_outputs: int | None) -> np.ndarray:
                 f"{path}: expected header {','.join(expected)} "
                 f"({n_inputs} inputs, {n_outputs} outputs), got {','.join(header)}"
             )
+        width = len(expected)
         try:
-            with warnings.catch_warnings():
-                # A body without rows warns; the csv loop below gives its (0, width) array.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(_bulk_lines(handle), delimiter=",", comments=None, ndmin=2)
-            if data.shape[1] == len(expected):
-                return data
-        except ValueError:
-            pass
+            data = _loadtxt(handle)
+            if data.shape[1] == width or data.size == 0:
+                return data.reshape(len(data), width)
+            # Rows of another width: the scan below stops at row 1.
+            refusal = f"rows have {data.shape[1]} fields"
+        except ValueError as exc:
+            refusal = exc
         handle.seek(0)
-        reader = csv.reader(handle)
-        next(reader)
-        rows = []
-        for q, row in enumerate(row for row in reader if row):
-            if len(row) != len(expected):
-                raise DataError(f"{path}: row {q + 1} has {len(row)} fields, expected {len(expected)}")
+        handle.readline()
+        for q, line in enumerate(filter(None, (line.rstrip("\r\n") for line in handle)), start=1):
+            fields = line.split(",")
+            if len(fields) != width:
+                raise DataError(f"{path}: row {q} has {len(fields)} fields, expected {width}")
             try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataError(f"{path}: row {q + 1}: {exc}") from None
-    return np.array(rows).reshape(len(rows), len(expected))
+                _loadtxt([line])
+            except ValueError:
+                for field in fields:
+                    try:
+                        parse_number(field)
+                    except ValueError as exc:
+                        raise DataError(f"{path}: row {q}: {exc}") from None
+    # Not reached while the scan and np.loadtxt agree; then numpy's refusal is the message.
+    raise DataError(f"{path}: {refusal}")
 
 
 def load_data_csv(path, n_inputs: int, n_outputs: int) -> TrainingData:

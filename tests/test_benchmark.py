@@ -116,6 +116,11 @@ class TestBeamConfig:
         with pytest.raises(ConfigError):
             BeamConfig(dummy_count=-1)
 
+    @pytest.mark.parametrize("field, value", [("response_dim", 2.5), ("dummy_count", 1.5), ("response_dim", "3")])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            BeamConfig(**{field: value})
+
 
 class TestSampleInputs:
     def test_deterministic_per_seed(self):
@@ -159,6 +164,27 @@ class TestExperimentPlan:
         for sizes in ((0,), (50, -1)):
             with pytest.raises(ConfigError, match=">= 1"):
                 ExperimentPlan(training_sizes=sizes)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"training_sizes": (30.7,), "seeds": (2.9,)}, "training_sizes entry"),
+            ({"training_sizes": (30,), "seeds": (2.9,)}, "seeds entry"),
+            ({"training_sizes": (30,), "mcs_samples": 10.5}, "mcs_samples"),
+            ({"training_sizes": (30,), "test_size": 20.5}, "test_size"),
+            ({"training_sizes": (30,), "mcs_seed": 7.5}, "mcs_seed"),
+        ],
+        ids=["training-sizes", "seeds", "mcs-samples", "test-size", "mcs-seed"],
+    )
+    def test_counts_must_be_integers(self, fields, name):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            ExperimentPlan(**fields)
+
+    def test_hash_of_integer_fields_is_pinned(self):
+        plan = ExperimentPlan(training_sizes=(50, 100, 150))
+        assert plan_hash(BeamConfig(), plan) == "aa75b03aa8ab"
+        numpy_ints = ExperimentPlan(training_sizes=tuple(np.int64([50, 100, 150])), seeds=tuple(np.arange(10)))
+        assert plan_hash(BeamConfig(), numpy_ints) == "aa75b03aa8ab"
 
     def test_hash_tracks_content(self):
         config = BeamConfig(response_dim=10)

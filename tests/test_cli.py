@@ -281,8 +281,9 @@ class TestPredict:
             ("x1,x2\n0.5\n", "row 1 has 1 fields, expected 2"),
             ("x1,x2\n0.5,abc\n", "row 1: could not convert"),
             ("", "expected header x1,x2 (2 inputs, 0 outputs), got "),
+            ('"x1",x2\n0.5,0.5\n', 'expected header x1,x2 (2 inputs, 0 outputs), got "x1",x2'),
         ],
-        ids=["bad-header", "ragged-row", "non-numeric", "empty-file"],
+        ids=["bad-header", "ragged-row", "non-numeric", "empty-file", "quoted-header"],
     )
     def test_malformed_data_exits_2(self, fit_assets, tmp_path, text, message):
         data = tmp_path / "bad.csv"
@@ -537,7 +538,7 @@ class TestBenchmarkCommands:
         [
             ("--kappa", "0.5", "kappa"), ("--kappa", "inf", "kappa"), ("--seeds", "-1", "seeds"),
             ("--methods", "", "methods"), ("--methods", "mvsa,mvsa", "methods"),
-            ("--mcs-seed", "-1", "mcs_seed"), ("--Q", "30,30", "training sizes"),
+            ("--mcs-seed", "-1", "--mcs-seed"), ("--Q", "30,30", "training sizes"),
             ("--Q", "0", "training sizes"),
         ],
         ids=[
@@ -625,6 +626,63 @@ class TestTotalDegreeGrammar:
         assert self._exit_code(entry, token, fit_assets, tmp_path, capsys) == code
         assert (tmp_path / "m.json").exists() == (code == 0 and entry == "fit --init")
         assert (tmp_path / "cmp").exists() == (code == 0 and entry == "compare --methods")
+
+
+REFUSED_COUNTS = ["3_0", " 30", "+30", "\u0663\u0660", "30\n", "-1"]
+
+
+class TestFlagGrammar:
+    """Integer flags take ASCII digits only; --kappa takes what a data field takes."""
+
+    def _run(self, subcommand, flags, fit_assets, tmp_path, capsys):
+        """The CLI's exit code and stderr for ``subcommand`` run in-process with valid flags updated by ``flags``."""
+        from mvsapce import cli
+
+        valid = {
+            "fit": {
+                "--data": fit_assets["data"], "--inputs": 2, "--outputs": 1,
+                "--dist": fit_assets["dist"], "--out": tmp_path / "m.json",
+            },
+            "compare": {
+                "--Q": 25, "--M": 5, "--seeds": 0, "--test-size": 30, "--mcs-samples": 400,
+                "--mcs-seed": 99, "--dummy-count": 1, "--methods": "mvsa", "--out-dir": tmp_path / "cmp",
+            },
+            "beam-data": {"--M": 3, "--train-size": 5, "--test-size": 5, "--seed": 0, "--prefix": tmp_path / "b_"},
+        }[subcommand]
+        argv = [subcommand] + [str(part) for item in {**valid, **flags}.items() for part in item]
+        code = cli.main(argv)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", REFUSED_COUNTS, ids=["underscore", "space", "plus", "arabic-indic", "newline", "minus"]
+    )
+    @pytest.mark.parametrize(
+        "subcommand, flag",
+        [("fit", "--inputs"), ("fit", "--outputs")]
+        + [
+            ("compare", flag)
+            for flag in ("--Q", "--M", "--seeds", "--test-size", "--mcs-samples", "--mcs-seed", "--dummy-count")
+        ]
+        + [("beam-data", flag) for flag in ("--M", "--train-size", "--test-size", "--seed")],
+    )
+    def test_integer_flag_refuses(self, fit_assets, tmp_path, capsys, subcommand, flag, text):
+        code, stderr = self._run(subcommand, {flag: text}, fit_assets, tmp_path, capsys)
+        assert code == 3
+        assert len(stderr.splitlines()) == 1 and f"argument {flag}: expected ASCII digits" in stderr, stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ["\u0661\u0660\u0660", "1_00"], ids=["arabic-indic", "underscore"])
+    @pytest.mark.parametrize("subcommand", ["fit", "compare"])
+    def test_kappa_refuses_what_a_data_field_refuses(self, fit_assets, tmp_path, capsys, subcommand, text):
+        code, stderr = self._run(subcommand, {"--kappa": text}, fit_assets, tmp_path, capsys)
+        assert code == 3
+        assert len(stderr.splitlines()) == 1 and "argument --kappa: could not convert" in stderr, stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_kappa_takes_what_a_data_field_takes(self, fit_assets, tmp_path, capsys):
+        code, stderr = self._run("fit", {"--kappa": " 1E2 "}, fit_assets, tmp_path, capsys)
+        assert code == 0 and stderr == ""
+        assert load_model(tmp_path / "m.json").diagnostics == load_model(fit_assets["model"]).diagnostics
 
 
 class TestBeamData:

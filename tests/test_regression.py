@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -352,18 +353,30 @@ class TestCsvInterface:
         assert str(error.value) == f"{path}: expected header {message}"
 
 
+def is_data_field(text: str) -> bool:
+    """The data-field grammar, written out: no ASCII separator or ``_``, ASCII once stripped, and float() reads it."""
+    if any(char in text for char in "\x1c\x1d\x1e\x1f_") or not text.strip().isascii():
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def reference_read(text: str, width: int):
-    """Rows as the per-field csv loop reads a data file's body, or that loop's error message."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)
+    """Rows of a data file's body by the data-field grammar, or the message for its first bad row."""
+    # str.splitlines would also split at U+001C..U+001E; a data file's lines end at CR, LF or CRLF only.
+    lines = re.split(r"\r\n|\r|\n", text)[1:]
     rows = []
-    for q, row in enumerate(row for row in reader if row):
-        if len(row) != width:
-            return f"row {q + 1} has {len(row)} fields, expected {width}"
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError as exc:
-            return f"row {q + 1}: {exc}"
+    for q, line in enumerate((line for line in lines if line), start=1):
+        fields = line.split(",")
+        if len(fields) != width:
+            return f"row {q} has {len(fields)} fields, expected {width}"
+        for field in fields:
+            if not is_data_field(field):
+                return f"row {q}: could not convert string to float: {field!r}"
+        rows.append([float(field) for field in fields])
     return np.array(rows).reshape(len(rows), width)
 
 
@@ -386,9 +399,9 @@ def same_outcome(got, expected) -> bool:
 READER_DECISIONS = {
     "spaces": (" 1.5 ", [[1.5, 2.0]]),
     "tab": ("\t1", [[1.0, 2.0]]),
-    "underscore": ("1_0", [[10.0, 2.0]]),
-    "quoted": ('"1.5"', [[1.5, 2.0]]),
-    "arabic-indic-digit": ("\u0661", [[1.0, 2.0]]),
+    "underscore": ("1_0", "row 2: could not convert string to float: '1_0'"),
+    "quoted": ('"1.5"', "row 2: could not convert string to float: '\"1.5\"'"),
+    "arabic-indic-digit": ("\u0661", "row 2: could not convert string to float: '\u0661'"),
     "plus": ("+1", [[1.0, 2.0]]),
     "leading-point": (".5", [[0.5, 2.0]]),
     "capital-exponent": ("1E5", [[1e5, 2.0]]),
@@ -406,7 +419,7 @@ READER_DECISIONS = {
 
 
 class TestReaderDecisions:
-    """What the reader accepts and rejects: what float() reads, field by field."""
+    """What the reader accepts and rejects: an ASCII number with optional whitespace, field by field."""
 
     @pytest.mark.parametrize(
         "body, expected",
@@ -431,7 +444,7 @@ class TestReaderDecisions:
             st.lists(
                 st.one_of(
                     st.floats().map(repr),
-                    st.text(alphabet=list("0123456789.eE+-_ \t\"#xinfa,\r\n\x1c\x1f\u0661\u00a0"), max_size=6),
+                    st.text(alphabet=list("0123456789.eE+-_ \t\"#xinfa,\r\n\x1c\x1e\x1f\x85\u0661\u00a0"), max_size=6),
                 ),
                 min_size=1,
                 max_size=3,
@@ -447,6 +460,20 @@ class TestReaderDecisions:
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode("utf-8"))
         assert same_outcome(read_outcome(path, 2), reference_read(text, 2))
+
+    @given(
+        body=st.one_of(
+            st.binary(max_size=40), st.text(max_size=40).map(lambda text: text.encode("utf-8", "surrogatepass"))
+        )
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_refuses_only_with_data_errors(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"x1,x2\r\n" + body)
+        try:
+            assert load_inputs_csv(path, 2).shape[1] == 2
+        except DataError:
+            pass
 
     def test_header_only_body_has_its_width(self, tmp_path, recwarn):
         path = tmp_path / "data.csv"
