@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -20,19 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, MvsaError
-from .multi_index import parse_total_degree, total_degree_set
+from .multi_index import as_integer, parse_total_degree, total_degree_set
 from .mvsa_engine import FitDiagnostics, MvsaConfig, fit_fixed, fit_mvsa, predict
 from .polynomial_basis import DistributionSpec, Marginal
 from .regression import TrainingData, make_output_dir, rmse, write_csv_table, write_json_file
 from .uq import RNG_ALGORITHM, MomentReport, moments, monte_carlo_reference
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int, by ``operator.index``; ConfigError naming ``name`` for a non-integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -55,7 +46,7 @@ class BeamConfig:
 
     def __post_init__(self):
         for name in ("response_dim", "dummy_count"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.response_dim < 1:
             raise ConfigError(f"response_dim must be >= 1, got {self.response_dim}")
         if self.dummy_count < 0:
@@ -148,9 +139,9 @@ class ExperimentPlan:
 
     def __post_init__(self):
         for name in ("test_size", "mcs_samples", "mcs_seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         for name in ("training_sizes", "seeds"):
-            values = tuple(_integer(f"{name} entry", value) for value in getattr(self, name))
+            values = tuple(as_integer(f"{name} entry", value) for value in getattr(self, name))
             object.__setattr__(self, name, values)
         object.__setattr__(self, "methods", tuple(self.methods))
         sizes = self.training_sizes

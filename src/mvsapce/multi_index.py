@@ -10,6 +10,7 @@ the toolkit produces identical bases.
 from __future__ import annotations
 
 import operator
+import sys
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, DataError
@@ -161,14 +162,25 @@ def total_degree_set(dim: int, degree: int) -> MultiIndexSet:
 
 
 def parse_count(text: str) -> int:
-    """The non-negative integer that ``text`` writes in ASCII digits only; ConfigError for any other text."""
+    """The integer in 0..sys.maxsize that ``text`` writes in ASCII digits only; ConfigError for any other text."""
     try:
         # int() also refuses more digits than sys.get_int_max_str_digits().
-        if text.isascii() and text.isdigit():
-            return int(text)
+        if text.isascii() and text.isdigit() and (value := int(text)) <= sys.maxsize:
+            return value
     except ValueError:
         pass
-    raise ConfigError(f"expected ASCII digits, got {text!r}")
+    raise ConfigError(f"expected ASCII digits of an integer up to {sys.maxsize}, got {text!r}")
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as an int, by ``operator.index``, at most sys.maxsize; ConfigError naming ``name`` otherwise."""
+    try:
+        integer = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if integer > sys.maxsize:
+        raise ConfigError(f"{name} must be at most {sys.maxsize}, got {integer}")
+    return integer
 
 
 def parse_total_degree(token: str) -> int | None:

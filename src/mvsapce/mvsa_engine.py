@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .multi_index import MultiIndex, MultiIndexSet, is_admissible, total_degree_set
+from .multi_index import MultiIndex, MultiIndexSet, as_integer, is_admissible, total_degree_set
 from .polynomial_basis import DEGREE_CAP, DistributionSpec
 from .regression import (
     DesignBuilder,
@@ -44,8 +45,11 @@ class MvsaConfig:
     initial_degree: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.kappa, numbers.Real):
+            raise ConfigError(f"kappa must be a real number, got {self.kappa!r}")
         if not (math.isfinite(self.kappa) and self.kappa > 1.0):
             raise ConfigError(f"kappa must be finite and exceed 1, got {self.kappa}")
+        object.__setattr__(self, "initial_degree", as_integer("initial_degree", self.initial_degree))
         if self.initial_degree < 0:
             raise ConfigError(f"initial_degree must be >= 0, got {self.initial_degree}")
 
@@ -54,9 +58,10 @@ class MvsaConfig:
 class ExpansionStep:
     """One accepted expansion: which index entered and on what evidence.
 
-    ``eta`` comes from the step's own solve, which runs against the
-    compressed responses when M > Q: it equals the full-response value up
-    to rounding.
+    ``eta`` comes from the step's own solve against the responses
+    ``expand_basis`` was given, which in a fit are the Q x Q factor of the
+    responses when M > Q: it then equals the full-response value up to
+    rounding.
     """
 
     added: MultiIndex
@@ -174,40 +179,36 @@ def _admit_successors(chosen: MultiIndex, members: set, frontier: list) -> None:
 
 
 def expand_basis(
-    data: TrainingData,
-    spec: DistributionSpec,
-    config: MvsaConfig | None = None,
-    _builder: DesignBuilder | None = None,
-    _factor: np.ndarray | None = None,
+    builder: DesignBuilder,
+    responses: np.ndarray,
+    config: MvsaConfig,
 ) -> tuple[MultiIndexSet, ExpansionTrace]:
     """Adaptive basis expansion; returns the final extended set and a trace.
 
     Each pass forms the extended set (current basis plus all admissible
     forward neighbors), stops before solving if that set outgrows the sample
-    count, solves the least-squares problem otherwise, stops if the design
-    is conditioned worse than kappa, and else accepts the single admissible
-    index with the largest sensitivity indicator (ties broken toward the
-    lexicographically smallest index).
+    count ``len(responses)``, solves the least-squares problem otherwise,
+    stops if the design is conditioned worse than kappa, and else accepts
+    the single admissible index with the largest sensitivity indicator
+    (ties broken toward the lexicographically smallest index).
     """
-    config = config or MvsaConfig()
+    dim, n_samples = builder.spec.dim, len(responses)
     # The initial set has C(N + p, p) members; reject an oversized one before
     # enumerating it, which at N = 20 takes seconds from p = 6 on.
-    size = math.comb(spec.dim + config.initial_degree, config.initial_degree)
-    if size >= data.n_samples:
-        raise ConfigError(f"initial set size {size} must be smaller than the sample count {data.n_samples}")
-    initial = total_degree_set(spec.dim, config.initial_degree)
-    builder = _builder or DesignBuilder(spec, data.inputs)
-    rhs = _response_factor(data.responses) if _factor is None else _factor
+    size = math.comb(dim + config.initial_degree, config.initial_degree)
+    if size >= n_samples:
+        raise ConfigError(f"initial set size {size} must be smaller than the sample count {n_samples}")
+    initial = total_degree_set(dim, config.initial_degree)
     basis = list(initial.indices)
     members = set(basis)
     frontier = list(initial.admissible_forward_neighbors().indices)
     steps: list[ExpansionStep] = []
     while True:
         extended = basis + frontier
-        if len(extended) > data.n_samples:
+        if len(extended) > n_samples:
             termination = "underdetermined"
             break
-        coeffs, cond = solve_with_condition(builder.matrix(extended), rhs)
+        coeffs, cond = solve_with_condition(builder.matrix(extended), responses)
         if cond > config.kappa:
             termination = "ill_conditioned"
             break
@@ -229,39 +230,32 @@ def expand_basis(
         members.add(chosen)
         _admit_successors(chosen, members, frontier)
     trace = ExpansionTrace(initial=initial, steps=tuple(steps), termination=termination)
-    return MultiIndexSet(extended, dim=spec.dim), trace
+    return MultiIndexSet(extended, dim=dim), trace
 
 
 def prune_basis(
-    data: TrainingData,
-    spec: DistributionSpec,
+    builder: DesignBuilder,
+    responses: np.ndarray,
     basis: MultiIndexSet,
-    config: MvsaConfig | None = None,
-    _builder: DesignBuilder | None = None,
-    _factor: np.ndarray | None = None,
+    config: MvsaConfig,
 ) -> PruneResult:
     """Remove minimum-sensitivity terms until size and conditioning hold.
 
     While the design is conditioned worse than kappa or the basis outsizes
-    the sample count, re-solves the least-squares problem and drops the
-    index with the smallest sensitivity indicator (lexicographic tie-break;
-    the zero index is exempt).  Returns the final basis together with a
-    fresh solve on it against all outputs.
+    the sample count ``len(responses)``, re-solves the least-squares problem
+    and drops the index with the smallest sensitivity indicator
+    (lexicographic tie-break; the zero index is exempt).  Returns the final
+    basis with the coefficients and condition number of its solve against
+    ``responses``.
     """
-    config = config or MvsaConfig()
     zero = (0,) * basis.dim
     if zero not in basis:
         raise ConfigError("prune_basis expects the zero multi-index in the basis")
-    builder = _builder or DesignBuilder(spec, data.inputs)
-    rhs = _response_factor(data.responses) if _factor is None else _factor
     kept = list(basis.indices)
     removed: list[MultiIndex] = []
     while True:
-        matrix = builder.matrix(kept)
-        coeffs, cond = solve_with_condition(matrix, rhs)
-        if cond <= config.kappa and len(kept) <= data.n_samples:
-            if rhs is not data.responses:
-                coeffs, cond = solve_with_condition(matrix, data.responses)
+        coeffs, cond = solve_with_condition(builder.matrix(kept), responses)
+        if cond <= config.kappa and len(kept) <= len(responses):
             return PruneResult(
                 basis=MultiIndexSet(kept, dim=basis.dim),
                 coefficients=coeffs,
@@ -283,20 +277,25 @@ def fit_mvsa(
 ) -> PceModel:
     """Full adaptive fit: expansion, pruning, and final solve.
 
-    The responses are compressed once per fit and shared by both phases.
+    The one design builder and the responses, compressed once when M > Q,
+    are shared by both phases; the kept basis is then solved against all
+    outputs here, unless the phases already solved against them.
     """
     config = config or MvsaConfig()
     builder = DesignBuilder(spec, data.inputs)
     factor = _response_factor(data.responses)
-    extended, trace = expand_basis(data, spec, config, _builder=builder, _factor=factor)
-    result = prune_basis(data, spec, extended, config, _builder=builder, _factor=factor)
+    extended, trace = expand_basis(builder, factor, config)
+    result = prune_basis(builder, factor, extended, config)
+    coefficients, cond = result.coefficients, result.condition_number
+    if factor is not data.responses:
+        coefficients, cond = solve_with_condition(builder.matrix(result.basis), data.responses)
     diagnostics = FitDiagnostics.of(
-        result.basis, result.condition_number, len(trace.steps), len(result.removed), trace.termination
+        result.basis, cond, len(trace.steps), len(result.removed), trace.termination
     )
     return PceModel(
         spec=spec,
         basis=result.basis,
-        coefficients=result.coefficients,
+        coefficients=coefficients,
         diagnostics=diagnostics,
         trace=trace,
     )

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -121,6 +122,11 @@ class TestBeamConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             BeamConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["response_dim", "dummy_count"])
+    def test_counts_above_maxsize_are_refused(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be at most {sys.maxsize}"):
+            BeamConfig(**{field: sys.maxsize + 1})
+
 
 class TestSampleInputs:
     def test_deterministic_per_seed(self):
@@ -179,6 +185,26 @@ class TestExperimentPlan:
     def test_counts_must_be_integers(self, fields, name):
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             ExperimentPlan(**fields)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"training_sizes": (sys.maxsize + 1,)}, "training_sizes entry"),
+            ({"training_sizes": (30,), "seeds": (sys.maxsize + 1,)}, "seeds entry"),
+            ({"training_sizes": (30,), "mcs_samples": sys.maxsize + 1}, "mcs_samples"),
+            ({"training_sizes": (30,), "test_size": sys.maxsize + 1}, "test_size"),
+            ({"training_sizes": (30,), "mcs_seed": sys.maxsize + 1}, "mcs_seed"),
+        ],
+        ids=["training-sizes", "seeds", "mcs-samples", "test-size", "mcs-seed"],
+    )
+    def test_counts_above_maxsize_are_refused(self, fields, name):
+        with pytest.raises(ConfigError, match=f"{name} must be at most {sys.maxsize}"):
+            ExperimentPlan(**fields)
+
+    @pytest.mark.parametrize("kappa", ["100", None, 100 + 0j], ids=["text", "none", "complex"])
+    def test_kappa_must_be_a_real_number(self, kappa):
+        with pytest.raises(ConfigError, match="kappa must be a real number"):
+            ExperimentPlan(training_sizes=(30,), kappa=kappa)
 
     def test_hash_of_integer_fields_is_pinned(self):
         plan = ExperimentPlan(training_sizes=(50, 100, 150))

@@ -628,7 +628,7 @@ class TestTotalDegreeGrammar:
         assert (tmp_path / "cmp").exists() == (code == 0 and entry == "compare --methods")
 
 
-REFUSED_COUNTS = ["3_0", " 30", "+30", "\u0663\u0660", "30\n", "-1"]
+REFUSED_COUNTS = ["3_0", " 30", "+30", "\u0663\u0660", "30\n", "-1", "99999999999999999999"]
 
 
 class TestFlagGrammar:
@@ -654,7 +654,7 @@ class TestFlagGrammar:
         return code, capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text", REFUSED_COUNTS, ids=["underscore", "space", "plus", "arabic-indic", "newline", "minus"]
+        "text", REFUSED_COUNTS, ids=["underscore", "space", "plus", "arabic-indic", "newline", "minus", "above-maxsize"]
     )
     @pytest.mark.parametrize(
         "subcommand, flag",

@@ -21,6 +21,7 @@ from mvsapce.multi_index import MultiIndexSet, total_degree_set
 from mvsapce.mvsa_engine import (
     MvsaConfig,
     _admit_successors,
+    _response_factor,
     expand_basis,
     fit_mvsa,
     prune_basis,
@@ -71,7 +72,11 @@ def assert_matches_reference(data, spec, config=None):
     ref_extended, ref_added, ref_etas, ref_conds = reference_expand(data, spec, config, builder)
     ref_basis, ref_coeffs, ref_cond, ref_removed = reference_prune(data, ref_extended, config, builder)
 
-    extended, trace = expand_basis(data, spec, config)
+    # The expansion and a prune run on the responses a fit hands them: the
+    # Q x Q factor when M > Q.
+    engine_builder = DesignBuilder(spec, data.inputs)
+    factor = _response_factor(data.responses)
+    extended, trace = expand_basis(engine_builder, factor, config)
     assert [step.added for step in trace.steps] == ref_added
     assert [step.condition_number for step in trace.steps] == ref_conds
     if data.n_outputs <= data.n_samples:
@@ -80,9 +85,12 @@ def assert_matches_reference(data, spec, config=None):
         assert [step.eta for step in trace.steps] == pytest.approx(ref_etas, rel=1e-8, abs=1e-300)
     assert extended.indices == ref_extended.indices
 
-    pruned = prune_basis(data, spec, extended, config)
-    assert list(pruned.removed) == ref_removed
-    assert pruned.basis.indices == ref_basis.indices
+    # The prune on all outputs runs last, so its result feeds the bitwise
+    # check below.
+    for rhs in (factor, data.responses):
+        pruned = prune_basis(engine_builder, rhs, extended, config)
+        assert list(pruned.removed) == ref_removed
+        assert pruned.basis.indices == ref_basis.indices
 
     model = fit_mvsa(data, spec, config)
     assert [step.added for step in model.trace.steps] == ref_added

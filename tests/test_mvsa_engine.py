@@ -1,14 +1,17 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from mvsapce import mvsa_engine
 from mvsapce.errors import ConfigError, DataError
 from mvsapce.multi_index import MultiIndexSet, total_degree_set
 from mvsapce.mvsa_engine import (
     FitDiagnostics,
     MvsaConfig,
     PceModel,
+    _response_factor,
     expand_basis,
     fit_fixed,
     fit_mvsa,
@@ -64,6 +67,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="initial_degree"):
             MvsaConfig(initial_degree=-1)
 
+    @pytest.mark.parametrize("value", [1.5, "1", sys.maxsize + 1], ids=["float", "text", "above-maxsize"])
+    def test_initial_degree_must_be_an_integer_up_to_maxsize(self, value):
+        data = TrainingData(np.zeros((30, 2)), np.zeros((30, 1)))
+        with pytest.raises(ConfigError, match="initial_degree must be"):
+            fit_mvsa(data, normal_spec(2), MvsaConfig(initial_degree=value))
+
+    @pytest.mark.parametrize("kappa", ["100", None, 100 + 0j], ids=["text", "none", "complex"])
+    def test_kappa_must_be_a_real_number(self, kappa):
+        with pytest.raises(ConfigError, match="kappa must be a real number"):
+            MvsaConfig(kappa=kappa)
+
     def test_initial_set_must_be_smaller_than_sample_count(self):
         config = MvsaConfig(initial_degree=1)
         data = TrainingData(np.zeros((3, 2)), np.zeros((3, 1)))
@@ -75,7 +89,7 @@ class TestExpansion:
     def test_constant_response_yields_constant_model(self):
         rng = np.random.default_rng(1)
         data = TrainingData(rng.normal(size=(25, 2)), np.full((25, 3), 7.0))
-        extended, trace = expand_basis(data, normal_spec(2))
+        extended, trace = expand_basis(DesignBuilder(normal_spec(2), data.inputs), data.responses, MvsaConfig())
         # every accepted indicator sits at the numerical noise floor
         assert all(step.eta < 1e-20 for step in trace.steps)
         assert trace.termination in ("underdetermined", "ill_conditioned")
@@ -93,7 +107,7 @@ class TestExpansion:
         # so acceptance is driven purely by the lexicographic tie-break
         rng = np.random.default_rng(2)
         data = TrainingData(rng.normal(size=(20, 2)), np.zeros((20, 3)))
-        _, trace = expand_basis(data, normal_spec(2))
+        _, trace = expand_basis(DesignBuilder(normal_spec(2), data.inputs), data.responses, MvsaConfig())
         assert [s.added for s in trace.steps[:3]] == [(0, 1), (0, 2), (0, 3)]
         assert all(s.eta == 0.0 for s in trace.steps[:3])
 
@@ -102,7 +116,7 @@ class TestExpansion:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(30, 1))
         data = TrainingData(x, x**2)
-        extended, trace = expand_basis(data, normal_spec(1))
+        extended, trace = expand_basis(DesignBuilder(normal_spec(1), x), data.responses, MvsaConfig())
         added = [step.added for step in trace.steps]
         assert added[0] == (1,) and added[1] == (2,)
         assert {(0,), (1,), (2,)}.issubset(set(extended))
@@ -116,7 +130,7 @@ class TestExpansion:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(50, 2))
         data = TrainingData(x, x[:, :1])
-        extended, trace = expand_basis(data, normal_spec(2))
+        extended, trace = expand_basis(DesignBuilder(normal_spec(2), x), data.responses, MvsaConfig())
         assert trace.steps[0].added == (1, 0)
         meaningful = [s.added for s in trace.steps if s.eta > 1e-16]
         assert all(k[1] == 0 for k in meaningful)
@@ -130,8 +144,8 @@ class TestExpansion:
         y = np.column_stack([np.exp(0.3 * x[:, 0]), np.cos(x[:, 1])])
         data = TrainingData(x, y)
         spec = normal_spec(2)
-        _, trace = expand_basis(data, spec)
         builder = DesignBuilder(spec, x)
+        _, trace = expand_basis(builder, y, MvsaConfig())
         current = trace.initial
         for step in trace.steps:
             admissible = current.admissible_forward_neighbors()
@@ -152,7 +166,7 @@ class TestPruning:
         basis = total_degree_set(3, 2)
         design = DesignBuilder(uniform_3d, x).matrix(basis)
         data = TrainingData(x, design @ rng.normal(size=(len(basis), 2)))
-        result = prune_basis(data, uniform_3d, basis)
+        result = prune_basis(DesignBuilder(uniform_3d, x), data.responses, basis, MvsaConfig())
         assert result.basis == basis
         assert result.removed == ()
         assert np.allclose(
@@ -179,7 +193,7 @@ class TestPruning:
         expected_victim = min(
             ((eta[i], k) for i, k in enumerate(basis.indices) if k != (0, 0)),
         )[1]
-        result = prune_basis(data, spec, basis)
+        result = prune_basis(DesignBuilder(spec, x), data.responses, basis, MvsaConfig())
         assert result.removed == (expected_victim,)
         assert len(result.basis) == 2 and (0, 0) in result.basis
         assert result.condition_number <= 100.0
@@ -193,7 +207,7 @@ class TestPruning:
         data = TrainingData(x, y)
         basis = total_degree_set(3, 2)  # 10 indices, Q = 8
         config = MvsaConfig()
-        result = prune_basis(data, uniform_3d, basis, config)
+        result = prune_basis(DesignBuilder(uniform_3d, x), data.responses, basis, config)
         assert len(result.basis) <= 8
         assert result.condition_number <= config.kappa
         # brute-force replay
@@ -219,13 +233,13 @@ class TestPruning:
         x = rng.normal(size=(3, 1))
         data = TrainingData(x, np.ones((3, 1)))
         basis = total_degree_set(1, 5)  # 6 > Q = 3 forces removals
-        protected = prune_basis(data, normal_spec(1), basis, MvsaConfig())
+        protected = prune_basis(DesignBuilder(normal_spec(1), x), data.responses, basis, MvsaConfig())
         assert (0,) in protected.basis
 
     def test_requires_zero_index(self):
         data = TrainingData(np.zeros((5, 1)), np.zeros((5, 1)))
         with pytest.raises(ConfigError):
-            prune_basis(data, normal_spec(1), MultiIndexSet([(1,)]))
+            prune_basis(DesignBuilder(normal_spec(1), data.inputs), data.responses, MultiIndexSet([(1,)]), MvsaConfig())
 
 
 class TestFitMvsa:
@@ -249,6 +263,37 @@ class TestFitMvsa:
         data = TrainingData(np.array([[0.3, -0.2]]), np.array([[5.0, -1.0]]))
         with pytest.raises(ConfigError):
             fit_mvsa(data, normal_spec(2))
+
+    @pytest.mark.parametrize("m", [3, 40], ids=["M<=Q", "M>Q"])
+    def test_sets_up_once_per_fit(self, monkeypatch, m):
+        # One design builder and one response factor serve expansion and
+        # pruning; when M > Q, only the final solve sees all M outputs.
+        counts = {"builders": 0, "factors": 0, "full_solves": 0}
+
+        class CountingBuilder(mvsa_engine.DesignBuilder):
+            def __init__(self, *args):
+                counts["builders"] += 1
+                super().__init__(*args)
+
+        def counting_factor(responses):
+            counts["factors"] += 1
+            return _response_factor(responses)
+
+        def counting_solve(matrix, rhs):
+            counts["full_solves"] += rhs.shape[1] == m
+            return solve_with_condition(matrix, rhs)
+
+        monkeypatch.setattr(mvsa_engine, "DesignBuilder", CountingBuilder)
+        monkeypatch.setattr(mvsa_engine, "_response_factor", counting_factor)
+        monkeypatch.setattr(mvsa_engine, "solve_with_condition", counting_solve)
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(30, 2))
+        y = np.column_stack([np.sin(k * x[:, 0]) + x[:, 1] ** 2 for k in range(1, m + 1)])
+        model = fit_mvsa(TrainingData(x, y), normal_spec(2))
+        assert model.trace.steps and model.n_outputs == m
+        assert counts["builders"] == 1 and counts["factors"] == 1
+        if m > len(x):
+            assert counts["full_solves"] == 1
 
     def test_duplicate_rows_degrade_to_termination_not_exception(self):
         # identical sample rows collapse the design rank; the fit must end
