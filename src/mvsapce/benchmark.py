@@ -23,7 +23,7 @@ from .multi_index import as_integer, parse_total_degree, total_degree_set
 from .mvsa_engine import FitDiagnostics, MvsaConfig, fit_fixed, fit_mvsa, predict
 from .polynomial_basis import DistributionSpec, Marginal
 from .regression import TrainingData, make_output_dir, rmse, write_csv_table, write_json_file
-from .uq import RNG_ALGORITHM, MomentReport, moments, monte_carlo_reference
+from .uq import RNG_ALGORITHM, MomentReport, _block_rows, moments, monte_carlo_reference
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,11 @@ def beam_deflection_rows(inputs, n_points: int) -> np.ndarray:
 
     Each row of the Q x N matrix holds (w, h, L, E, P) first; any further
     entries (dummy inputs) are ignored.  Returns Q x M.
+
+    The Q x M result is allocated once and filled a block of rows at a time
+    (about ``uq._BLOCK_ELEMENTS`` values per block), so the temporaries are
+    block-sized.  Every element goes through the same operations whatever
+    the block, so the bits do not depend on the blocking.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     if x.shape[1] < 5:
@@ -76,23 +81,33 @@ def beam_deflection_rows(inputs, n_points: int) -> np.ndarray:
         raise DomainError("beam parameters must all be positive")
     w, h, length, modulus, load = (x[:, j][:, None] for j in range(5))
     # load * l * (L**3 - 2 l**2 L + l**3) / (2 E w h**3), one operation at a
-    # time on two Q x M buffers.  Each step is the elementwise operation the
-    # one-line expression performs, so the result has the same bits; l**3
-    # stays a power, since a product of squares rounds differently.
+    # time on the result block and one cube buffer.  Each step is the
+    # elementwise operation the one-line expression performs, so the result
+    # has the same bits; l**3 stays a power, since a product of squares
+    # rounds differently.
     grid = np.arange(1, n_points + 1)[None, :]
     step = length / (n_points + 1)
-    ell = grid * step
-    cube = np.power(ell, 3)
-    np.square(ell, out=ell)
-    ell *= 2.0
-    ell *= length
-    np.subtract(length**3, ell, out=ell)
-    cube += ell
-    np.multiply(grid, step, out=ell)
-    ell *= load
-    ell *= cube
-    ell /= 2.0 * modulus * w * h**3
-    return ell
+    length_cubed = length**3
+    denominator = 2.0 * modulus * w * h**3
+    result = np.empty((len(x), n_points))
+    block = _block_rows(len(x), n_points)
+    cube_buffer = np.empty((block, n_points))
+    for start in range(0, len(x), block):
+        rows = slice(start, start + block)
+        ell = result[rows]
+        cube = cube_buffer[:len(ell)]
+        np.multiply(grid, step[rows], out=ell)
+        np.power(ell, 3, out=cube)
+        np.square(ell, out=ell)
+        ell *= 2.0
+        ell *= length[rows]
+        np.subtract(length_cubed[rows], ell, out=ell)
+        cube += ell
+        np.multiply(grid, step[rows], out=ell)
+        ell *= load[rows]
+        ell *= cube
+        ell /= denominator[rows]
+    return result
 
 
 def sample_inputs(spec: DistributionSpec, size: int, seed) -> np.ndarray:

@@ -29,6 +29,15 @@ RNG_ALGORITHM = "pcg64"
 #: the batch size is part of a reference's reproducibility.
 MC_BATCH_SIZE = 4096
 
+#: Elements in one row block of the Monte-Carlo accumulation and of the beam
+#: kernel (256 KiB of doubles), so that a block's temporaries stay in cache.
+_BLOCK_ELEMENTS = 32768
+
+
+def _block_rows(n_rows: int, width: int) -> int:
+    """Rows per block of ``n_rows`` rows ``width`` elements wide: at least one."""
+    return min(n_rows, max(1, _BLOCK_ELEMENTS // max(width, 1)))
+
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -170,55 +179,107 @@ def monte_carlo_reference(
     """Seeded Monte-Carlo moments of ``f`` under the input distribution.
 
     ``f`` maps one N-vector to an M-vector, or a Q x N batch to Q x M when
-    ``vectorized`` is set.  Draws are consumed in batches of
-    ``MC_BATCH_SIZE`` from a single pcg64 stream, so results are
+    ``vectorized`` is set; every sample must give the same M >= 1 finite
+    values, or a ``DataError`` names the samples.  Draws are consumed in
+    batches of ``MC_BATCH_SIZE`` from a single pcg64 stream, so results are
     deterministic per seed.  Uses a shifted two-pass accumulation and the
     unbiased variance estimator.
+
+    ``f`` is called once per batch and its output is read, never written.
+    Each batch's sums are taken over row blocks of about ``_BLOCK_ELEMENTS``
+    values in numpy's row order for ``sum(axis=0)`` over the whole batch, so
+    the bits are those of the one-pass sums while the working set beyond
+    ``f``'s output is one block: the reference holds one batch of outputs
+    (``MC_BATCH_SIZE`` x M doubles) whatever ``samples`` is.
     """
     if samples < 2:
         raise ConfigError(f"Monte-Carlo reference needs at least 2 samples, got {samples}")
     rng = np.random.default_rng(seed)
     count = 0
     offset = None
-    sum_d = None
-    sum_d2 = None
     while count < samples:
         n = min(MC_BATCH_SIZE, samples - count)
-        x = spec.sample(n, rng)
-        if vectorized:
-            try:
-                y = np.asarray(f(x), dtype=float)
-            except Exception as exc:
-                raise DataError(
-                    f"model evaluation failed on samples {count}..{count + n - 1}: {exc}"
-                ) from exc
-            if y.shape[0] != n:
-                raise DataError(f"vectorized model returned {y.shape[0]} rows for {n} inputs")
-        else:
-            rows = []
-            for i, row in enumerate(x):
-                try:
-                    rows.append(np.asarray(f(row), dtype=float).ravel())
-                except Exception as exc:
-                    raise DataError(f"model evaluation failed at sample {count + i}: {exc}") from exc
-            y = np.vstack(rows)
-        if y.ndim == 1:
-            y = y[:, None]
-        if not np.all(np.isfinite(y)):
-            raise DataError(f"non-finite model output within samples {count}..{count + n - 1}")
+        y = _batch_outputs(f, spec.sample(n, rng), count, vectorized)
         if offset is None:
             offset = y[0].copy()
             sum_d = np.zeros_like(offset)
             sum_d2 = np.zeros_like(offset)
-        # d is a fresh array, never the one f returned, so it may be squared in place.
-        d = y - offset
-        sum_d += d.sum(axis=0)
-        sum_d2 += np.square(d, out=d).sum(axis=0)
+            block = _block_rows(MC_BATCH_SIZE, offset.size)
+            buffer = np.empty((block + 1, offset.size))
+        elif y.shape[1] != offset.size:
+            raise DataError(
+                f"model returned {y.shape[1]} outputs per sample on samples "
+                f"{count}..{count + n - 1}, {offset.size} on the first batch"
+            )
+        batch_d = batch_d2 = None
+        for start in range(0, n, block):
+            rows = y[start:start + block]
+            if not np.isfinite(rows).all():
+                raise DataError(
+                    f"non-finite model output within samples "
+                    f"{count + start}..{count + start + len(rows) - 1}"
+                )
+            d = buffer[1:len(rows) + 1]
+            np.subtract(rows, offset, out=d)
+            batch_d = _continue_sum(buffer, len(rows), batch_d)
+            np.square(d, out=d)
+            batch_d2 = _continue_sum(buffer, len(rows), batch_d2)
+        # Drop this batch before f builds the next one.
+        del y, rows
+        sum_d += batch_d
+        sum_d2 += batch_d2
         count += n
     mean_d = sum_d / samples
     mean = offset + mean_d
     variance = np.maximum(sum_d2 - samples * mean_d * mean_d, 0.0) / (samples - 1)
     return MomentReport(mean=mean, variance=variance, std=np.sqrt(variance))
+
+
+def _batch_outputs(f: Callable, x: np.ndarray, first: int, vectorized: bool) -> np.ndarray:
+    """``f`` on one batch of input rows as an n x M float array, M >= 1."""
+    n = len(x)
+    where = f"samples {first}..{first + n - 1}"
+    if vectorized:
+        try:
+            y = np.asarray(f(x), dtype=float)
+        except Exception as exc:
+            raise DataError(f"model evaluation failed on {where}: {exc}") from exc
+        if y.shape[:1] != (n,):
+            raise DataError(f"vectorized model returned shape {y.shape} for {n} inputs on {where}")
+    else:
+        rows = []
+        for i, row in enumerate(x):
+            try:
+                rows.append(np.asarray(f(row), dtype=float).ravel())
+            except Exception as exc:
+                raise DataError(f"model evaluation failed at sample {first + i}: {exc}") from exc
+            if rows[-1].size != rows[0].size:
+                raise DataError(
+                    f"model returned {rows[-1].size} outputs at sample {first + i}, "
+                    f"{rows[0].size} at sample {first}"
+                )
+        y = np.vstack(rows)
+    if y.ndim == 1:
+        y = y[:, None]
+    if y.ndim != 2 or y.shape[1] == 0:
+        raise DataError(
+            f"model returned outputs of shape {y.shape[1:]} per sample on {where}, "
+            "expected M >= 1 values"
+        )
+    return y
+
+
+def _continue_sum(buffer: np.ndarray, count: int, running):
+    """``sum(axis=0)`` of buffer rows 1..count, continuing ``running``.
+
+    From the second block of a batch on, the running sum goes in row 0 and
+    is reduced with the block, so the additions happen in the order of one
+    ``sum(axis=0)`` over the whole batch.
+    """
+    if running is None:
+        return buffer[1:count + 1].sum(axis=0)
+    buffer[0] = running
+    return buffer[:count + 1].sum(axis=0)
 
 
 # -- report serialization -------------------------------------------------------

@@ -85,6 +85,34 @@ class TestBeamDeflection:
         rows = NOMINAL * rng.uniform(0.5, 1.5, size=(64, 5))
         assert np.array_equal(beam_deflection_rows(rows, 257), closed_form(rows, 257))
 
+    @pytest.mark.parametrize("n_points", [1, 10, 1000, 40000])
+    def test_bitwise_equal_to_one_pass_kernel(self, n_points):
+        # The kernel fills its result a row block at a time; this is the same
+        # sequence of operations on two whole Q x M buffers.  M = 40000 makes
+        # one-row blocks.
+        def one_pass(x, n_points):
+            w, h, length, modulus, load = (x[:, j][:, None] for j in range(5))
+            grid = np.arange(1, n_points + 1)[None, :]
+            step = length / (n_points + 1)
+            ell = grid * step
+            cube = np.power(ell, 3)
+            np.square(ell, out=ell)
+            ell *= 2.0
+            ell *= length
+            np.subtract(length**3, ell, out=ell)
+            cube += ell
+            np.multiply(grid, step, out=ell)
+            ell *= load
+            ell *= cube
+            ell /= 2.0 * modulus * w * h**3
+            return ell
+
+        rng = np.random.default_rng(18)
+        rows = NOMINAL * rng.uniform(0.5, 1.5, size=(333, 5))
+        blocked = beam_deflection_rows(rows, n_points)
+        assert blocked.shape == (333, n_points)
+        assert blocked.tobytes() == one_pass(rows, n_points).tobytes()
+
     def test_rejects_nonpositive_parameters(self):
         bad = NOMINAL.copy()
         bad[0] = 0.0

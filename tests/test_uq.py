@@ -1,10 +1,13 @@
 import csv
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvsapce.benchmark import BeamConfig
 from mvsapce.errors import ConfigError, DataError
 from mvsapce.multi_index import total_degree_set
 from mvsapce.mvsa_engine import fit_fixed, predict
@@ -228,26 +231,29 @@ class TestMonteCarloReference:
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.variance, b.variance)
 
-    def test_matches_two_pass_reference_and_leaves_outputs_alone(self):
-        # Spans a full batch and a partial one.  f hands back an array it
-        # keeps, which the reference must read but never write.
+    @pytest.mark.parametrize("width", [1, 2, 9, 1000])
+    def test_matches_two_pass_reference_and_leaves_outputs_alone(self, width):
+        # Spans two full batches and a partial one.  f hands back an array
+        # it keeps, which the reference must read but never write.  Widths 9
+        # and 1000 take several row blocks per batch, 1 and 2 one block.
         spec = normals(2)
-        samples = MC_BATCH_SIZE + 17
+        samples = 2 * MC_BATCH_SIZE + 17
+        rates = np.linspace(0.1, 2.0, width)
         returned = []
 
         def f(rows):
-            y = np.column_stack([rows[:, 0] * rows[:, 1], np.exp(rows[:, 0])])
+            y = np.exp(rows[:, :1] * rates) * rows[:, 1:2]
             returned.append((y, y.copy()))
             return y
 
         report = monte_carlo_reference(f, spec, samples, seed=3, vectorized=True)
-        assert len(returned) == 2
+        assert len(returned) == 3
         for y, original in returned:
             assert np.array_equal(y, original)
         y = np.vstack([original for _, original in returned])
         d = y - y[0]
-        sum_d = np.zeros(2)
-        sum_d2 = np.zeros(2)
+        sum_d = np.zeros(width)
+        sum_d2 = np.zeros(width)
         for start in range(0, samples, MC_BATCH_SIZE):
             batch = d[start:start + MC_BATCH_SIZE]
             sum_d += batch.sum(axis=0)
@@ -256,6 +262,76 @@ class TestMonteCarloReference:
         variance = np.maximum(sum_d2 - samples * mean_d * mean_d, 0.0) / (samples - 1)
         assert np.array_equal(report.mean, y[0] + mean_d)
         assert np.array_equal(report.variance, variance)
+
+    def test_holds_one_batch_of_outputs(self):
+        # The beam response at M = 1000 allocates its 4096 x 1000 result
+        # and block-sized temporaries; the reference adds one row block.
+        config = BeamConfig(response_dim=1000)
+        batch_bytes = MC_BATCH_SIZE * 1000 * 8
+        tracemalloc.start()
+        try:
+            monte_carlo_reference(
+                config.response, config.distribution_spec(), 2 * MC_BATCH_SIZE + 17,
+                seed=0, vectorized=True,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * batch_bytes
+
+    @pytest.mark.parametrize(
+        "f, shape",
+        [(lambda rows: 1.0, "()"), (lambda rows: rows[1:], "(9, 1)")],
+        ids=["scalar", "short"],
+    )
+    def test_vectorized_output_of_another_length_is_refused(self, f, shape):
+        message = f"returned shape {shape} for 10 inputs on samples 0..9"
+        with pytest.raises(DataError, match=re.escape(message)):
+            monte_carlo_reference(f, normals(1), 10, seed=0, vectorized=True)
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_batch_of_another_width_is_refused(self, width):
+        # Width 1 would broadcast against the first batch's three outputs.
+        def f(rows):
+            return np.ones((len(rows), 3 if len(rows) == MC_BATCH_SIZE else width))
+
+        message = f"{width} outputs per sample on samples {MC_BATCH_SIZE}..{MC_BATCH_SIZE + 4}, 3 "
+        with pytest.raises(DataError, match=re.escape(message)):
+            monte_carlo_reference(f, normals(1), MC_BATCH_SIZE + 5, seed=0, vectorized=True)
+
+    def test_ragged_rows_are_refused(self):
+        calls = []
+
+        def f(row):
+            calls.append(row)
+            return np.zeros(3 if len(calls) == 6 else 2)
+
+        with pytest.raises(DataError, match="^model returned 3 outputs at sample 5, 2 at sample 0$"):
+            monte_carlo_reference(f, normals(1), 10, seed=0)
+
+    @pytest.mark.parametrize(
+        "f, shape",
+        [(lambda rows: np.zeros((len(rows), 0)), "(0,)"),
+         (lambda rows: np.zeros((len(rows), 2, 2)), "(2, 2)")],
+        ids=["empty", "matrix"],
+    )
+    def test_outputs_that_are_not_a_vector_are_refused(self, f, shape):
+        with pytest.raises(DataError, match=re.escape(f"shape {shape} per sample on samples 0..9")):
+            monte_carlo_reference(f, normals(1), 10, seed=0, vectorized=True)
+
+    def test_non_finite_output_names_its_samples(self):
+        bad = MC_BATCH_SIZE + 40
+
+        def f(rows):
+            y = np.ones((len(rows), 1000))
+            if len(rows) < MC_BATCH_SIZE:
+                y[bad - MC_BATCH_SIZE, 7] = np.nan
+            return y
+
+        with pytest.raises(DataError, match="non-finite model output") as caught:
+            monte_carlo_reference(f, normals(1), MC_BATCH_SIZE + 100, seed=0, vectorized=True)
+        low, high = map(int, str(caught.value).rsplit(" ", 1)[1].split(".."))
+        assert MC_BATCH_SIZE <= low <= bad <= high < MC_BATCH_SIZE + 100
 
     def test_failure_names_sample_index(self):
         spec = normals(1)
