@@ -149,6 +149,17 @@ def sensitivity_indicators(coefficients: np.ndarray) -> np.ndarray:
     return np.sum(coefficients * coefficients, axis=1)
 
 
+def _finite_indicators(coefficients: np.ndarray, terms) -> np.ndarray:
+    """``sensitivity_indicators`` of a step's solve; DataError naming the first of ``terms`` whose eta is not finite."""
+    # An overflow is reported below, not as a warning.
+    with np.errstate(over="ignore"):
+        eta = sensitivity_indicators(coefficients)
+    bad = ~np.isfinite(eta)
+    if bad.any():
+        raise DataError(f"sensitivity indicator of term {terms[int(np.argmax(bad))]} is not finite")
+    return eta
+
+
 def _response_factor(responses: np.ndarray) -> np.ndarray:
     """Right-hand side of the adaptive steps: Y itself, or a Q x Q factor of it.
 
@@ -156,12 +167,16 @@ def _response_factor(responses: np.ndarray) -> np.ndarray:
     thin QR Y^T = Q_y R gives Y Y^T = R^T R, so solving against R^T yields
     the same indicators (up to rounding) and, since the condition number
     depends on the design alone, the same condition number, at a cost per
-    solve independent of M.
+    solve independent of M.  Finite responses whose row norms overflow give
+    a non-finite R, which is a DataError.
     """
     n_samples, n_outputs = responses.shape
     if n_outputs <= n_samples:
         return responses
-    return np.linalg.qr(responses.T, mode="r").T
+    r_factor = np.linalg.qr(responses.T, mode="r")
+    if not np.isfinite(r_factor).all():
+        raise DataError("the Q x Q factor of the responses is not finite: their row norms overflow")
+    return r_factor.T
 
 
 def _admit_successors(chosen: MultiIndex, members: set, frontier: list) -> None:
@@ -212,7 +227,7 @@ def expand_basis(
         if cond > config.kappa:
             termination = "ill_conditioned"
             break
-        eta = sensitivity_indicators(coeffs)
+        eta = _finite_indicators(coeffs, extended)
         # The frontier sits after the current basis, in sorted order, so the
         # first maximum is the lexicographic winner.
         offset = len(basis)
@@ -262,7 +277,7 @@ def prune_basis(
                 removed=tuple(removed),
                 condition_number=cond,
             )
-        eta = sensitivity_indicators(coeffs)
+        eta = _finite_indicators(coeffs, kept)
         # A lone all-ones column has condition number 1 and size 1 <= Q, so
         # the loop returns before the zero index is the only one left.
         victim = min((eta[i], index) for i, index in enumerate(kept) if index != zero)[1]

@@ -90,9 +90,10 @@ class DesignBuilder:
             self._tables[n] = table
         return table
 
-    def _gather(self, misses) -> None:
+    def _gather(self, misses) -> np.ndarray:
         """Build and cache the columns of the distinct uncached terms
-        ``misses`` in one pass; DataError naming the first bad term if its
+        ``misses`` in one pass, and return them as one K x Q block whose rows
+        are the cached columns; DataError naming the first bad term if its
         length is not the input width or a value (input row from 1) is not finite."""
         for index in misses:
             if len(index) != self.spec.dim:
@@ -111,6 +112,7 @@ class DesignBuilder:
             row = int(np.argmax(bad[term]))
             raise DataError(f"term {misses[term]} is not finite at input row {row + 1}")
         self._columns.update(zip(misses, block))
+        return block
 
     def column(self, index: tuple[int, ...]) -> np.ndarray:
         """Values of the term ``index`` at every input row: the one-term case of ``matrix``."""
@@ -119,13 +121,25 @@ class DesignBuilder:
         return self._columns[index]
 
     def matrix(self, basis) -> np.ndarray:
-        """Columns in ``basis`` order: a MultiIndexSet or a sequence of index tuples."""
+        """Columns in ``basis`` order: a MultiIndexSet or a sequence of index tuples.
+
+        The result is read-only, since it may share memory with the column
+        cache: when every term is a distinct uncached one, it is the
+        transpose of the gathered block itself, with no second copy.
+        """
         columns = [self._columns.get(index) for index in basis]
         misses = [index for index, col in zip(basis, columns) if col is None]
         if misses:
-            self._gather(list(dict.fromkeys(misses)))
+            distinct = list(dict.fromkeys(misses))
+            block = self._gather(distinct)
+            if len(distinct) == len(columns):
+                design = block.T
+                design.flags.writeable = False
+                return design
             columns = [self._columns[index] if col is None else col for index, col in zip(basis, columns)]
-        return np.array(columns).T
+        design = np.array(columns).T
+        design.flags.writeable = False
+        return design
 
 
 def solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -154,7 +168,9 @@ def rmse(predicted, actual) -> np.ndarray:
         act = act[:, None]
     # An overflow is reported by the finite check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        errors = np.sqrt(np.mean((pred - act) ** 2, axis=0))
+        errors = pred - act
+        np.square(errors, out=errors)
+        errors = np.sqrt(np.mean(errors, axis=0))
     bad = ~np.isfinite(errors)
     if bad.any():
         raise DataError(f"RMSE of output {int(np.argmax(bad)) + 1} is not finite")

@@ -67,13 +67,31 @@ class SensitivityReport:
     generalized_defined: bool
 
 
-def _variance(degrees: np.ndarray, squared: np.ndarray) -> np.ndarray:
+def _variance(degrees: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """Per-output variance: squared coefficients summed over the non-constant rows.
 
-    Callers square and sum under ``np.errstate(over="ignore")``; a DataError
-    names the first output, numbered from 1 as in moments.csv, that is not finite.
+    The rows are squared and summed in blocks of about ``_BLOCK_ELEMENTS``
+    values in numpy's row order for ``sum(axis=0)`` (one block when M = 1,
+    whose sum is pairwise), so the bits are those of
+    ``squared[mask].sum(axis=0)`` and no K x M temporary exists.  A
+    DataError names the first output, numbered from 1 as in moments.csv,
+    that is not finite.
     """
-    variance = squared[degrees.sum(axis=1) > 0].sum(axis=0)
+    rows = np.flatnonzero(degrees.sum(axis=1) > 0)
+    width = coefficients.shape[1]
+    if len(rows) == 0:
+        return np.zeros(width)
+    block = len(rows) if width == 1 else _block_rows(len(rows), width)
+    buffer = np.empty((block + 1, width))
+    variance = None
+    # An overflow is reported by the finite check below, not as a warning.
+    with np.errstate(over="ignore"):
+        for start in range(0, len(rows), block):
+            chunk = rows[start:start + block]
+            squared = buffer[1:len(chunk) + 1]
+            np.take(coefficients, chunk, axis=0, out=squared)
+            np.square(squared, out=squared)
+            variance = _continue_sum(buffer, len(chunk), variance)
     bad = ~np.isfinite(variance)
     if bad.any():
         raise DataError(f"variance of output {int(np.argmax(bad)) + 1} is not finite")
@@ -88,8 +106,7 @@ def moments(model: PceModel) -> MomentReport:
     coefficients over all other rows.
     """
     degrees = np.asarray(model.basis.indices, dtype=int)
-    with np.errstate(over="ignore"):
-        variance = _variance(degrees, model.coefficients * model.coefficients)
+    variance = _variance(degrees, model.coefficients)
     zero = (0,) * model.basis.dim
     if zero in model.basis:
         row = model.basis.indices.index(zero)
@@ -135,9 +152,9 @@ def sensitivity_report(model: PceModel) -> SensitivityReport:
     row n of the first-order selector those active in dimension n only.
     """
     degrees = np.asarray(model.basis.indices, dtype=int)
+    variance = _variance(degrees, model.coefficients)
     with np.errstate(over="ignore"):
         squared = model.coefficients * model.coefficients
-        variance = _variance(degrees, squared)
         aggregated = float(variance.sum())
     if not np.isfinite(aggregated):
         raise DataError("variance summed over all outputs is not finite")

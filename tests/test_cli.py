@@ -126,6 +126,33 @@ class TestFit:
         assert last_json_line(proc)["error"] == "term (2, 0) is not finite at input row 6"
         assert proc.stderr == "mvsapce: data error: term (2, 0) is not finite at input row 6\n"
 
+    @pytest.mark.parametrize(
+        "scale, outputs, message",
+        [
+            (1e300, 5, "sensitivity indicator of term (0, 0, 0) is not finite"),
+            (1e300, 60, "sensitivity indicator of term (0, 0, 0) is not finite"),
+            (1e307, 1000, "the Q x Q factor of the responses is not finite: their row norms overflow"),
+        ],
+        ids=["M<=Q", "M>Q", "M>Q-factor"],
+    )
+    def test_overflowing_responses_exit_2(self, tmp_path, scale, outputs, message):
+        # Finite responses near 1e300 give coefficients whose squares
+        # overflow; near 1e307 the row norms over 1000 outputs overflow too.
+        rng = np.random.default_rng(26)
+        x = rng.uniform(-1.0, 1.0, (40, 3))
+        y = scale * (1.0 + 0.5 * x[:, :1] + 0.1 * rng.normal(size=(40, outputs)))
+        data, dist = tmp_path / "huge.csv", tmp_path / "dist.json"
+        write_data_csv(data, x, y)
+        dist.write_text(json.dumps(DistributionSpec([Marginal.uniform(-1.0, 1.0)] * 3).to_json()))
+        proc = run_cli(
+            "fit", "--data", data, "--inputs", 3, "--outputs", outputs,
+            "--dist", dist, "--out", tmp_path / "m.json",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert last_json_line(proc)["error"] == message
+        assert proc.stderr == f"mvsapce: data error: {message}\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_oversized_td_init_exits_3_without_enumerating(self, tmp_path, monkeypatch, capsys):
         from mvsapce import cli, mvsa_engine
 

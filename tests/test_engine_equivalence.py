@@ -145,6 +145,28 @@ def test_random_truths_with_few_outputs(case):
     assert_matches_reference(data, spec)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_low_rank_field_with_more_outputs_than_samples(seed):
+    # Three polynomial fields with output-varying weights: M > Q and Y has
+    # rank 3, so the Q x Q factor the steps solve against is rank-deficient.
+    # Each field has all 84 terms of total degree 6, more than the fit can
+    # reach, with coefficients decaying in the degree, so no residual falls
+    # to rounding.
+    rng = np.random.default_rng(2000 + seed)
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0), Marginal.normal(0.0, 1.0), Marginal.uniform(-1.0, 1.0)])
+    q, m = 60, 400
+    x = spec.sample(q, rng)
+    support = total_degree_set(3, 6)
+    decay = 0.5 ** np.asarray(support.indices).sum(axis=1)
+    t = np.linspace(0.0, 1.0, m)
+    weights = np.vstack([np.ones(m), np.sin(np.pi * t), t * t])
+    fields = DesignBuilder(spec, x).matrix(support) @ (decay[:, None] * rng.normal(size=(len(support), 3)))
+    data = TrainingData(x, fields @ weights)
+    assert data.n_outputs > data.n_samples
+    model = assert_matches_reference(data, spec)
+    assert model.trace.steps
+
+
 @pytest.mark.parametrize("q, seed", [(100, 1), (150, 0)])
 def test_incremental_frontier_equals_brute_force(q, seed):
     data, spec = beam_cell(q, seed, response_dim=20)

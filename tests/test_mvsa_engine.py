@@ -242,6 +242,52 @@ class TestPruning:
             prune_basis(DesignBuilder(normal_spec(1), data.inputs), data.responses, MultiIndexSet([(1,)]), MvsaConfig())
 
 
+class TestResponseFactor:
+    """When M > Q the adaptive steps solve against the Q x Q factor R^T of Y."""
+
+    @pytest.mark.parametrize("rank", [3, 30])
+    def test_factor_reproduces_the_gram_matrix(self, rank):
+        rng = np.random.default_rng(21 + rank)
+        y = rng.normal(size=(30, rank)) @ rng.normal(size=(rank, 80))
+        factor = _response_factor(y)
+        assert factor.shape == (30, 30)
+        gram = y @ y.T
+        assert np.max(np.abs(factor @ factor.T - gram)) <= 1e-13 * np.max(np.abs(gram))
+
+    def test_few_outputs_are_used_as_they_are(self):
+        y = np.random.default_rng(23).normal(size=(30, 30))
+        assert _response_factor(y) is y
+
+    def test_overflowing_factor_is_a_data_error(self):
+        # Finite responses whose row norms over 1000 outputs exceed the
+        # largest float: R has inf and NaN entries.
+        y = 1e307 * (1.0 + 0.1 * np.random.default_rng(27).normal(size=(40, 1000)))
+        with pytest.raises(DataError, match=r"^the Q x Q factor of the responses is not finite"):
+            _response_factor(y)
+
+
+class TestNonFiniteIndicators:
+    """An eta that overflows is a DataError naming the term, not a choice by position."""
+
+    @pytest.mark.parametrize("m", [5, 60], ids=["M<=Q", "M>Q"])
+    def test_expansion_names_the_term(self, uniform_3d, m):
+        rng = np.random.default_rng(24)
+        x = rng.uniform(-1, 1, (40, 3))
+        y = 1e300 * (1.0 + 0.5 * x[:, :1] + 0.1 * rng.normal(size=(40, m)))
+        with pytest.raises(DataError, match=r"^sensitivity indicator of term \(0, 0, 0\) is not finite$"):
+            fit_mvsa(TrainingData(x, y), uniform_3d)
+
+    @pytest.mark.parametrize("m", [2, 20], ids=["M<=Q", "M>Q"])
+    def test_pruning_names_the_term(self, uniform_3d, m):
+        rng = np.random.default_rng(25)
+        x = rng.uniform(-1, 1, (8, 3))
+        y = 1e300 * (1.0 + 0.5 * x[:, :1] + 0.1 * rng.normal(size=(8, m)))
+        builder = DesignBuilder(uniform_3d, x)
+        # 10 terms over 8 samples: the first solve must rank them.
+        with pytest.raises(DataError, match=r"^sensitivity indicator of term \(0, 0, 0\) is not finite$"):
+            prune_basis(builder, _response_factor(y), total_degree_set(3, 2), MvsaConfig())
+
+
 class TestFitMvsa:
     def test_sparse_recovery(self, uniform_3d):
         rng = np.random.default_rng(12)

@@ -152,6 +152,24 @@ class TestDesignGather:
         assert np.array_equal(fresh, reference[:, [terms.index(t) for t in order]])
         assert np.array_equal(DesignBuilder(MIXED_4D, x).column(order[3]), fresh[:, 3])
 
+    def test_fresh_and_partly_cached_designs_are_the_same_read_only_bytes(self):
+        # A fresh builder returns its gathered block itself; a warm one
+        # copies cached and new columns together.  Both give the same bytes
+        # and layout, and neither lets a caller write into the cache.
+        x = mixed_inputs(25, seed=4)
+        terms = list(total_degree_set(4, 3))
+        warm = DesignBuilder(MIXED_4D, x)
+        warm.matrix(terms[1::4])
+        fresh = DesignBuilder(MIXED_4D, x).matrix(terms)
+        cached = warm.matrix(terms)
+        assert fresh.tobytes(order="A") == cached.tobytes(order="A")
+        assert fresh.flags.f_contiguous and cached.flags.f_contiguous
+        repeated = DesignBuilder(MIXED_4D, x).matrix(terms[:3] + terms[:1])
+        for design in (fresh, cached, repeated, warm.matrix(terms[:5])):
+            assert not design.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                design[0, 0] = 1.0
+
     def test_first_non_finite_term_in_basis_order(self):
         # He_3 of x1 overflows at rows 1 and 2, He_2 only at row 2
         x = mixed_inputs(4, seed=3)
@@ -274,6 +292,14 @@ class TestRmse:
     def test_constant_offset(self):
         actual = np.random.default_rng(1).normal(size=(10, 3))
         assert np.allclose(rmse(actual + 0.25, actual), 0.25, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(7,), (33, 1), (33, 4), (1000, 1000)])
+    def test_bits_equal_the_one_pass_formula(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        predicted = rng.normal(size=shape)
+        actual = predicted + 1e-3 * rng.normal(size=shape)
+        expected = np.sqrt(np.mean((predicted - actual) ** 2, axis=0))
+        assert rmse(predicted, actual).tobytes() == np.atleast_1d(expected).tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(DataError):

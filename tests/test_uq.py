@@ -14,7 +14,10 @@ from mvsapce.mvsa_engine import fit_fixed, predict
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
 from mvsapce.regression import TrainingData
 from mvsapce.uq import (
+    _BLOCK_ELEMENTS,
     MC_BATCH_SIZE,
+    _block_rows,
+    _variance,
     generalized_sobol,
     moments,
     monte_carlo_reference,
@@ -68,6 +71,61 @@ class TestMoments:
         n = 10**6
         assert abs(reference.mean[0] - 0.0) < 4.0 * np.sqrt(5.0 / n)
         assert abs(reference.variance[0] - 5.0) < 4.0 * np.sqrt(2.0 / n) * 5.0
+
+
+class TestBlockedVariance:
+    """The variance squares and sums row blocks, with the bits of one masked sum."""
+
+    @pytest.mark.parametrize("width", [1, 2, 9, 1000])
+    def test_bits_equal_the_masked_one_pass_sum(self, width):
+        # Two full row blocks and part of a third; M = 1 sums pairwise in one
+        # block, so its rows outnumber a block of any wider M.
+        rows = 2 * (_BLOCK_ELEMENTS if width == 1 else _block_rows(10**9, width)) + 5
+        rng = np.random.default_rng(width)
+        degrees = rng.integers(0, 2, size=(rows, 3))
+        degrees[::7] = 0
+        coefficients = rng.normal(size=(rows, width)) * np.exp(rng.uniform(-20.0, 20.0, size=(rows, 1)))
+        squared = coefficients * coefficients
+        expected = squared[degrees.sum(axis=1) > 0].sum(axis=0)
+        assert _variance(degrees, coefficients).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 1000])
+    def test_moments_of_a_fit_equal_the_masked_sum(self, width):
+        basis = total_degree_set(3, 3)
+        coefficients = np.random.default_rng(5).normal(size=(len(basis), width))
+        variance = moments(build_model(normals(3), basis, coefficients)).variance
+        squared = coefficients * coefficients
+        mask = np.asarray(basis.indices).sum(axis=1) > 0
+        assert variance.tobytes() == squared[mask].sum(axis=0).tobytes()
+
+    def test_moments_allocate_less_than_half_of_one_coefficient_array(self):
+        basis = total_degree_set(20, 3)
+        model = build_model(normals(20), basis, np.random.default_rng(6).normal(size=(len(basis), 1000)))
+        assert model.coefficients.shape == (1771, 1000)
+        tracemalloc.start()
+        try:
+            moments(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * model.coefficients.nbytes
+
+    def test_predict_holds_one_design(self):
+        basis = total_degree_set(20, 3)
+        spec = normals(20)
+        model = build_model(spec, basis, np.random.default_rng(7).normal(size=(len(basis), 1000)))
+        x = spec.sample(1000, np.random.default_rng(8))
+        design_bytes = len(x) * len(basis) * 8
+        outputs_bytes = len(x) * model.n_outputs * 8
+        tracemalloc.start()
+        try:
+            predict(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The design, the outputs and the builder's inputs and tables: no
+        # second copy of the design.
+        assert peak < 1.25 * design_bytes + outputs_bytes
 
 
 class TestSobolIndices:
