@@ -69,16 +69,24 @@ def beam_deflection_rows(inputs, n_points: int) -> np.ndarray:
     Each row of the Q x N matrix holds (w, h, L, E, P) first; any further
     entries (dummy inputs) are ignored.  Returns Q x M.
 
-    The Q x M result is allocated once and filled a block of rows at a time
-    (about ``uq._BLOCK_ELEMENTS`` values per block), so the temporaries are
-    block-sized.  Every element goes through the same operations whatever
-    the block, so the bits do not depend on the blocking.
+    The Q x M result is allocated once, first, and filled a block of rows
+    at a time (about ``uq._BLOCK_ELEMENTS`` values per block), so the
+    temporaries are block-sized.  Every element goes through the same
+    operations whatever the block, so the bits do not depend on the
+    blocking.  A result that numpy cannot allocate is a ConfigError naming
+    its row and output counts.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     if x.shape[1] < 5:
         raise DataError(f"beam model needs 5 physical parameters, got width {x.shape[1]}")
     if np.min(x[:, :5]) <= 0.0:
         raise DomainError("beam parameters must all be positive")
+    try:
+        result = np.empty((len(x), n_points))
+    except MemoryError as exc:
+        raise ConfigError(
+            f"the {len(x)} x {n_points} beam response (rows x outputs) is too large: {exc}"
+        ) from None
     w, h, length, modulus, load = (x[:, j][:, None] for j in range(5))
     # load * l * (L**3 - 2 l**2 L + l**3) / (2 E w h**3), one operation at a
     # time on the result block and one cube buffer.  Each step is the
@@ -89,7 +97,6 @@ def beam_deflection_rows(inputs, n_points: int) -> np.ndarray:
     step = length / (n_points + 1)
     length_cubed = length**3
     denominator = 2.0 * modulus * w * h**3
-    result = np.empty((len(x), n_points))
     block = _block_rows(len(x), n_points)
     cube_buffer = np.empty((block, n_points))
     for start in range(0, len(x), block):
@@ -114,11 +121,23 @@ def sample_inputs(spec: DistributionSpec, size: int, seed) -> np.ndarray:
     """Draw ``size`` independent input rows; deterministic per seed.
 
     ``seed`` is anything accepted by numpy's default_rng (an int or a
-    sequence of ints for derived streams).
+    sequence of ints for derived streams).  A sample that numpy cannot
+    allocate is a ConfigError naming its row count.
     """
     if size < 1:
         raise ConfigError(f"sample size must be >= 1, got {size}")
-    return spec.sample(size, np.random.default_rng(seed))
+    try:
+        return spec.sample(size, np.random.default_rng(seed))
+    except MemoryError as exc:
+        raise ConfigError(f"a sample of {size} input rows is too large: {exc}") from None
+
+
+def _beam_rows(config: BeamConfig, size: int, seed: int, test: bool) -> TrainingData:
+    """``size`` beam rows and their responses: training rows from the stream [seed, 0], test rows from [seed, 1]."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    inputs = sample_inputs(config.distribution_spec(), size, [seed, int(test)])
+    return TrainingData(inputs=inputs, responses=config.response(inputs))
 
 
 def beam_samples(
@@ -127,17 +146,10 @@ def beam_samples(
     """Training and test sets of one beam cell.
 
     Training rows come from the stream [seed, 0], test rows from
-    [seed, 1], so a cell's data depends on its seed alone.
+    [seed, 1], so a cell's data depends on its seed alone, and every
+    training size of one seed shares its test set.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    spec = config.distribution_spec()
-    train_x = sample_inputs(spec, train_size, [seed, 0])
-    test_x = sample_inputs(spec, test_size, [seed, 1])
-    return (
-        TrainingData(inputs=train_x, responses=config.response(train_x)),
-        TrainingData(inputs=test_x, responses=config.response(test_x)),
-    )
+    return _beam_rows(config, train_size, seed, test=False), _beam_rows(config, test_size, seed, test=True)
 
 
 @dataclass(frozen=True)
@@ -220,12 +232,15 @@ def plan_hash(config: BeamConfig, plan: ExperimentPlan) -> str:
 def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentReport:
     """Execute the full comparison protocol for the beam case.
 
-    For every training size and seed, ``beam_samples`` draws one training
-    and one test set, all requested methods are fitted on the same data,
-    and per-output test RMSE, moment estimates, fit time, and basis
-    diagnostics are collected.  A single Monte-Carlo moment
-    reference, drawn with the dedicated mcs_seed, is shared by all cells.
-    Fit failures are recorded in their cell and the run continues.
+    For every training size and seed, all requested methods are fitted on
+    the training set ``beam_samples`` draws, and per-output test RMSE,
+    moment estimates, fit time, and basis diagnostics are collected.  The
+    test set depends on the seed alone, so the loop runs seed by seed: it
+    draws and evaluates each seed's test set once, then every training
+    size's data; the cells still come in (training size, seed, method)
+    order.  A single Monte-Carlo moment reference, drawn with the dedicated
+    mcs_seed, is shared by all cells.  Fit failures are recorded in their
+    cell and the run continues.
     """
     spec = config.distribution_spec()
     # Each method's basis, None for mvsa, is built once and shared by its
@@ -242,37 +257,42 @@ def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentR
         vectorized=True,
     )
     mvsa_config = MvsaConfig(kappa=plan.kappa)
-    cells: list[CellResult] = []
-    for q in plan.training_sizes:
-        for seed in plan.seeds:
-            data, test = beam_samples(config, q, plan.test_size, seed)
-            for method in plan.methods:
-                key = {"method": method, "training_size": q, "seed": seed}
-                try:
-                    started = time.perf_counter()
-                    basis = bases[method]
-                    if basis is None:
-                        model = fit_mvsa(data, spec, mvsa_config)
-                    else:
-                        model = fit_fixed(data, spec, basis)
-                    fit_seconds = time.perf_counter() - started
-                    cell_rmse = rmse(predict(model, test.inputs), test.responses)
-                    moment_report = moments(model)
-                except MvsaError as exc:
-                    cells.append(CellResult(**key, ok=False, error=str(exc)))
-                    continue
-                cells.append(
-                    CellResult(
-                        **key,
-                        ok=True,
-                        rmse=cell_rmse,
-                        mean=moment_report.mean,
-                        std=moment_report.std,
-                        fit_seconds=fit_seconds,
-                        diagnostics=model.diagnostics,
-                    )
-                )
-    return ExperimentReport(config=config, plan=plan, reference=reference, cells=tuple(cells))
+    cells: dict[tuple[int, int], list[CellResult]] = {}
+    for seed in plan.seeds:
+        test = _beam_rows(config, plan.test_size, seed, test=True)
+        for q in plan.training_sizes:
+            data = _beam_rows(config, q, seed, test=False)
+            cells[q, seed] = [
+                _run_cell(data, test, spec, bases[method], mvsa_config, method=method, training_size=q, seed=seed)
+                for method in plan.methods
+            ]
+        del test  # one test set is alive at a time
+    ordered = tuple(cell for q in plan.training_sizes for seed in plan.seeds for cell in cells[q, seed])
+    return ExperimentReport(config=config, plan=plan, reference=reference, cells=ordered)
+
+
+def _run_cell(data, test, spec, basis, mvsa_config, **key) -> CellResult:
+    """Fit one method on ``data`` (adaptive when ``basis`` is None) and score it on ``test``."""
+    try:
+        started = time.perf_counter()
+        if basis is None:
+            model = fit_mvsa(data, spec, mvsa_config)
+        else:
+            model = fit_fixed(data, spec, basis)
+        fit_seconds = time.perf_counter() - started
+        cell_rmse = rmse(predict(model, test.inputs), test.responses)
+        moment_report = moments(model)
+    except MvsaError as exc:
+        return CellResult(**key, ok=False, error=str(exc))
+    return CellResult(
+        **key,
+        ok=True,
+        rmse=cell_rmse,
+        mean=moment_report.mean,
+        std=moment_report.std,
+        fit_seconds=fit_seconds,
+        diagnostics=model.diagnostics,
+    )
 
 
 # -- report files ---------------------------------------------------------------

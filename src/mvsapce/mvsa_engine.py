@@ -59,9 +59,9 @@ class ExpansionStep:
     """One accepted expansion: which index entered and on what evidence.
 
     ``eta`` comes from the step's own solve against the responses
-    ``expand_basis`` was given, which in a fit are the Q x Q factor of the
-    responses when M > Q: it then equals the full-response value up to
-    rounding.
+    ``expand_basis`` was given, which in a fit are the Q x r factor of the
+    responses when M > Q (r the numerical rank of Y): it then equals the
+    full-response value up to rounding.
     """
 
     added: MultiIndex
@@ -161,14 +161,19 @@ def _finite_indicators(coefficients: np.ndarray, terms) -> np.ndarray:
 
 
 def _response_factor(responses: np.ndarray) -> np.ndarray:
-    """Right-hand side of the adaptive steps: Y itself, or a Q x Q factor of it.
+    """Right-hand side of the adaptive steps: Y itself, or a Q x r factor of it.
 
     eta_k = sum_m c_{k,m}^2 depends on Y only through Y Y^T.  When M > Q, a
-    thin QR Y^T = Q_y R gives Y Y^T = R^T R, so solving against R^T yields
-    the same indicators (up to rounding) and, since the condition number
-    depends on the design alone, the same condition number, at a cost per
-    solve independent of M.  Finite responses whose row norms overflow give
-    a non-finite R, which is a DataError.
+    thin QR Y^T = Q_y R and an SVD R = U S V^T give Y Y^T = V S^2 V^T, so
+    solving against F = V_r S_r yields the same indicators up to rounding
+    and, since the condition number depends on the design alone, the same
+    condition number, with a right-hand side whose width is r, not M or Q
+    (the beam's Y has r = 1).  r is
+    the numerical rank of Y by ``np.linalg.matrix_rank``'s rule: the
+    singular values above s_1 * max(Q, M) * eps.  All-zero responses give
+    r = 0 and a Q x 0 factor, whose indicators are all zero as Y's are.
+    Finite responses whose row norms overflow give a non-finite R, and an
+    SVD that does not converge has no rank: both are a DataError.
     """
     n_samples, n_outputs = responses.shape
     if n_outputs <= n_samples:
@@ -176,7 +181,12 @@ def _response_factor(responses: np.ndarray) -> np.ndarray:
     r_factor = np.linalg.qr(responses.T, mode="r")
     if not np.isfinite(r_factor).all():
         raise DataError("the Q x Q factor of the responses is not finite: their row norms overflow")
-    return r_factor.T
+    try:
+        _, sigma, vt = np.linalg.svd(r_factor)
+    except np.linalg.LinAlgError as exc:
+        raise DataError(f"the SVD of the responses' Q x Q factor did not converge: {exc}") from None
+    rank = int(np.count_nonzero(sigma > sigma[0] * max(n_samples, n_outputs) * np.finfo(float).eps))
+    return vt[:rank].T * sigma[:rank]
 
 
 def _admit_successors(chosen: MultiIndex, members: set, frontier: list) -> None:

@@ -10,17 +10,20 @@ from mvsapce.benchmark import (
     ExperimentPlan,
     ExperimentReport,
     beam_deflection_rows,
+    beam_samples,
     plan_hash,
     run_beam_experiment,
     sample_inputs,
     write_experiment_report,
 )
 from mvsapce.errors import ConfigError, DataError, DomainError
-from mvsapce.mvsa_engine import FitDiagnostics
+from mvsapce.multi_index import total_degree_set
+from mvsapce.mvsa_engine import FitDiagnostics, MvsaConfig, fit_fixed, fit_mvsa, predict
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
+from mvsapce.regression import rmse
 from mvsapce.uq import MomentReport
 
-from conftest import build_model
+from conftest import build_model, refuses_huge_allocations
 
 NOMINAL = np.array([0.15, 0.3, 5.0, 3e10, 1e4])
 
@@ -113,6 +116,12 @@ class TestBeamDeflection:
         assert blocked.shape == (333, n_points)
         assert blocked.tobytes() == one_pass(rows, n_points).tobytes()
 
+    @refuses_huge_allocations
+    def test_unallocatable_result_is_a_config_error(self):
+        # 2e11 outputs of one row: 1.5 TiB, refused before anything is written.
+        with pytest.raises(ConfigError, match=r"^the 1 x 200000000000 beam response \(rows x outputs\) is too large: "):
+            beam_deflection_rows(NOMINAL[None, :], 2 * 10**11)
+
     def test_rejects_nonpositive_parameters(self):
         bad = NOMINAL.copy()
         bad[0] = 0.0
@@ -177,6 +186,12 @@ class TestSampleInputs:
     def test_rejects_empty_sample(self):
         with pytest.raises(ConfigError):
             sample_inputs(BeamConfig().distribution_spec(), 0, seed=0)
+
+    @refuses_huge_allocations
+    def test_unallocatable_sample_is_a_config_error(self):
+        # 1e11 rows of 20 inputs: 14.6 TiB.
+        with pytest.raises(ConfigError, match=r"^a sample of 100000000000 input rows is too large: "):
+            sample_inputs(BeamConfig().distribution_spec(), 10**11, seed=0)
 
 
 class TestExperimentPlan:
@@ -289,6 +304,37 @@ class TestRunBeamExperiment:
         td = {c.seed: np.max(c.rmse) for c in report.cells if c.method == "td:2"}
         for seed in mvsa:
             assert mvsa[seed] < td[seed]
+
+    def test_each_seed_draws_its_test_set_once(self, monkeypatch):
+        import mvsapce.benchmark as bench
+
+        evaluated_rows = []
+
+        def counting(inputs, n_points):
+            evaluated_rows.append(len(inputs))
+            return beam_deflection_rows(inputs, n_points)
+
+        monkeypatch.setattr(bench, "beam_deflection_rows", counting)
+        config = BeamConfig(response_dim=5)
+        plan = ExperimentPlan(
+            training_sizes=(20, 30), test_size=40, seeds=(0, 1), methods=("mvsa", "td:1"), mcs_samples=500,
+        )
+        report = run_beam_experiment(config, plan)
+        assert [(c.training_size, c.seed, c.method) for c in report.cells] == [
+            (q, seed, method) for q in (20, 30) for seed in (0, 1) for method in ("mvsa", "td:1")
+        ]
+        # One test-size evaluation per seed and one training evaluation per
+        # (Q, seed), besides the Monte-Carlo batch of 500 rows.
+        assert sorted(evaluated_rows) == [20, 20, 30, 30, 40, 40, 500]
+        spec = config.distribution_spec()
+        for cell in report.cells:
+            data, test = beam_samples(config, cell.training_size, plan.test_size, cell.seed)
+            if cell.method == "mvsa":
+                model = fit_mvsa(data, spec, MvsaConfig(kappa=plan.kappa))
+            else:
+                model = fit_fixed(data, spec, total_degree_set(spec.dim, 1))
+            assert cell.ok
+            assert np.array_equal(cell.rmse, rmse(predict(model, test.inputs), test.responses))
 
     def test_fit_failures_are_recorded(self, monkeypatch):
         import mvsapce.benchmark as bench

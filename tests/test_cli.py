@@ -14,7 +14,7 @@ from mvsapce.mvsa_engine import FitDiagnostics, load_model, predict, save_model
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
 from mvsapce.regression import load_data_csv, rmse, write_data_csv
 
-from conftest import build_model
+from conftest import build_model, refuses_huge_allocations
 
 
 def run_cli(*args):
@@ -710,6 +710,36 @@ class TestFlagGrammar:
         code, stderr = self._run("fit", {"--kappa": " 1E2 "}, fit_assets, tmp_path, capsys)
         assert code == 0 and stderr == ""
         assert load_model(tmp_path / "m.json").diagnostics == load_model(fit_assets["model"]).diagnostics
+
+
+@refuses_huge_allocations
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["compare", "--Q", 30, "--M", 5, "--seeds", 0, "--test-size", 100000000000, "--mcs-samples", 1000,
+             "--methods", "mvsa"],
+            "a sample of 100000000000 input rows is too large: ",
+        ),
+        (
+            ["beam-data", "--M", 5, "--seed", 0, "--train-size", 20, "--test-size", 100000000000],
+            "a sample of 100000000000 input rows is too large: ",
+        ),
+        (
+            ["beam-data", "--M", 200000000000, "--seed", 0, "--train-size", 1, "--test-size", 1],
+            "the 1 x 200000000000 beam response (rows x outputs) is too large: ",
+        ),
+    ],
+    ids=["compare-test-size", "beam-data-test-size", "beam-data-outputs"],
+)
+def test_unallocatable_size_exits_3(tmp_path, argv, message):
+    # Each size asks numpy for more than 1 TiB, which is refused at once.
+    out = ["--prefix", tmp_path / "b_"] if argv[0] == "beam-data" else ["--out-dir", tmp_path / "cmp"]
+    proc = run_cli(*argv, *out)
+    assert proc.returncode == 3, proc.stderr
+    assert last_json_line(proc)["kind"] == "configuration error"
+    assert proc.stderr.startswith(f"mvsapce: configuration error: {message}")
+    assert len(proc.stderr.splitlines()) == 1 and not list(tmp_path.iterdir())
 
 
 class TestBeamData:

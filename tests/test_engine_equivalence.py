@@ -1,11 +1,11 @@
 """The adaptive loop against a plain reference of the same algorithm.
 
-The engine solves against a Q x Q factor of the responses when M > Q and
-keeps the admissible frontier incrementally.  The reference below does
-neither: it solves against all M outputs at every step, rebuilds the
-admissible set from scratch with ``admissible_forward_neighbors`` and
-prunes with ``without_index``.  Both must make the same decisions and end
-on bit-identical coefficients.
+The engine solves against a Q x r factor of the responses when M > Q (r
+the numerical rank of Y) and keeps the admissible frontier incrementally.
+The reference below does neither: it solves against all M outputs at
+every step, rebuilds the admissible set from scratch with
+``admissible_forward_neighbors`` and prunes with ``without_index``.  Both
+must make the same decisions and end on bit-identical coefficients.
 """
 
 import os
@@ -73,7 +73,7 @@ def assert_matches_reference(data, spec, config=None):
     ref_basis, ref_coeffs, ref_cond, ref_removed = reference_prune(data, ref_extended, config, builder)
 
     # The expansion and a prune run on the responses a fit hands them: the
-    # Q x Q factor when M > Q.
+    # Q x r factor when M > Q.
     engine_builder = DesignBuilder(spec, data.inputs)
     factor = _response_factor(data.responses)
     extended, trace = expand_basis(engine_builder, factor, config)
@@ -119,7 +119,7 @@ def random_downward_closed_truth(rng, dim, size):
     return support
 
 
-@pytest.mark.parametrize("q, seed", [(50, 3), (100, 1), (150, 0)])
+@pytest.mark.parametrize("q, seed", [(q, seed) for q in (50, 100, 150) for seed in range(4)])
 def test_beam_cells_with_compressed_responses(q, seed):
     data, spec = beam_cell(q, seed)
     assert data.n_outputs > data.n_samples
@@ -148,7 +148,7 @@ def test_random_truths_with_few_outputs(case):
 @pytest.mark.parametrize("seed", range(3))
 def test_low_rank_field_with_more_outputs_than_samples(seed):
     # Three polynomial fields with output-varying weights: M > Q and Y has
-    # rank 3, so the Q x Q factor the steps solve against is rank-deficient.
+    # rank 3, so the steps solve against a Q x 3 factor.
     # Each field has all 84 terms of total degree 6, more than the fit can
     # reach, with coefficients decaying in the degree, so no residual falls
     # to rounding.
@@ -165,6 +165,17 @@ def test_low_rank_field_with_more_outputs_than_samples(seed):
     assert data.n_outputs > data.n_samples
     model = assert_matches_reference(data, spec)
     assert model.trace.steps
+
+
+def test_zero_responses_with_more_outputs_than_samples():
+    # Y = 0 has rank 0, so the steps solve against a Q x 0 factor: every eta
+    # is 0, as on Y, and the lexicographic tie-break makes each decision.
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0), Marginal.normal(0.0, 1.0)])
+    x = spec.sample(30, np.random.default_rng(3000))
+    data = TrainingData(x, np.zeros((30, 50)))
+    assert _response_factor(data.responses).shape == (30, 0)
+    model = assert_matches_reference(data, spec)
+    assert model.trace.steps and not np.any(model.coefficients)
 
 
 @pytest.mark.parametrize("q, seed", [(100, 1), (150, 0)])

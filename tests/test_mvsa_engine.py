@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mvsapce import mvsa_engine
+from mvsapce.benchmark import BeamConfig, sample_inputs
 from mvsapce.errors import ConfigError, DataError
 from mvsapce.multi_index import MultiIndexSet, total_degree_set
 from mvsapce.mvsa_engine import (
@@ -243,20 +244,40 @@ class TestPruning:
 
 
 class TestResponseFactor:
-    """When M > Q the adaptive steps solve against the Q x Q factor R^T of Y."""
+    """When M > Q the adaptive steps solve against a Q x r factor of Y, r its numerical rank."""
 
     @pytest.mark.parametrize("rank", [3, 30])
     def test_factor_reproduces_the_gram_matrix(self, rank):
         rng = np.random.default_rng(21 + rank)
         y = rng.normal(size=(30, rank)) @ rng.normal(size=(rank, 80))
         factor = _response_factor(y)
-        assert factor.shape == (30, 30)
+        assert factor.shape == (30, rank)
         gram = y @ y.T
         assert np.max(np.abs(factor @ factor.T - gram)) <= 1e-13 * np.max(np.abs(gram))
+
+    @pytest.mark.parametrize("q", [50, 100, 150])
+    def test_beam_responses_have_width_one(self, q):
+        # The deflection is P L^4 / (E w h^3) times a fixed shape of the
+        # grid position m / (M + 1), so Y has rank 1.
+        config = BeamConfig(response_dim=1000)
+        x = sample_inputs(config.distribution_spec(), q, [0, 0])
+        assert _response_factor(config.response(x)).shape == (q, 1)
+
+    def test_zero_responses_give_an_empty_factor(self):
+        assert _response_factor(np.zeros((30, 80))).shape == (30, 0)
 
     def test_few_outputs_are_used_as_they_are(self):
         y = np.random.default_rng(23).normal(size=(30, 30))
         assert _response_factor(y) is y
+
+    def test_unconverged_svd_is_a_data_error(self, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        y = np.random.default_rng(28).normal(size=(30, 80))
+        with pytest.raises(DataError, match=r"^the SVD of the responses' Q x Q factor did not converge"):
+            _response_factor(y)
 
     def test_overflowing_factor_is_a_data_error(self):
         # Finite responses whose row norms over 1000 outputs exceed the
