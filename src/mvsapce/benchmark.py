@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, MvsaError
+from .errors import ConfigError, DataError, DomainError, MvsaError, require
 from .multi_index import as_integer, parse_total_degree, total_degree_set
 from .mvsa_engine import FitDiagnostics, MvsaConfig, fit_fixed, fit_mvsa, predict
 from .polynomial_basis import DistributionSpec, Marginal
@@ -67,7 +67,8 @@ def beam_deflection_rows(inputs, n_points: int) -> np.ndarray:
     """Deflection on the interior grid l_m = m L / (M + 1), m = 1..M, per row.
 
     Each row of the Q x N matrix holds (w, h, L, E, P) first; any further
-    entries (dummy inputs) are ignored.  Returns Q x M.
+    entries (dummy inputs) are ignored.  Returns Q x M.  A parameter that
+    is not positive, nan included, is a DomainError.
 
     The Q x M result is allocated once, first, and filled a block of rows
     at a time (about ``uq._BLOCK_ELEMENTS`` values per block), so the
@@ -79,8 +80,7 @@ def beam_deflection_rows(inputs, n_points: int) -> np.ndarray:
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     if x.shape[1] < 5:
         raise DataError(f"beam model needs 5 physical parameters, got width {x.shape[1]}")
-    if np.min(x[:, :5]) <= 0.0:
-        raise DomainError("beam parameters must all be positive")
+    require(x[:, :5] > 0.0, lambda *_: DomainError("beam parameters must all be positive"))
     try:
         result = np.empty((len(x), n_points))
     except MemoryError as exc:
@@ -124,6 +124,7 @@ def sample_inputs(spec: DistributionSpec, size: int, seed) -> np.ndarray:
     sequence of ints for derived streams).  A sample that numpy cannot
     allocate is a ConfigError naming its row count.
     """
+    size = as_integer("sample size", size)
     if size < 1:
         raise ConfigError(f"sample size must be >= 1, got {size}")
     try:
@@ -132,24 +133,13 @@ def sample_inputs(spec: DistributionSpec, size: int, seed) -> np.ndarray:
         raise ConfigError(f"a sample of {size} input rows is too large: {exc}") from None
 
 
-def _beam_rows(config: BeamConfig, size: int, seed: int, test: bool) -> TrainingData:
-    """``size`` beam rows and their responses: training rows from the stream [seed, 0], test rows from [seed, 1]."""
+def beam_rows(config: BeamConfig, size: int, seed: int, test: bool) -> TrainingData:
+    """``size`` beam rows and their responses: training rows from the stream [seed, 0], test rows from [seed, 1],
+    so a cell's data depends on its seed alone and every training size of one seed shares its test set."""
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     inputs = sample_inputs(config.distribution_spec(), size, [seed, int(test)])
     return TrainingData(inputs=inputs, responses=config.response(inputs))
-
-
-def beam_samples(
-    config: BeamConfig, train_size: int, test_size: int, seed: int
-) -> tuple[TrainingData, TrainingData]:
-    """Training and test sets of one beam cell.
-
-    Training rows come from the stream [seed, 0], test rows from
-    [seed, 1], so a cell's data depends on its seed alone, and every
-    training size of one seed shares its test set.
-    """
-    return _beam_rows(config, train_size, seed, test=False), _beam_rows(config, test_size, seed, test=True)
 
 
 @dataclass(frozen=True)
@@ -233,7 +223,7 @@ def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentR
     """Execute the full comparison protocol for the beam case.
 
     For every training size and seed, all requested methods are fitted on
-    the training set ``beam_samples`` draws, and per-output test RMSE,
+    the training set ``beam_rows`` draws, and per-output test RMSE,
     moment estimates, fit time, and basis diagnostics are collected.  The
     test set depends on the seed alone, so the loop runs seed by seed: it
     draws and evaluates each seed's test set once, then every training
@@ -259,9 +249,9 @@ def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentR
     mvsa_config = MvsaConfig(kappa=plan.kappa)
     cells: dict[tuple[int, int], list[CellResult]] = {}
     for seed in plan.seeds:
-        test = _beam_rows(config, plan.test_size, seed, test=True)
+        test = beam_rows(config, plan.test_size, seed, test=True)
         for q in plan.training_sizes:
-            data = _beam_rows(config, q, seed, test=False)
+            data = beam_rows(config, q, seed, test=False)
             cells[q, seed] = [
                 _run_cell(data, test, spec, bases[method], mvsa_config, method=method, training_size=q, seed=seed)
                 for method in plan.methods

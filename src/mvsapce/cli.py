@@ -17,7 +17,7 @@ from pathlib import Path
 from .benchmark import (
     BeamConfig,
     ExperimentPlan,
-    beam_samples,
+    beam_rows,
     plan_hash,
     run_beam_experiment,
     write_experiment_report,
@@ -159,7 +159,8 @@ def _cmd_compare(args) -> dict:
 
 def _cmd_beam_data(args) -> dict:
     config = BeamConfig(response_dim=args.M)
-    train, test = beam_samples(config, args.train_size, args.test_size, args.seed)
+    train = beam_rows(config, args.train_size, args.seed, test=False)
+    test = beam_rows(config, args.test_size, args.seed, test=True)
     files = {name: f"{args.prefix}{name}" for name in ("train.csv", "test.csv", "dist.json")}
     make_output_dir(Path(files["dist.json"]).parent)
     write_data_csv(files["train.csv"], train.inputs, train.responses)

@@ -26,3 +26,15 @@ class DomainError(DataError):
 
 class ConfigError(MvsaError):
     """Invalid configuration or precondition violation (flags, caps, kappa)."""
+
+
+def require(valid, error) -> None:
+    """Raise ``error(*position)``, one 0-based index per axis, at the first False entry of the boolean array
+    ``valid`` in row-major order; each axis is narrowed in turn, so at most one row of ``valid`` is copied."""
+    position = []
+    while not valid.all():
+        if valid.ndim == 0:
+            raise error(*position)
+        held = valid.all(axis=tuple(range(1, valid.ndim))) if valid.ndim > 1 else valid
+        position.append(int(held.argmin()))
+        valid = valid[position[-1]]

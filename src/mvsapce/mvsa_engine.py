@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require
 from .multi_index import MultiIndex, MultiIndexSet, as_integer, is_admissible, total_degree_set
 from .polynomial_basis import DEGREE_CAP, DistributionSpec
 from .regression import (
@@ -135,8 +135,7 @@ class PceModel:
             raise DataError(
                 f"coefficients must form a {len(self.basis)} x M array, M >= 1; got shape {coeffs.shape}"
             )
-        if not np.all(np.isfinite(coeffs)):
-            raise DataError("non-finite entries in model coefficients")
+        require(np.isfinite(coeffs), lambda *_: DataError("non-finite entries in model coefficients"))
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -154,9 +153,7 @@ def _finite_indicators(coefficients: np.ndarray, terms) -> np.ndarray:
     # An overflow is reported below, not as a warning.
     with np.errstate(over="ignore"):
         eta = sensitivity_indicators(coefficients)
-    bad = ~np.isfinite(eta)
-    if bad.any():
-        raise DataError(f"sensitivity indicator of term {terms[int(np.argmax(bad))]} is not finite")
+    require(np.isfinite(eta), lambda k: DataError(f"sensitivity indicator of term {terms[k]} is not finite"))
     return eta
 
 
@@ -179,8 +176,8 @@ def _response_factor(responses: np.ndarray) -> np.ndarray:
     if n_outputs <= n_samples:
         return responses
     r_factor = np.linalg.qr(responses.T, mode="r")
-    if not np.isfinite(r_factor).all():
-        raise DataError("the Q x Q factor of the responses is not finite: their row norms overflow")
+    overflow = "the Q x Q factor of the responses is not finite: their row norms overflow"
+    require(np.isfinite(r_factor), lambda *_: DataError(overflow))
     try:
         _, sigma, vt = np.linalg.svd(r_factor)
     except np.linalg.LinAlgError as exc:
@@ -351,9 +348,7 @@ def predict(model: PceModel, inputs) -> np.ndarray:
     # An overflow is reported by the finite check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         outputs = design @ model.coefficients
-    bad = ~np.isfinite(outputs).all(axis=1)
-    if bad.any():
-        raise DataError(f"prediction is not finite at input row {int(np.argmax(bad)) + 1}")
+    require(np.isfinite(outputs), lambda q, _: DataError(f"prediction is not finite at input row {q + 1}"))
     return outputs
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError, DataError, DomainError, require
 
 #: Hard ceiling on univariate degrees; guards the recurrences against
 #: overflow long before adaptive fits reach such degrees in practice.
@@ -46,7 +47,10 @@ class Marginal:
     def __post_init__(self):
         if self.kind not in ("normal", "lognormal", "uniform"):
             raise ConfigError(f"unknown marginal kind {self.kind!r}")
-        a, b = (float(v) for v in self.params)
+        try:
+            a, b = (float(v) for v in self.params)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{self.kind} marginal params must be two numbers, got {self.params!r}") from None
         object.__setattr__(self, "params", (a, b))
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ConfigError(f"non-finite parameters for {self.kind} marginal")
@@ -95,16 +99,18 @@ class Marginal:
         the support, with ``row`` the flat position of the first one.
         """
         x = np.asarray(x, dtype=float)
-        _require(np.isfinite(x), f"non-finite value for {self.kind} marginal")
+        flat = x.reshape(-1)  # flat positions; a view of standardize_rows' 1-D columns
+        require(np.isfinite(flat), partial(DomainError, f"non-finite value for {self.kind} marginal"))
         if self.kind == "normal":
             mean, std = self.params
             return (x - mean) / std
         if self.kind == "lognormal":
-            _require(x > 0.0, "lognormal marginal requires x > 0")
+            require(flat > 0.0, partial(DomainError, "lognormal marginal requires x > 0"))
             mu, sigma = self.log_parameters()
             return (np.log(x) - mu) / sigma
         lower, upper = self.params
-        _require((x >= lower) & (x <= upper), f"value outside uniform support [{lower}, {upper}]")
+        outside = partial(DomainError, f"value outside uniform support [{lower}, {upper}]")
+        require((flat >= lower) & (flat <= upper), outside)
         return 2.0 * (x - lower) / (upper - lower) - 1.0
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -176,12 +182,6 @@ class DistributionSpec:
             except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
                 raise DataError(f"distribution spec entry {n} {entry!r}: {exc}") from None
         return cls(tuple(marginals))
-
-
-def _require(valid: np.ndarray, reason: str) -> None:
-    """DomainError(reason) naming the first False entry of ``valid``, if any."""
-    if not valid.all():
-        raise DomainError(reason, row=int(np.argmin(valid)))
 
 
 def univariate_table(family: str, max_degree: int, z) -> np.ndarray:

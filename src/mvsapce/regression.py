@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require
 from .polynomial_basis import DistributionSpec, univariate_table
 
 #: Relative cutoff under which singular values are treated as zero in the
@@ -37,10 +37,15 @@ class TrainingData:
     responses: np.ndarray
 
     def __post_init__(self):
-        inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        responses = np.asarray(self.responses, dtype=float)
+        try:
+            inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
+            responses = np.asarray(self.responses, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"training data are not numeric arrays: {exc}") from None
         if responses.ndim == 1:
             responses = responses[:, None]
+        if inputs.ndim != 2 or responses.ndim != 2:
+            raise DataError(f"training data must be 2-D, got inputs {inputs.shape} and responses {responses.shape}")
         if inputs.shape[0] != responses.shape[0]:
             raise DataError(
                 f"inputs have {inputs.shape[0]} rows but responses have {responses.shape[0]}"
@@ -50,9 +55,7 @@ class TrainingData:
         if responses.shape[1] < 1:
             raise DataError("training data must contain at least one response column")
         for name, values in (("x", inputs), ("y", responses)):
-            bad = np.argwhere(~np.isfinite(values))
-            if len(bad):
-                raise DataError(f"row {bad[0, 0] + 1}, {name}{bad[0, 1] + 1}: non-finite value")
+            require(np.isfinite(values), lambda q, n: DataError(f"row {q + 1}, {name}{n + 1}: non-finite value"))
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "responses", responses)
 
@@ -106,11 +109,7 @@ class DesignBuilder:
             for n in np.flatnonzero(tops):
                 act = np.flatnonzero(degrees[:, n])
                 block[act] *= self._table(n, tops[n])[degrees[act, n]]
-        if not np.isfinite(block).all():
-            bad = ~np.isfinite(block)
-            term = int(np.argmax(bad.any(axis=1)))
-            row = int(np.argmax(bad[term]))
-            raise DataError(f"term {misses[term]} is not finite at input row {row + 1}")
+        require(np.isfinite(block), lambda k, q: DataError(f"term {misses[k]} is not finite at input row {q + 1}"))
         self._columns.update(zip(misses, block))
         return block
 
@@ -158,22 +157,19 @@ def solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarra
 
 
 def rmse(predicted, actual) -> np.ndarray:
-    """Root-mean-square error per response column; DataError naming the first output whose RMSE is not finite."""
+    """Root-mean-square error per column of 1-D or 2-D arrays with rows; DataError otherwise or at a non-finite RMSE."""
     pred = np.asarray(predicted, dtype=float)
     act = np.asarray(actual, dtype=float)
     if pred.shape != act.shape:
         raise DataError(f"shape mismatch: predicted {pred.shape} vs actual {act.shape}")
-    if pred.ndim == 1:
-        pred = pred[:, None]
-        act = act[:, None]
+    if pred.ndim not in (1, 2) or len(pred) == 0:
+        raise DataError(f"RMSE needs 1-D or 2-D values with at least one row, got shape {pred.shape}")
     # An overflow is reported by the finite check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        errors = pred - act
+        errors = (pred - act).reshape(len(pred), -1)
         np.square(errors, out=errors)
         errors = np.sqrt(np.mean(errors, axis=0))
-    bad = ~np.isfinite(errors)
-    if bad.any():
-        raise DataError(f"RMSE of output {int(np.argmax(bad)) + 1} is not finite")
+    require(np.isfinite(errors), lambda m: DataError(f"RMSE of output {m + 1} is not finite"))
     return errors
 
 

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require
+from .multi_index import as_integer
 from .mvsa_engine import PceModel
 from .polynomial_basis import DistributionSpec
 from .regression import write_csv_table, write_json_file
@@ -92,9 +93,7 @@ def _variance(degrees: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
             np.take(coefficients, chunk, axis=0, out=squared)
             np.square(squared, out=squared)
             variance = _continue_sum(buffer, len(chunk), variance)
-    bad = ~np.isfinite(variance)
-    if bad.any():
-        raise DataError(f"variance of output {int(np.argmax(bad)) + 1} is not finite")
+    require(np.isfinite(variance), lambda m: DataError(f"variance of output {m + 1} is not finite"))
     return variance
 
 
@@ -156,8 +155,7 @@ def sensitivity_report(model: PceModel) -> SensitivityReport:
     with np.errstate(over="ignore"):
         squared = model.coefficients * model.coefficients
         aggregated = float(variance.sum())
-    if not np.isfinite(aggregated):
-        raise DataError("variance summed over all outputs is not finite")
+    require(np.isfinite(aggregated), lambda: DataError("variance summed over all outputs is not finite"))
     # The constant row holds no variance; zeroed, a mean whose square
     # overflows cannot turn the indices into nan.
     squared[degrees.sum(axis=1) == 0] = 0.0
@@ -209,6 +207,7 @@ def monte_carlo_reference(
     ``f``'s output is one block: the reference holds one batch of outputs
     (``MC_BATCH_SIZE`` x M doubles) whatever ``samples`` is.
     """
+    samples = as_integer("Monte-Carlo sample count", samples)
     if samples < 2:
         raise ConfigError(f"Monte-Carlo reference needs at least 2 samples, got {samples}")
     rng = np.random.default_rng(seed)
@@ -231,11 +230,8 @@ def monte_carlo_reference(
         batch_d = batch_d2 = None
         for start in range(0, n, block):
             rows = y[start:start + block]
-            if not np.isfinite(rows).all():
-                raise DataError(
-                    f"non-finite model output within samples "
-                    f"{count + start}..{count + start + len(rows) - 1}"
-                )
+            where = f"samples {count + start}..{count + start + len(rows) - 1}"
+            require(np.isfinite(rows), lambda *_: DataError(f"non-finite model output within {where}"))
             d = buffer[1:len(rows) + 1]
             np.subtract(rows, offset, out=d)
             batch_d = _continue_sum(buffer, len(rows), batch_d)

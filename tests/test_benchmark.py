@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -10,7 +11,7 @@ from mvsapce.benchmark import (
     ExperimentPlan,
     ExperimentReport,
     beam_deflection_rows,
-    beam_samples,
+    beam_rows,
     plan_hash,
     run_beam_experiment,
     sample_inputs,
@@ -129,6 +130,10 @@ class TestBeamDeflection:
             beam_deflection_rows([bad], 10)
         with pytest.raises(DomainError):
             beam_deflection_rows(np.vstack([NOMINAL, bad]), 10)
+        # nan is not positive either.
+        bad[0] = np.nan
+        with pytest.raises(DomainError, match="^beam parameters must all be positive$"):
+            beam_deflection_rows(np.vstack([NOMINAL, bad]), 10)
 
     def test_rejects_short_parameter_vector(self):
         with pytest.raises(DataError):
@@ -186,6 +191,11 @@ class TestSampleInputs:
     def test_rejects_empty_sample(self):
         with pytest.raises(ConfigError):
             sample_inputs(BeamConfig().distribution_spec(), 0, seed=0)
+
+    @pytest.mark.parametrize("size", [2.5, "3", None])
+    def test_size_must_be_an_integer(self, size):
+        with pytest.raises(ConfigError, match=rf"^sample size must be an integer, got {re.escape(repr(size))}$"):
+            sample_inputs(BeamConfig().distribution_spec(), size, seed=0)
 
     @refuses_huge_allocations
     def test_unallocatable_sample_is_a_config_error(self):
@@ -328,7 +338,8 @@ class TestRunBeamExperiment:
         assert sorted(evaluated_rows) == [20, 20, 30, 30, 40, 40, 500]
         spec = config.distribution_spec()
         for cell in report.cells:
-            data, test = beam_samples(config, cell.training_size, plan.test_size, cell.seed)
+            data = beam_rows(config, cell.training_size, cell.seed, test=False)
+            test = beam_rows(config, plan.test_size, cell.seed, test=True)
             if cell.method == "mvsa":
                 model = fit_mvsa(data, spec, MvsaConfig(kappa=plan.kappa))
             else:

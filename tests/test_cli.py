@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mvsapce.benchmark import BeamConfig, ExperimentPlan, beam_samples, run_beam_experiment
+from mvsapce.benchmark import BeamConfig, ExperimentPlan, beam_rows, run_beam_experiment
 from mvsapce.errors import ConfigError
 from mvsapce.multi_index import parse_total_degree, total_degree_set
 from mvsapce.mvsa_engine import FitDiagnostics, load_model, predict, save_model
@@ -752,7 +752,7 @@ class TestBeamData:
         payload = last_json_line(proc)
         assert payload["status"] == "ok" and payload["inputs"] == 20 and payload["outputs"] == 4
         config = BeamConfig(response_dim=4)
-        train, test = beam_samples(config, 20, 10, 5)
+        train, test = beam_rows(config, 20, 5, test=False), beam_rows(config, 10, 5, test=True)
         for name, data in (("train.csv", train), ("test.csv", test)):
             write_data_csv(tmp_path / name, data.inputs, data.responses)
             assert (tmp_path / "cli" / f"b_{name}").read_bytes() == (tmp_path / name).read_bytes()
@@ -775,7 +775,7 @@ class TestBeamData:
         assert message in proc.stderr and not list(tmp_path.iterdir())
 
     def test_fit_on_beam_data_matches_compare_cell(self, tmp_path):
-        # Both paths draw a cell's data through beam_samples, so fitting the
+        # Both paths draw a cell's data through beam_rows, so fitting the
         # CLI files reproduces the experiment's adaptive fit and test RMSE.
         prefix = tmp_path / "b_"
         proc = run_cli("beam-data", "--M", 10, "--train-size", 50, "--test-size", 30, "--seed", 3, "--prefix", prefix)

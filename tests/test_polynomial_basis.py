@@ -35,6 +35,14 @@ class TestMarginalValidation:
         with pytest.raises(ConfigError):
             Marginal("beta", (1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "params", [(0, 1, 2), (0.0,), 5.0, ("a", 1.0), (None, 1.0), (10**400, 1.0)],
+        ids=["three", "one", "scalar", "text", "none", "too-large"],
+    )
+    def test_params_must_be_two_numbers(self, params):
+        with pytest.raises(ConfigError, match=r"^normal marginal params must be two numbers, got "):
+            Marginal("normal", params)
+
     def test_family_assignment(self):
         assert Marginal.normal(0, 1).family == HERMITE
         assert Marginal.lognormal(1, 1).family == HERMITE
@@ -194,3 +202,9 @@ class TestSerialization:
         for params in [[True, 1], [1.0, False]]:
             with pytest.raises(DataError, match="^distribution spec entry 0 .*: params must be numbers, got a boolean$"):
                 DistributionSpec.from_json([{"kind": "lognormal", "params": params}])
+
+    def test_params_that_are_not_two_numbers_name_the_entry(self):
+        payload = [{"kind": "normal", "params": [0.0, 1.0]}, {"kind": "uniform", "params": [0.0, 1.0, 2.0]}]
+        message = r"^distribution spec entry 1 .*: uniform marginal params must be two numbers, got \(0\.0, 1\.0, 2\.0\)$"
+        with pytest.raises(DataError, match=message):
+            DistributionSpec.from_json(payload)

@@ -55,6 +55,26 @@ class TestTrainingData:
         assert data.responses.shape == (4, 1)
         assert data.inputs.shape[1] == 2 and data.n_outputs == 1
 
+    @pytest.mark.parametrize(
+        "inputs, responses, shapes",
+        [
+            (np.ones((5, 2)), np.ones((5, 2, 2)), "inputs (5, 2) and responses (5, 2, 2)"),
+            (np.ones((5, 2, 1)), np.ones(5), "inputs (5, 2, 1) and responses (5, 1)"),
+            (np.ones((1, 2)), 3.0, "inputs (1, 2) and responses ()"),
+        ],
+        ids=["3-d-responses", "3-d-inputs", "0-d-responses"],
+    )
+    def test_rejects_arrays_that_are_not_2d(self, inputs, responses, shapes):
+        # 1-D responses become a column first; anything else not 2-D is refused.
+        with pytest.raises(DataError, match=rf"^training data must be 2-D, got {re.escape(shapes)}$"):
+            TrainingData(inputs, responses)
+
+    def test_rejects_non_numeric_entries(self):
+        with pytest.raises(DataError, match="^training data are not numeric arrays: could not convert string"):
+            TrainingData([["a"]], [[1.0]])
+        with pytest.raises(DataError, match="^training data are not numeric arrays: .*inhomogeneous"):
+            TrainingData([[1.0], [1.0, 2.0]], [[1.0], [2.0]])
+
 
 class TestAssembleDesign:
     def test_constant_basis_gives_ones(self, standard_normal_2d):
@@ -304,6 +324,17 @@ class TestRmse:
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
             rmse(np.zeros((2, 1)), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.float64(1.0), np.zeros(0), np.zeros((0, 3)), np.zeros((2, 2, 1))],
+        ids=["0-d", "no-rows-1d", "no-rows-2d", "3-d"],
+    )
+    def test_rejects_shapes_without_rows_of_outputs(self, values):
+        # The shape is refused before any mean, so no empty-slice warning escapes.
+        message = rf"^RMSE needs 1-D or 2-D values with at least one row, got shape {re.escape(str(values.shape))}$"
+        with pytest.raises(DataError, match=message):
+            rmse(values, values.copy())
 
     def test_overflowing_error_names_the_output(self):
         # (1e200)^2 overflows; the first bad output is named, numbered from 1

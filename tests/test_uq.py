@@ -404,6 +404,11 @@ class TestMonteCarloReference:
         with pytest.raises(ConfigError):
             monte_carlo_reference(lambda x: x, normals(1), 1, seed=0)
 
+    @pytest.mark.parametrize("samples", [10.5, "10"])
+    def test_sample_count_must_be_an_integer(self, samples):
+        with pytest.raises(ConfigError, match=r"^Monte-Carlo sample count must be an integer, got "):
+            monte_carlo_reference(lambda x: x, normals(1), samples, seed=0)
+
 
 class TestReportFiles:
     def test_csv_outputs_parse_back(self, tmp_path):
