@@ -61,7 +61,12 @@ class ExpansionStep:
     ``eta`` comes from the step's own solve against the responses
     ``expand_basis`` was given, which in a fit are the Q x r factor of the
     responses when M > Q (r the numerical rank of Y): it then equals the
-    full-response value up to rounding.
+    full-response value up to rounding.  The step solves on the QR factor
+    that ``expand_basis`` appends columns to, so ``eta`` and
+    ``condition_number`` equal lstsq's within rounding; a step whose
+    decision was close reran on lstsq and reports lstsq's values.  Models,
+    predictions and reports are byte-identical to an lstsq-only expansion
+    at a fixed numeric environment.
     """
 
     added: MultiIndex
@@ -200,6 +205,89 @@ def _admit_successors(chosen: MultiIndex, members: set, frontier: list) -> None:
             bisect.insort(frontier, candidate)
 
 
+#: Relative width of a close decision.  A step decided on the appended QR
+#: factor reruns on lstsq when its condition number is within this fraction
+#: of kappa, or when its two largest frontier etas are within this fraction
+#: of the summed eta (||C||_F^2).  The factor's cond and eta differ from
+#: lstsq's by about cond * eps in those units, 2e-14 at cond = 100, so every
+#: decision made on the factor is one lstsq makes too, with a margin of 1e4
+#: and more up to _FACTOR_COND_LIMIT; exact ties always reach lstsq.
+_CLOSE = 1e-8
+
+#: Largest condition number the factor decides at: cond * eps stays 1e4
+#: times below _CLOSE up to here (about 4.5e3).  A worse-conditioned step
+#: reruns on lstsq, and a column whose part outside the earlier columns is
+#: below its norm over this limit breaks the factor down, since its design
+#: has a condition number above the limit.
+_FACTOR_COND_LIMIT = _CLOSE / (1e4 * np.finfo(float).eps)
+
+
+class _AppendedFactor:
+    """Thin QR factor A = Q R of design columns in the order they were appended.
+
+    Holds Q^T (the orthonormal columns as rows), the triangle R and Q^T
+    responses, each for at most Q columns.  ``append`` adds columns
+    by classical Gram-Schmidt with one reorthogonalization, which keeps Q
+    orthonormal to working precision while the design is numerically of full
+    rank (Giraud et al., Numer. Math. 101, 2005).
+    """
+
+    def __init__(self, responses: np.ndarray):
+        n_samples = len(responses)
+        self.responses = responses
+        self.qt = np.empty((n_samples, n_samples))
+        self.r = np.zeros((n_samples, n_samples))
+        self.projected = np.empty((n_samples, responses.shape[1]))
+        self.position: dict[MultiIndex, int] = {}
+
+    def append(self, builder: DesignBuilder, terms) -> bool:
+        """Append the columns of the ``terms`` not factored yet; False when one breaks the factor down."""
+        new = [term for term in terms if term not in self.position]
+        if not new:
+            return True
+        for term, column in zip(new, builder.matrix(new).T):
+            k = len(self.position)
+            qt = self.qt[:k]
+            h = qt @ column
+            v = column - h @ qt
+            again = qt @ v
+            v -= again @ qt
+            rho = float(np.linalg.norm(v))
+            # Also false for a non-finite norm.
+            if not rho * _FACTOR_COND_LIMIT > np.linalg.norm(column):
+                return False
+            self.qt[k] = v / rho
+            self.r[:k, k] = h + again
+            self.r[k, k] = rho
+            self.projected[k] = self.qt[k] @ self.responses
+            self.position[term] = k
+        return True
+
+    def decide(self, extended: list, offset: int, kappa: float):
+        """(eta of ``extended``, cond) of a step whose decisions are clear, with eta None when the
+        design is conditioned worse than ``kappa``; None when a decision is close (see _CLOSE)."""
+        k = len(self.position)
+        r = self.r[:k, :k]
+        sigma = np.linalg.svd(r, compute_uv=False)
+        cond = float(sigma[0]) / float(sigma[-1])
+        if not cond <= _FACTOR_COND_LIMIT or abs(cond - kappa) <= _CLOSE * kappa:
+            return None
+        if cond > kappa:
+            return None, cond
+        coeffs = np.linalg.solve(r, self.projected[:k])
+        try:
+            eta = _finite_indicators(coeffs[[self.position[term] for term in extended]], extended)
+        except DataError:
+            # lstsq's own check names the term, or its etas are finite.
+            return None
+        front = eta[offset:]
+        if len(front) > 1:
+            second, first = np.partition(front, -2)[-2:]
+            if first - second <= _CLOSE * eta.sum():
+                return None
+        return eta, cond
+
+
 def expand_basis(
     builder: DesignBuilder,
     responses: np.ndarray,
@@ -213,6 +301,15 @@ def expand_basis(
     stops if the design is conditioned worse than kappa, and else accepts
     the single admissible index with the largest sensitivity indicator
     (ties broken toward the lexicographically smallest index).
+
+    A step solves on one thin QR factor of the extended set's columns, which
+    takes only the columns each step appends; its eta and condition number
+    (from R's singular values) equal lstsq's within rounding.  A step whose
+    decision is close (see ``_CLOSE``), or whose factor breaks down, reruns
+    ``solve_with_condition`` on the whole extended design, so every decision
+    is lstsq's and the models, predictions and reports built from the
+    result are byte-identical to an lstsq-only expansion at a fixed numeric
+    environment.
     """
     dim, n_samples = builder.spec.dim, len(responses)
     # The initial set has C(N + p, p) members; reject an oversized one before
@@ -225,16 +322,28 @@ def expand_basis(
     members = set(basis)
     frontier = list(initial.admissible_forward_neighbors().indices)
     steps: list[ExpansionStep] = []
+    factor = _AppendedFactor(responses)
     while True:
         extended = basis + frontier
         if len(extended) > n_samples:
             termination = "underdetermined"
             break
-        coeffs, cond = solve_with_condition(builder.matrix(extended), responses)
+        decided = None
+        if factor is not None:
+            if factor.append(builder, extended):
+                decided = factor.decide(extended, len(basis), config.kappa)
+            else:
+                factor = None
+        if decided is None:
+            coeffs, cond = solve_with_condition(builder.matrix(extended), responses)
+            eta = None
+        else:
+            eta, cond = decided
         if cond > config.kappa:
             termination = "ill_conditioned"
             break
-        eta = _finite_indicators(coeffs, extended)
+        if eta is None:
+            eta = _finite_indicators(coeffs, extended)
         # The frontier sits after the current basis, in sorted order, so the
         # first maximum is the lexicographic winner.
         offset = len(basis)

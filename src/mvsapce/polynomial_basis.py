@@ -27,6 +27,19 @@ HERMITE = "hermite"
 LEGENDRE = "legendre"
 
 
+def real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array, the same object when it is one already.
+
+    TypeError naming ``name`` when they are complex, whose imaginary parts a
+    float conversion would drop with only a warning; numpy's ValueError or
+    TypeError when an entry is not a number.
+    """
+    if np.asarray(values).dtype.kind == "c":
+        raise TypeError(f"{name} hold complex values, not real numbers")
+    # Converted from ``values`` itself, so numpy's messages quote the entry as given.
+    return np.asarray(values, dtype=float)
+
+
 @dataclass(frozen=True)
 class Marginal:
     """One marginal input distribution in physical units.
@@ -142,8 +155,13 @@ class DistributionSpec:
         return len(self.marginals)
 
     def standardize_rows(self, inputs) -> np.ndarray:
-        """Standardize a Q x N matrix column by column; a DomainError names its row from 1 and its column x<n>."""
-        x = np.asarray(inputs, dtype=float)
+        """Standardize a Q x N matrix column by column; a DomainError names its row from 1 and its column x<n>.
+
+        Inputs that are complex or not numbers are a DataError."""
+        try:
+            x = real_array(inputs, "inputs")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"inputs are not a numeric array: {exc}") from None
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DataError(
                 f"expected inputs of shape (Q, {self.dim}), got {x.shape}"

@@ -1,10 +1,13 @@
 """Design-matrix assembly and multi-right-hand-side least squares.
 
 One orthonormal-basis design matrix serves all response components at once:
-``DesignBuilder(spec, x).matrix(basis)`` builds it, and a single SVD
-factorization in ``solve_with_condition`` resolves every column of the
-right-hand side, falling back to the minimum-2-norm solution when the
-system is rank-deficient or underdetermined.
+``DesignBuilder(spec, x).matrix(basis)`` builds it, and ``solve_with_condition``
+resolves every column of the right-hand side with a single SVD
+factorization, falling back to the minimum-2-norm solution when the system
+is rank-deficient or underdetermined.  That is the solve of every fixed-basis
+fit, prune step and final fit, and of the expansion steps whose decision is
+close; the other expansion steps solve on a QR factor in
+``mvsa_engine.expand_basis``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, require
-from .polynomial_basis import DistributionSpec, univariate_table
+from .polynomial_basis import DistributionSpec, real_array, univariate_table
 
 #: Relative cutoff under which singular values are treated as zero in the
 #: least-squares solve (min-norm behavior below the cutoff).
@@ -38,8 +41,8 @@ class TrainingData:
 
     def __post_init__(self):
         try:
-            inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-            responses = np.asarray(self.responses, dtype=float)
+            inputs = np.atleast_2d(real_array(self.inputs, "inputs"))
+            responses = real_array(self.responses, "responses")
         except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"training data are not numeric arrays: {exc}") from None
         if responses.ndim == 1:
@@ -81,7 +84,11 @@ class DesignBuilder:
 
     def __init__(self, spec: DistributionSpec, inputs):
         self.spec = spec
-        self.z = spec.standardize_rows(np.atleast_2d(np.asarray(inputs, dtype=float)))
+        try:
+            inputs = np.atleast_2d(real_array(inputs, "inputs"))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"inputs are not a numeric array: {exc}") from None
+        self.z = spec.standardize_rows(inputs)
         self._tables: list[np.ndarray | None] = [None] * spec.dim
         self._columns: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -157,9 +164,13 @@ def solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarra
 
 
 def rmse(predicted, actual) -> np.ndarray:
-    """Root-mean-square error per column of 1-D or 2-D arrays with rows; DataError otherwise or at a non-finite RMSE."""
-    pred = np.asarray(predicted, dtype=float)
-    act = np.asarray(actual, dtype=float)
+    """Root-mean-square error per column of 1-D or 2-D arrays with rows; DataError otherwise, for values that
+    are complex or not numbers, or at a non-finite RMSE."""
+    try:
+        pred = real_array(predicted, "predicted values")
+        act = real_array(actual, "actual values")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"RMSE needs numeric arrays: {exc}") from None
     if pred.shape != act.shape:
         raise DataError(f"shape mismatch: predicted {pred.shape} vs actual {act.shape}")
     if pred.ndim not in (1, 2) or len(pred) == 0:

@@ -37,7 +37,7 @@ _BLOCK_ELEMENTS = 32768
 
 def _block_rows(n_rows: int, width: int) -> int:
     """Rows per block of ``n_rows`` rows ``width`` elements wide: at least one."""
-    return min(n_rows, max(1, _BLOCK_ELEMENTS // max(width, 1)))
+    return max(1, min(n_rows, _BLOCK_ELEMENTS // max(width, 1)))
 
 
 @dataclass(frozen=True)

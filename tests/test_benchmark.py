@@ -117,6 +117,10 @@ class TestBeamDeflection:
         assert blocked.shape == (333, n_points)
         assert blocked.tobytes() == one_pass(rows, n_points).tobytes()
 
+    @pytest.mark.parametrize("n_points", [1, 1000])
+    def test_zero_rows_give_an_empty_result(self, n_points):
+        assert beam_deflection_rows(np.zeros((0, 5)), n_points).shape == (0, n_points)
+
     @refuses_huge_allocations
     def test_unallocatable_result_is_a_config_error(self):
         # 2e11 outputs of one row: 1.5 TiB, refused before anything is written.

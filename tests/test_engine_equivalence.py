@@ -1,9 +1,11 @@
 """The adaptive loop against a plain reference of the same algorithm.
 
 The engine solves against a Q x r factor of the responses when M > Q (r
-the numerical rank of Y) and keeps the admissible frontier incrementally.
-The reference below does neither: it solves against all M outputs at
-every step, rebuilds the admissible set from scratch with
+the numerical rank of Y), keeps the admissible frontier incrementally and
+decides each expansion step on a QR factor that grows by the appended
+columns, rerunning lstsq where a decision is close.  The reference below
+does none of this: it solves against all M outputs with lstsq at every
+step, rebuilds the admissible set from scratch with
 ``admissible_forward_neighbors`` and prunes with ``without_index``.  Both
 must make the same decisions and end on bit-identical coefficients.
 """
@@ -15,7 +17,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mvsapce import mvsa_engine
 from mvsapce.benchmark import BeamConfig, sample_inputs
 from mvsapce.multi_index import MultiIndexSet, total_degree_set
 from mvsapce.mvsa_engine import (
@@ -32,15 +37,19 @@ from mvsapce.regression import DesignBuilder, TrainingData, solve_with_condition
 
 
 def reference_expand(data, spec, config, builder):
+    """The lstsq-only expansion: the extended set, the added indices, their etas, the
+    condition numbers and summed etas of the steps, and the termination."""
     basis = total_degree_set(spec.dim, config.initial_degree)
-    added, etas, conds = [], [], []
+    added, etas, conds, totals = [], [], [], []
     while True:
         admissible = basis.admissible_forward_neighbors()
         extended = basis.union(admissible)
         if len(extended) > data.n_samples:
+            termination = "underdetermined"
             break
         coeffs, cond = solve_with_condition(builder.matrix(extended), data.responses)
         if cond > config.kappa:
+            termination = "ill_conditioned"
             break
         eta = sensitivity_indicators(coeffs)
         offset = len(basis)
@@ -48,8 +57,23 @@ def reference_expand(data, spec, config, builder):
         added.append(admissible.indices[best])
         etas.append(float(eta[offset + best]))
         conds.append(cond)
+        totals.append(float(eta.sum()))
         basis = basis.with_index(added[-1])
-    return extended, added, etas, conds
+    return extended, added, etas, conds, totals, termination
+
+
+def counted_expand(builder, responses, config):
+    """``expand_basis`` and the number of steps it reran on ``solve_with_condition``."""
+    calls = []
+
+    def counting(matrix, rhs):
+        calls.append(matrix.shape)
+        return solve_with_condition(matrix, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mvsa_engine, "solve_with_condition", counting)
+        extended, trace = expand_basis(builder, responses, config)
+    return extended, trace, len(calls)
 
 
 def reference_prune(data, basis, config, builder):
@@ -69,18 +93,25 @@ def reference_prune(data, basis, config, builder):
 def assert_matches_reference(data, spec, config=None):
     config = config or MvsaConfig()
     builder = DesignBuilder(spec, data.inputs)
-    ref_extended, ref_added, ref_etas, ref_conds = reference_expand(data, spec, config, builder)
+    ref_extended, ref_added, ref_etas, ref_conds, ref_totals, ref_termination = reference_expand(
+        data, spec, config, builder
+    )
     ref_basis, ref_coeffs, ref_cond, ref_removed = reference_prune(data, ref_extended, config, builder)
 
     # The expansion and a prune run on the responses a fit hands them: the
     # Q x r factor when M > Q.
     engine_builder = DesignBuilder(spec, data.inputs)
     factor = _response_factor(data.responses)
-    extended, trace = expand_basis(engine_builder, factor, config)
+    extended, trace, fallbacks = counted_expand(engine_builder, factor, config)
     assert [step.added for step in trace.steps] == ref_added
-    assert [step.condition_number for step in trace.steps] == ref_conds
+    assert trace.termination == ref_termination
+    # A step decided on the QR factor reports R's condition number and its
+    # own eta: both within rounding of lstsq's, far inside the 1e-8 guard
+    # that sends close decisions back to lstsq.
+    assert [step.condition_number for step in trace.steps] == pytest.approx(ref_conds, rel=1e-12)
     if data.n_outputs <= data.n_samples:
-        assert [step.eta for step in trace.steps] == ref_etas
+        for step, eta, total in zip(trace.steps, ref_etas, ref_totals):
+            assert step.eta == pytest.approx(eta, rel=0, abs=1e-10 * total)
     else:
         assert [step.eta for step in trace.steps] == pytest.approx(ref_etas, rel=1e-8, abs=1e-300)
     assert extended.indices == ref_extended.indices
@@ -101,7 +132,7 @@ def assert_matches_reference(data, spec, config=None):
         assert coefficients.shape == ref_coeffs.shape
         assert np.array_equal(coefficients, ref_coeffs)
         assert cond == ref_cond
-    return model
+    return model, fallbacks
 
 
 def beam_cell(q, seed, response_dim=1000):
@@ -123,7 +154,7 @@ def random_downward_closed_truth(rng, dim, size):
 def test_beam_cells_with_compressed_responses(q, seed):
     data, spec = beam_cell(q, seed)
     assert data.n_outputs > data.n_samples
-    model = assert_matches_reference(data, spec, MvsaConfig(kappa=100.0))
+    model, _ = assert_matches_reference(data, spec, MvsaConfig(kappa=100.0))
     assert model.trace.steps and model.diagnostics.pruned_count > 0
 
 
@@ -163,19 +194,112 @@ def test_low_rank_field_with_more_outputs_than_samples(seed):
     fields = DesignBuilder(spec, x).matrix(support) @ (decay[:, None] * rng.normal(size=(len(support), 3)))
     data = TrainingData(x, fields @ weights)
     assert data.n_outputs > data.n_samples
-    model = assert_matches_reference(data, spec)
+    model, fallbacks = assert_matches_reference(data, spec)
     assert model.trace.steps
+    # The factor decides most steps on the Q x 3 right-hand side.
+    assert fallbacks < len(model.trace.steps)
+
+
+def assert_lexicographic_steps(trace):
+    """Each step of ``trace`` added the smallest index of its frontier."""
+    frontier = list(trace.initial.admissible_forward_neighbors().indices)
+    members = set(trace.initial.indices)
+    for step in trace.steps:
+        assert step.added == frontier[0]
+        frontier.remove(step.added)
+        members.add(step.added)
+        _admit_successors(step.added, members, frontier)
 
 
 def test_zero_responses_with_more_outputs_than_samples():
     # Y = 0 has rank 0, so the steps solve against a Q x 0 factor: every eta
     # is 0, as on Y, and the lexicographic tie-break makes each decision.
+    # The factor's gap 0 is within the guard of a summed eta 0, so every
+    # step reruns on lstsq.
     spec = DistributionSpec([Marginal.uniform(-1.0, 1.0), Marginal.normal(0.0, 1.0)])
     x = spec.sample(30, np.random.default_rng(3000))
     data = TrainingData(x, np.zeros((30, 50)))
     assert _response_factor(data.responses).shape == (30, 0)
-    model = assert_matches_reference(data, spec)
+    model, fallbacks = assert_matches_reference(data, spec)
     assert model.trace.steps and not np.any(model.coefficients)
+    assert fallbacks >= len(model.trace.steps)
+    assert_lexicographic_steps(model.trace)
+
+
+def test_exact_tie_reruns_on_lstsq_and_takes_the_lexicographic_winner():
+    # M <= Q zero responses: lstsq's etas are exactly 0, so every decision
+    # is an exact tie, which reruns on lstsq and goes to the smallest index.
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0), Marginal.normal(0.0, 1.0)])
+    x = spec.sample(30, np.random.default_rng(3000))
+    model, fallbacks = assert_matches_reference(TrainingData(x, np.zeros((30, 2))), spec)
+    assert model.trace.steps and fallbacks >= len(model.trace.steps)
+    assert_lexicographic_steps(model.trace)
+
+
+def test_near_tie_reruns_on_lstsq():
+    # Inputs closed under swapping x1 and x2 with a response symmetric in
+    # them: the etas of (1, 0) and (0, 1) agree up to rounding, so the
+    # first step is close and reruns on lstsq, whose decisions the engine
+    # keeps.
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0)] * 3)
+    half = spec.sample(20, np.random.default_rng(3100))
+    x = np.vstack([half, half[:, [1, 0, 2]]])
+    y = (x[:, :1] + x[:, 1:2] + 0.3 * x[:, 2:] ** 2) * [1.0, -0.5]
+    model, fallbacks = assert_matches_reference(TrainingData(x, y), spec)
+    assert fallbacks >= 1
+    assert {model.trace.steps[0].added, model.trace.steps[1].added} == {(1, 0, 0), (0, 1, 0)}
+
+
+def test_dependent_column_breaks_the_factor_down():
+    # x1 takes two values, so its degree-2 column lies in the span of the
+    # degree-0 and degree-1 ones: appending it breaks the factor down, the
+    # step reruns on lstsq, and the expansion stops as the reference does.
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0), Marginal.normal(0.0, 1.0)])
+    rng = np.random.default_rng(3200)
+    x = np.column_stack([rng.choice([-0.5, 0.5], 40), rng.normal(size=40)])
+    y = np.column_stack([2.0 * x[:, 0] + x[:, 1], x[:, 0] * x[:, 1]]) + 1e-3 * rng.normal(size=(40, 2))
+    appended = []
+    real_append = mvsa_engine._AppendedFactor.append
+
+    def spy(factor, builder, terms):
+        appended.append(real_append(factor, builder, terms))
+        return appended[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mvsa_engine._AppendedFactor, "append", spy)
+        model, fallbacks = assert_matches_reference(TrainingData(x, y), spec)
+    assert appended[-1] is False and fallbacks >= 1
+    assert model.trace.termination == "ill_conditioned"
+
+
+@st.composite
+def small_cells(draw):
+    """(data, spec, config): 1-3 Legendre or Hermite inputs, Q = 8-40 rows, M = 1-4 outputs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 3))
+    spec = DistributionSpec(
+        [Marginal.uniform(-1.0, 1.0) if draw(st.booleans()) else Marginal.normal(0.0, 1.0) for _ in range(dim)]
+    )
+    q = draw(st.integers(8, 40))
+    m = draw(st.integers(1, 4))
+    x = spec.sample(q, rng)
+    support = random_downward_closed_truth(rng, dim, int(rng.integers(1, 6)))
+    y = DesignBuilder(spec, x).matrix(support) @ rng.normal(size=(len(support), m))
+    y = y + draw(st.sampled_from([0.0, 1e-3, 1.0])) * rng.normal(size=y.shape)
+    return TrainingData(x, y), spec, MvsaConfig(kappa=draw(st.sampled_from([3.0, 100.0, 1e4])))
+
+
+@given(cell=small_cells())
+@settings(max_examples=40, deadline=None)
+def test_factored_decisions_equal_the_lstsq_reference(cell):
+    data, spec, config = cell
+    ref_extended, ref_added, _, _, _, ref_termination = reference_expand(
+        data, spec, config, DesignBuilder(spec, data.inputs)
+    )
+    extended, trace = expand_basis(DesignBuilder(spec, data.inputs), data.responses, config)
+    assert [step.added for step in trace.steps] == ref_added
+    assert trace.termination == ref_termination
+    assert extended.indices == ref_extended.indices
 
 
 @pytest.mark.parametrize("q, seed", [(100, 1), (150, 0)])

@@ -500,6 +500,16 @@ class TestPredict:
         model = build_model(standard_normal_2d, [(0, 0)], [[1.0, 2.0, 3.0]])
         assert predict(model, np.empty((0, 2))).shape == (0, 3)
 
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [([[0.5j, 0.0]], "inputs hold complex values"), ([["a", 0.0]], "could not convert string to float: 'a'")],
+        ids=["complex", "text"],
+    )
+    def test_rejects_inputs_that_are_not_real_numbers(self, standard_normal_2d, inputs, message):
+        model = build_model(standard_normal_2d, [(0, 0)], [[1.0]])
+        with pytest.raises(DataError, match=f"^inputs are not a numeric array: {message}"):
+            predict(model, inputs)
+
 
 class TestPersistence:
     def test_round_trip_prediction_is_bit_identical(self, tmp_path):

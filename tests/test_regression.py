@@ -75,6 +75,13 @@ class TestTrainingData:
         with pytest.raises(DataError, match="^training data are not numeric arrays: .*inhomogeneous"):
             TrainingData([[1.0], [1.0, 2.0]], [[1.0], [2.0]])
 
+    def test_rejects_complex_entries(self):
+        # A float conversion would keep 1, 2 and 0 and only warn.
+        with pytest.raises(DataError, match="^training data are not numeric arrays: inputs hold complex values"):
+            TrainingData(np.array([[1 + 2j], [2 + 0j], [3j]]), np.ones(3))
+        with pytest.raises(DataError, match="^training data are not numeric arrays: responses hold complex values"):
+            TrainingData(np.ones((3, 1)), np.array([1.0, 2.0, 3.0 + 0j]))
+
 
 class TestAssembleDesign:
     def test_constant_basis_gives_ones(self, standard_normal_2d):
@@ -114,6 +121,20 @@ class TestAssembleDesign:
         uniform = DistributionSpec([Marginal.uniform(-1.0, 1.0)])
         with pytest.raises(DomainError, match="^row 3, x1: "):
             DesignBuilder(uniform, [[0.5], [1.0], [1.5]])
+
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [
+            (np.array([[0.5 + 0j, 0.0]]), "^inputs are not a numeric array: inputs hold complex values"),
+            ([["a", 0.0]], "^inputs are not a numeric array: could not convert string to float: 'a'$"),
+        ],
+        ids=["complex", "text"],
+    )
+    def test_rejects_inputs_that_are_not_real_numbers(self, standard_normal_2d, inputs, message):
+        with pytest.raises(DataError, match=message):
+            DesignBuilder(standard_normal_2d, inputs)
+        with pytest.raises(DataError, match=message):
+            standard_normal_2d.standardize_rows(inputs)
 
     def test_rejects_index_of_wrong_length(self, standard_normal_2d):
         builder = DesignBuilder(standard_normal_2d, np.zeros((3, 2)))
@@ -335,6 +356,19 @@ class TestRmse:
         message = rf"^RMSE needs 1-D or 2-D values with at least one row, got shape {re.escape(str(values.shape))}$"
         with pytest.raises(DataError, match=message):
             rmse(values, values.copy())
+
+    @pytest.mark.parametrize(
+        "predicted, actual, message",
+        [
+            ([1.0 + 1j], [1.0], "^RMSE needs numeric arrays: predicted values hold complex values"),
+            ([1.0], np.array([1.0 + 0j]), "^RMSE needs numeric arrays: actual values hold complex values"),
+            (["a"], ["b"], "^RMSE needs numeric arrays: could not convert string to float: 'a'$"),
+        ],
+        ids=["complex-predicted", "complex-actual", "text"],
+    )
+    def test_rejects_values_that_are_not_real_numbers(self, predicted, actual, message):
+        with pytest.raises(DataError, match=message):
+            rmse(predicted, actual)
 
     def test_overflowing_error_names_the_output(self):
         # (1e200)^2 overflows; the first bad output is named, numbered from 1
