@@ -208,17 +208,16 @@ def _admit_successors(chosen: MultiIndex, members: set, frontier: list) -> None:
 #: Relative width of a close decision.  A step decided on the appended QR
 #: factor reruns on lstsq when its condition number is within this fraction
 #: of kappa, or when its two largest frontier etas are within this fraction
-#: of the summed eta (||C||_F^2).  The factor's cond and eta differ from
-#: lstsq's by about cond * eps in those units, 2e-14 at cond = 100, so every
-#: decision made on the factor is one lstsq makes too, with a margin of 1e4
-#: and more up to _FACTOR_COND_LIMIT; exact ties always reach lstsq.
+#: of the summed eta (||C||_F^2) or within 1e4 times the step's rounding
+#: bound, whichever is wider (see ``_AppendedFactor.decide``).  Exact ties
+#: always reach lstsq.
 _CLOSE = 1e-8
 
-#: Largest condition number the factor decides at: cond * eps stays 1e4
-#: times below _CLOSE up to here (about 4.5e3).  A worse-conditioned step
-#: reruns on lstsq, and a column whose part outside the earlier columns is
-#: below its norm over this limit breaks the factor down, since its design
-#: has a condition number above the limit.
+#: Largest condition number the factor decides at (about 4.5e3): a
+#: condition number from R and lstsq's differ by about cond * eps
+#: relative, which stays 1e4 times below _CLOSE up to here.  Columns are
+#: only appended, so the condition number never falls; a factor past the
+#: limit is dropped and the rest of the expansion runs on lstsq.
 _FACTOR_COND_LIMIT = _CLOSE / (1e4 * np.finfo(float).eps)
 
 
@@ -226,25 +225,50 @@ class _AppendedFactor:
     """Thin QR factor A = Q R of design columns in the order they were appended.
 
     Holds Q^T (the orthonormal columns as rows), the triangle R and Q^T
-    responses, each for at most Q columns.  ``append`` adds columns
-    by classical Gram-Schmidt with one reorthogonalization, which keeps Q
-    orthonormal to working precision while the design is numerically of full
-    rank (Giraud et al., Numer. Math. 101, 2005).
+    responses in storage for as many columns as were appended, doubled
+    when it fills (at most Q), so a fit that ends on K terms holds
+    O(Q K) numbers.  ``append`` adds columns by classical Gram-Schmidt
+    with one reorthogonalization, which keeps Q orthonormal to working
+    precision while the design is numerically of full rank (Giraud et
+    al., Numer. Math. 101, 2005).
     """
 
-    def __init__(self, responses: np.ndarray):
-        n_samples = len(responses)
+    def __init__(self, responses: np.ndarray, capacity: int):
         self.responses = responses
-        self.qt = np.empty((n_samples, n_samples))
-        self.r = np.zeros((n_samples, n_samples))
-        self.projected = np.empty((n_samples, responses.shape[1]))
         self.position: dict[MultiIndex, int] = {}
+        self.qt = np.empty((capacity, len(responses)))
+        self.r = np.zeros((capacity, capacity))
+        self.projected = np.empty((capacity, responses.shape[1]))
+        # ||Y||_F^2 - ||Q^T Y||_F^2: the squared residual of the current columns.
+        with np.errstate(over="ignore"):
+            self.unexplained = float(np.vdot(responses, responses))
+        self.sigma = None
+
+    def _reserve(self, size: int) -> None:
+        capacity = len(self.r)
+        if size <= capacity:
+            return
+        capacity = min(max(size, 2 * capacity), self.qt.shape[1])
+        k = len(self.position)
+        qt, r, projected = self.qt, self.r, self.projected
+        self.qt = np.empty((capacity, qt.shape[1]))
+        self.qt[:k] = qt[:k]
+        self.r = np.zeros((capacity, capacity))
+        self.r[:k, :k] = r[:k, :k]
+        self.projected = np.empty((capacity, projected.shape[1]))
+        self.projected[:k] = projected[:k]
 
     def append(self, builder: DesignBuilder, terms) -> bool:
-        """Append the columns of the ``terms`` not factored yet; False when one breaks the factor down."""
+        """Append the columns of the ``terms`` not factored yet; False when the factor breaks down.
+
+        It breaks down at a column with (almost) no part outside the earlier
+        ones, or when the columns' condition number exceeds
+        _FACTOR_COND_LIMIT; since appending never lowers the condition
+        number, a factor that broke down is of no further use.
+        """
         new = [term for term in terms if term not in self.position]
-        if not new:
-            return True
+        if new:
+            self._reserve(len(self.position) + len(new))
         for term, column in zip(new, builder.matrix(new).T):
             k = len(self.position)
             qt = self.qt[:k]
@@ -253,28 +277,39 @@ class _AppendedFactor:
             again = qt @ v
             v -= again @ qt
             rho = float(np.linalg.norm(v))
-            # Also false for a non-finite norm.
+            # The condition number is at least ||column|| / rho; also false for a non-finite norm.
             if not rho * _FACTOR_COND_LIMIT > np.linalg.norm(column):
                 return False
             self.qt[k] = v / rho
             self.r[:k, k] = h + again
             self.r[k, k] = rho
-            self.projected[k] = self.qt[k] @ self.responses
+            # An overflow is reported by the eta check, not as a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.projected[k] = self.qt[k] @ self.responses
+                self.unexplained -= float(self.projected[k] @ self.projected[k])
             self.position[term] = k
-        return True
+        k = len(self.position)
+        self.sigma = np.linalg.svd(self.r[:k, :k], compute_uv=False)
+        return bool(self.sigma[0] <= _FACTOR_COND_LIMIT * self.sigma[-1])
 
     def decide(self, extended: list, offset: int, kappa: float):
         """(eta of ``extended``, cond) of a step whose decisions are clear, with eta None when the
-        design is conditioned worse than ``kappa``; None when a decision is close (see _CLOSE)."""
+        design is conditioned worse than ``kappa``; None when a decision is close.
+
+        ``extended`` holds exactly the appended terms.  Each solve's eta errs
+        by about 4 eps cond (Sum eta + cond ||res||_F sqrt(Sum eta) / sigma_1),
+        res the residual Y - A C (Golub & Van Loan, Thm. 5.3.1: the forward
+        error of a least-squares solve grows with cond^2 times the residual);
+        the winner is decided here only when the gap between the two
+        largest frontier etas exceeds 1e4 times that bound and _CLOSE Sum eta.
+        """
         k = len(self.position)
-        r = self.r[:k, :k]
-        sigma = np.linalg.svd(r, compute_uv=False)
-        cond = float(sigma[0]) / float(sigma[-1])
-        if not cond <= _FACTOR_COND_LIMIT or abs(cond - kappa) <= _CLOSE * kappa:
+        cond = float(self.sigma[0]) / float(self.sigma[-1])
+        if abs(cond - kappa) <= _CLOSE * kappa:
             return None
         if cond > kappa:
             return None, cond
-        coeffs = np.linalg.solve(r, self.projected[:k])
+        coeffs = np.linalg.solve(self.r[:k, :k], self.projected[:k])
         try:
             eta = _finite_indicators(coeffs[[self.position[term] for term in extended]], extended)
         except DataError:
@@ -283,7 +318,11 @@ class _AppendedFactor:
         front = eta[offset:]
         if len(front) > 1:
             second, first = np.partition(front, -2)[-2:]
-            if first - second <= _CLOSE * eta.sum():
+            total = float(eta.sum())
+            residual = math.sqrt(max(self.unexplained, 0.0))
+            bound = 4 * np.finfo(float).eps * cond * (total + cond * residual * math.sqrt(total) / float(self.sigma[0]))
+            # Also true when the bound is not finite.
+            if not first - second > max(_CLOSE * total, 1e4 * bound):
                 return None
         return eta, cond
 
@@ -322,18 +361,17 @@ def expand_basis(
     members = set(basis)
     frontier = list(initial.admissible_forward_neighbors().indices)
     steps: list[ExpansionStep] = []
-    factor = _AppendedFactor(responses)
+    factor = _AppendedFactor(responses, min(len(basis) + len(frontier), n_samples))
     while True:
         extended = basis + frontier
         if len(extended) > n_samples:
             termination = "underdetermined"
             break
         decided = None
+        if factor is not None and not factor.append(builder, extended):
+            factor = None
         if factor is not None:
-            if factor.append(builder, extended):
-                decided = factor.decide(extended, len(basis), config.kappa)
-            else:
-                factor = None
+            decided = factor.decide(extended, len(basis), config.kappa)
         if decided is None:
             coeffs, cond = solve_with_condition(builder.matrix(extended), responses)
             eta = None

@@ -27,17 +27,20 @@ HERMITE = "hermite"
 LEGENDRE = "legendre"
 
 
-def real_array(values, name: str) -> np.ndarray:
+def real_array(values, name: str, context: str) -> np.ndarray:
     """``values`` as a float array, the same object when it is one already.
 
-    TypeError naming ``name`` when they are complex, whose imaginary parts a
-    float conversion would drop with only a warning; numpy's ValueError or
-    TypeError when an entry is not a number.
+    A DataError starting with ``context`` when they are complex, whose
+    imaginary parts a float conversion would drop with only a warning, or
+    when an entry is not a number; the first names ``name``, the second
+    quotes numpy's message about the entry as given.
     """
-    if np.asarray(values).dtype.kind == "c":
-        raise TypeError(f"{name} hold complex values, not real numbers")
-    # Converted from ``values`` itself, so numpy's messages quote the entry as given.
-    return np.asarray(values, dtype=float)
+    try:
+        if np.asarray(values).dtype.kind == "c":
+            raise DataError(f"{context}: {name} hold complex values, not real numbers")
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{context}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -157,11 +160,8 @@ class DistributionSpec:
     def standardize_rows(self, inputs) -> np.ndarray:
         """Standardize a Q x N matrix column by column; a DomainError names its row from 1 and its column x<n>.
 
-        Inputs that are complex or not numbers are a DataError."""
-        try:
-            x = real_array(inputs, "inputs")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"inputs are not a numeric array: {exc}") from None
+        One row may be given 1-D.  Inputs that are complex or not numbers are a DataError."""
+        x = np.atleast_2d(real_array(inputs, "inputs", "inputs are not a numeric array"))
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DataError(
                 f"expected inputs of shape (Q, {self.dim}), got {x.shape}"

@@ -40,11 +40,9 @@ class TrainingData:
     responses: np.ndarray
 
     def __post_init__(self):
-        try:
-            inputs = np.atleast_2d(real_array(self.inputs, "inputs"))
-            responses = real_array(self.responses, "responses")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"training data are not numeric arrays: {exc}") from None
+        context = "training data are not numeric arrays"
+        inputs = np.atleast_2d(real_array(self.inputs, "inputs", context))
+        responses = real_array(self.responses, "responses", context)
         if responses.ndim == 1:
             responses = responses[:, None]
         if inputs.ndim != 2 or responses.ndim != 2:
@@ -84,10 +82,6 @@ class DesignBuilder:
 
     def __init__(self, spec: DistributionSpec, inputs):
         self.spec = spec
-        try:
-            inputs = np.atleast_2d(real_array(inputs, "inputs"))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"inputs are not a numeric array: {exc}") from None
         self.z = spec.standardize_rows(inputs)
         self._tables: list[np.ndarray | None] = [None] * spec.dim
         self._columns: dict[tuple[int, ...], np.ndarray] = {}
@@ -166,11 +160,8 @@ def solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarra
 def rmse(predicted, actual) -> np.ndarray:
     """Root-mean-square error per column of 1-D or 2-D arrays with rows; DataError otherwise, for values that
     are complex or not numbers, or at a non-finite RMSE."""
-    try:
-        pred = real_array(predicted, "predicted values")
-        act = real_array(actual, "actual values")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"RMSE needs numeric arrays: {exc}") from None
+    pred = real_array(predicted, "predicted values", "RMSE needs numeric arrays")
+    act = real_array(actual, "actual values", "RMSE needs numeric arrays")
     if pred.shape != act.shape:
         raise DataError(f"shape mismatch: predicted {pred.shape} vs actual {act.shape}")
     if pred.ndim not in (1, 2) or len(pred) == 0:

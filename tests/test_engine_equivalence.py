@@ -13,6 +13,7 @@ must make the same decisions and end on bit-identical coefficients.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,44 @@ def test_dependent_column_breaks_the_factor_down():
         model, fallbacks = assert_matches_reference(TrainingData(x, y), spec)
     assert appended[-1] is False and fallbacks >= 1
     assert model.trace.termination == "ill_conditioned"
+
+
+def test_factor_storage_follows_the_appended_columns():
+    # Q = 4000 rows and an expansion that ends on a few dozen terms: the
+    # factor holds O(Q K) numbers, far below one Q x Q array (128 MB).
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0), Marginal.normal(0.0, 1.0)])
+    x = spec.sample(4000, np.random.default_rng(3300))
+    y = np.column_stack([x[:, 0] ** 3 + x[:, 1], np.sin(x[:, 0] * x[:, 1])])
+    builder = DesignBuilder(spec, x)
+    tracemalloc.start()
+    try:
+        extended, trace = expand_basis(builder, y, MvsaConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.steps and len(extended) < 100
+    assert peak < 4000 * 4000 * 8 // 8, peak
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_noisy_cells_near_the_factor_limit_match_the_reference(seed):
+    # Noise as large as the signal at kappa = 4e3: a least-squares solve's
+    # eta then errs mostly by its cond^2 * residual term, which widens the
+    # guard past _CLOSE, and every decision stays lstsq's.
+    rng = np.random.default_rng(3400 + seed)
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0), Marginal.normal(0.0, 1.0), Marginal.uniform(-1.0, 1.0)])
+    x = spec.sample(60, rng)
+    support = random_downward_closed_truth(rng, 3, 5)
+    y = DesignBuilder(spec, x).matrix(support) @ rng.normal(size=(len(support), 3)) + rng.normal(size=(60, 3))
+    data, config = TrainingData(x, y), MvsaConfig(kappa=4e3)
+    ref_extended, ref_added, _, _, _, ref_termination = reference_expand(
+        data, spec, config, DesignBuilder(spec, data.inputs)
+    )
+    extended, trace = expand_basis(DesignBuilder(spec, data.inputs), data.responses, config)
+    assert len(trace.steps) >= 5
+    assert [step.added for step in trace.steps] == ref_added
+    assert trace.termination == ref_termination
+    assert extended.indices == ref_extended.indices
 
 
 @st.composite
