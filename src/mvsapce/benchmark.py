@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, DataError, DomainError, MvsaError, require
 from .multi_index import as_integer, parse_total_degree, total_degree_set
 from .mvsa_engine import FitDiagnostics, MvsaConfig, fit_fixed, fit_mvsa, predict
-from .polynomial_basis import DistributionSpec, Marginal
+from .polynomial_basis import DistributionSpec, Marginal, real_array
 from .regression import TrainingData, make_output_dir, rmse, write_csv_table, write_json_file
 from .uq import RNG_ALGORITHM, MomentReport, _block_rows, moments, monte_carlo_reference
 
@@ -68,7 +68,8 @@ def beam_deflection_rows(inputs, n_points: int) -> np.ndarray:
 
     Each row of the Q x N matrix holds (w, h, L, E, P) first; any further
     entries (dummy inputs) are ignored.  Returns Q x M.  A parameter that
-    is not positive, nan included, is a DomainError.
+    is not positive, nan included, is a DomainError; complex inputs and
+    entries that are not numbers are a DataError.
 
     The Q x M result is allocated once, first, and filled a block of rows
     at a time (about ``uq._BLOCK_ELEMENTS`` values per block), so the
@@ -77,7 +78,7 @@ def beam_deflection_rows(inputs, n_points: int) -> np.ndarray:
     blocking.  A result that numpy cannot allocate is a ConfigError naming
     its row and output counts.
     """
-    x = np.atleast_2d(np.asarray(inputs, dtype=float))
+    x = np.atleast_2d(real_array(inputs, "inputs", "beam inputs are not a numeric array"))
     if x.shape[1] < 5:
         raise DataError(f"beam model needs 5 physical parameters, got width {x.shape[1]}")
     require(x[:, :5] > 0.0, lambda *_: DomainError("beam parameters must all be positive"))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, require
 from .multi_index import MultiIndex, MultiIndexSet, as_integer, is_admissible, total_degree_set
-from .polynomial_basis import DEGREE_CAP, DistributionSpec
+from .polynomial_basis import DEGREE_CAP, DistributionSpec, real_array
 from .regression import (
     DesignBuilder,
     TrainingData,
@@ -120,9 +120,10 @@ class FitDiagnostics:
 class PceModel:
     """Fitted expansion: distribution spec, basis, and K x M coefficients.
 
-    The coefficients must be finite, with K = len(basis) rows and M >= 1
-    columns; anything else is a DataError.  Immutable once constructed;
-    safe to share across threads for prediction and post-processing.
+    The coefficients must be real and finite, with K = len(basis) rows and
+    M >= 1 columns; anything else is a DataError.  Immutable once
+    constructed; safe to share across threads for prediction and
+    post-processing.
     """
 
     spec: DistributionSpec
@@ -132,10 +133,7 @@ class PceModel:
     trace: ExpansionTrace | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        try:
-            coeffs = np.asarray(self.coefficients, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"model coefficients are not a numeric array: {exc}") from None
+        coeffs = real_array(self.coefficients, "coefficients", "model coefficients are not a numeric array")
         if coeffs.ndim != 2 or coeffs.shape[0] != len(self.basis) or coeffs.shape[1] < 1:
             raise DataError(
                 f"coefficients must form a {len(self.basis)} x M array, M >= 1; got shape {coeffs.shape}"
@@ -267,8 +265,7 @@ class _AppendedFactor:
         number, a factor that broke down is of no further use.
         """
         new = [term for term in terms if term not in self.position]
-        if new:
-            self._reserve(len(self.position) + len(new))
+        self._reserve(len(self.position) + len(new))
         for term, column in zip(new, builder.matrix(new).T):
             k = len(self.position)
             qt = self.qt[:k]
@@ -413,17 +410,19 @@ def prune_basis(
     While the design is conditioned worse than kappa or the basis outsizes
     the sample count ``len(responses)``, re-solves the least-squares problem
     and drops the index with the smallest sensitivity indicator
-    (lexicographic tie-break; the zero index is exempt).  Returns the final
-    basis with the coefficients and condition number of its solve against
-    ``responses``.
+    (lexicographic tie-break; the zero index is exempt).  The design is
+    assembled once and loses the victim's column at each removal.  Returns
+    the final basis with the coefficients and condition number of its solve
+    against ``responses``.
     """
     zero = (0,) * basis.dim
     if zero not in basis:
         raise ConfigError("prune_basis expects the zero multi-index in the basis")
     kept = list(basis.indices)
+    design = builder.matrix(kept)
     removed: list[MultiIndex] = []
     while True:
-        coeffs, cond = solve_with_condition(builder.matrix(kept), responses)
+        coeffs, cond = solve_with_condition(design, responses)
         if cond <= config.kappa and len(kept) <= len(responses):
             return PruneResult(
                 basis=MultiIndexSet(kept, dim=basis.dim),
@@ -434,8 +433,9 @@ def prune_basis(
         eta = _finite_indicators(coeffs, kept)
         # A lone all-ones column has condition number 1 and size 1 <= Q, so
         # the loop returns before the zero index is the only one left.
-        victim = min((eta[i], index) for i, index in enumerate(kept) if index != zero)[1]
-        kept.remove(victim)
+        _, victim, position = min((eta[i], index, i) for i, index in enumerate(kept) if index != zero)
+        del kept[position]
+        design = np.delete(design, position, axis=1)
         removed.append(victim)
 
 

@@ -1,13 +1,13 @@
 """Design-matrix assembly and multi-right-hand-side least squares.
 
 One orthonormal-basis design matrix serves all response components at once:
-``DesignBuilder(spec, x).matrix(basis)`` builds it, and ``solve_with_condition``
-resolves every column of the right-hand side with a single SVD
-factorization, falling back to the minimum-2-norm solution when the system
-is rank-deficient or underdetermined.  That is the solve of every fixed-basis
-fit, prune step and final fit, and of the expansion steps whose decision is
-close; the other expansion steps solve on a QR factor in
-``mvsa_engine.expand_basis``.
+``DesignBuilder(spec, x).matrix(basis)`` builds it afresh from cached
+univariate tables, and ``solve_with_condition`` resolves every column of the
+right-hand side with a single SVD factorization, falling back to the
+minimum-2-norm solution when the system is rank-deficient or underdetermined.
+That is the solve of every fixed-basis fit, prune step and final fit, and of
+the expansion steps whose decision is close; the other expansion steps solve
+on a QR factor in ``mvsa_engine.expand_basis``.
 """
 
 from __future__ import annotations
@@ -72,19 +72,17 @@ class TrainingData:
 class DesignBuilder:
     """Reusable design-matrix assembler for one fixed input sample.
 
-    Standardizes the inputs once and caches per-dimension univariate
-    tables and per-multi-index columns, so that repeated assemblies over
-    growing or shrinking bases (as in adaptive fitting) cost only the new
-    columns.  Each column is the product of its univariate factors taken
-    in increasing input order, so it has the same bits whichever call
-    built it.
+    Standardizes the inputs once and caches each input's univariate table,
+    extended when a higher degree is asked for; it caches no columns.  Each
+    column is the product of its univariate factors taken in increasing
+    input order, so it has the same bits whichever call built it, and every
+    design ``matrix`` returns is a fresh, writable array.
     """
 
     def __init__(self, spec: DistributionSpec, inputs):
         self.spec = spec
         self.z = spec.standardize_rows(inputs)
         self._tables: list[np.ndarray | None] = [None] * spec.dim
-        self._columns: dict[tuple[int, ...], np.ndarray] = {}
 
     def _table(self, n: int, degree: int) -> np.ndarray:
         """psi_0..psi_degree of input n, one row per degree."""
@@ -94,52 +92,31 @@ class DesignBuilder:
             self._tables[n] = table
         return table
 
-    def _gather(self, misses) -> np.ndarray:
-        """Build and cache the columns of the distinct uncached terms
-        ``misses`` in one pass, and return them as one K x Q block whose rows
-        are the cached columns; DataError naming the first bad term if its
-        length is not the input width or a value (input row from 1) is not finite."""
-        for index in misses:
+    def column(self, index: tuple[int, ...]) -> np.ndarray:
+        """Values of the term ``index`` at every input row: the one-term case of ``matrix``."""
+        return self.matrix([index])[:, 0]
+
+    def matrix(self, basis) -> np.ndarray:
+        """Q x K design with columns in ``basis`` order: a MultiIndexSet or a sequence of index tuples.
+
+        Built in one pass as the transpose of a K x Q block; DataError naming
+        the first bad term if its length is not the input width or a value
+        (input row from 1) is not finite.
+        """
+        terms = list(basis)
+        for index in terms:
             if len(index) != self.spec.dim:
                 raise DataError(f"term {index} has {len(index)} entries, the inputs have {self.spec.dim}")
-        degrees = np.array(misses, dtype=np.intp)
-        tops = degrees.max(axis=0)
-        block = np.ones((len(misses), len(self.z)))
+        degrees = np.array(terms, dtype=np.intp).reshape(len(terms), self.spec.dim)
+        tops = degrees.max(axis=0, initial=0)
+        block = np.ones((len(terms), len(self.z)))
         # An overflow is reported by the finite check below, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             for n in np.flatnonzero(tops):
                 act = np.flatnonzero(degrees[:, n])
                 block[act] *= self._table(n, tops[n])[degrees[act, n]]
-        require(np.isfinite(block), lambda k, q: DataError(f"term {misses[k]} is not finite at input row {q + 1}"))
-        self._columns.update(zip(misses, block))
-        return block
-
-    def column(self, index: tuple[int, ...]) -> np.ndarray:
-        """Values of the term ``index`` at every input row: the one-term case of ``matrix``."""
-        if index not in self._columns:
-            self._gather([index])
-        return self._columns[index]
-
-    def matrix(self, basis) -> np.ndarray:
-        """Columns in ``basis`` order: a MultiIndexSet or a sequence of index tuples.
-
-        The result is read-only, since it may share memory with the column
-        cache: when every term is a distinct uncached one, it is the
-        transpose of the gathered block itself, with no second copy.
-        """
-        columns = [self._columns.get(index) for index in basis]
-        misses = [index for index, col in zip(basis, columns) if col is None]
-        if misses:
-            distinct = list(dict.fromkeys(misses))
-            block = self._gather(distinct)
-            if len(distinct) == len(columns):
-                design = block.T
-                design.flags.writeable = False
-                return design
-            columns = [self._columns[index] if col is None else col for index, col in zip(basis, columns)]
-        design = np.array(columns).T
-        design.flags.writeable = False
-        return design
+        require(np.isfinite(block), lambda k, q: DataError(f"term {terms[k]} is not finite at input row {q + 1}"))
+        return block.T
 
 
 def solve_with_condition(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DataError, require
 from .multi_index import as_integer
 from .mvsa_engine import PceModel
-from .polynomial_basis import DistributionSpec
+from .polynomial_basis import DistributionSpec, real_array
 from .regression import write_csv_table, write_json_file
 
 #: Generator behind every seeded draw in the toolkit; recorded in reports
@@ -254,18 +254,21 @@ def _batch_outputs(f: Callable, x: np.ndarray, first: int, vectorized: bool) -> 
     where = f"samples {first}..{first + n - 1}"
     if vectorized:
         try:
-            y = np.asarray(f(x), dtype=float)
+            y = f(x)
         except Exception as exc:
             raise DataError(f"model evaluation failed on {where}: {exc}") from exc
+        y = real_array(y, "outputs", f"model outputs on {where} are not a numeric array")
         if y.shape[:1] != (n,):
             raise DataError(f"vectorized model returned shape {y.shape} for {n} inputs on {where}")
     else:
         rows = []
         for i, row in enumerate(x):
             try:
-                rows.append(np.asarray(f(row), dtype=float).ravel())
+                output = f(row)
             except Exception as exc:
                 raise DataError(f"model evaluation failed at sample {first + i}: {exc}") from exc
+            context = f"model outputs at sample {first + i} are not a numeric array"
+            rows.append(real_array(output, "outputs", context).ravel())
             if rows[-1].size != rows[0].size:
                 raise DataError(
                     f"model returned {rows[-1].size} outputs at sample {first + i}, "

@@ -143,6 +143,11 @@ class TestBeamDeflection:
         with pytest.raises(DataError):
             beam_deflection_rows([[1.0, 2.0]], 10)
 
+    def test_rejects_complex_parameters(self):
+        # A float conversion would drop the imaginary part with only a warning.
+        with pytest.raises(DataError, match="^beam inputs are not a numeric array: inputs hold complex values"):
+            beam_deflection_rows(NOMINAL[None, :] + 0j, 10)
+
 
 class TestBeamConfig:
     def test_distribution_spec_layout(self):

@@ -201,6 +201,21 @@ def test_low_rank_field_with_more_outputs_than_samples(seed):
     assert fallbacks < len(model.trace.steps)
 
 
+@pytest.mark.parametrize("m", [3, 80])
+def test_wide_extended_set_prunes_in_the_reference_order(m):
+    # From td:2 in six inputs (28 terms) the extended set has 84 terms over
+    # Q = 40 rows, so the expansion stops at once and the prune deletes at
+    # least 44 columns from its one design, each the reference's victim.
+    rng = np.random.default_rng(2500 + m)
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0), Marginal.normal(0.0, 1.0)] * 3)
+    x = spec.sample(40, rng)
+    support = total_degree_set(6, 2)
+    y = DesignBuilder(spec, x).matrix(support) @ rng.normal(size=(len(support), m)) + 1e-2 * rng.normal(size=(40, m))
+    model, _ = assert_matches_reference(TrainingData(x, y), spec, MvsaConfig(initial_degree=2))
+    assert model.trace.termination == "underdetermined" and not model.trace.steps
+    assert model.diagnostics.pruned_count >= 44
+
+
 def assert_lexicographic_steps(trace):
     """Each step of ``trace`` added the smallest index of its frontier."""
     frontier = list(trace.initial.admissible_forward_neighbors().indices)

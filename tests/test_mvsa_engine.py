@@ -242,6 +242,26 @@ class TestPruning:
         with pytest.raises(ConfigError):
             prune_basis(DesignBuilder(normal_spec(1), data.inputs), data.responses, MultiIndexSet([(1,)]), MvsaConfig())
 
+    def test_assembles_one_design_per_call(self, uniform_3d):
+        # 20 terms over Q = 8 rows: every removal deletes a column from the
+        # one design, and the result matches a fresh design of the kept basis.
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1, 1, (8, 3))
+        y = np.column_stack([1.0 + x[:, 0] * x[:, 1], x[:, 2] ** 3])
+        builder = DesignBuilder(uniform_3d, x)
+        calls = []
+        real_matrix = builder.matrix
+
+        def spy(basis):
+            calls.append(len(basis))
+            return real_matrix(basis)
+
+        builder.matrix = spy
+        result = prune_basis(builder, y, total_degree_set(3, 3), MvsaConfig())
+        assert calls == [20] and len(result.removed) >= 12
+        coeffs, cond = solve_with_condition(real_matrix(result.basis), y)
+        assert np.array_equal(result.coefficients, coeffs) and result.condition_number == cond
+
 
 class TestResponseFactor:
     """When M > Q the adaptive steps solve against a Q x r factor of Y, r its numerical rank."""
@@ -464,9 +484,12 @@ class TestPceModel:
             ([[1.0], [2.0, 3.0]], "model coefficients are not a numeric array: setting an array element"),
             ([["a"], ["b"]], "model coefficients are not a numeric array: could not convert string"),
             ([[10**400], [1.0]], "model coefficients are not a numeric array: int too large"),
+            (np.array([[1 + 2j], [3 + 0j]]), "model coefficients are not a numeric array: coefficients hold complex"),
             ([[1, 2], [3, 4]], None),
         ],
-        ids=["1d", "no-columns", "3d", "row-count", "inf", "nan", "ragged", "strings", "huge-int", "int-list"],
+        ids=[
+            "1d", "no-columns", "3d", "row-count", "inf", "nan", "ragged", "strings", "huge-int", "complex", "int-list",
+        ],
     )
     def test_coefficient_rules(self, coefficients, error):
         basis = MultiIndexSet([(0,), (1,)])

@@ -163,7 +163,7 @@ def mixed_inputs(rows, seed=0):
 
 
 class TestDesignGather:
-    """matrix() builds every uncached column of a call in one pass."""
+    """matrix() builds every column of a call in one pass."""
 
     def test_td3_equals_products_in_increasing_input_order(self):
         x = mixed_inputs(40)
@@ -183,7 +183,7 @@ class TestDesignGather:
         warm = DesignBuilder(MIXED_4D, x)
         warm.matrix(terms[::3][::-1])
         warm.column(terms[7])
-        # hits and misses interleaved, not in lexicographic order, one repeat
+        # terms built before and new ones interleaved, not in lexicographic order, one repeat
         order = [terms[i] for i in np.random.default_rng(2).permutation(len(terms))]
         order.insert(5, order[20])
         fresh = DesignBuilder(MIXED_4D, x).matrix(order)
@@ -193,23 +193,34 @@ class TestDesignGather:
         assert np.array_equal(fresh, reference[:, [terms.index(t) for t in order]])
         assert np.array_equal(DesignBuilder(MIXED_4D, x).column(order[3]), fresh[:, 3])
 
-    def test_fresh_and_partly_cached_designs_are_the_same_read_only_bytes(self):
-        # A fresh builder returns its gathered block itself; a warm one
-        # copies cached and new columns together.  Both give the same bytes
-        # and layout, and neither lets a caller write into the cache.
+    def test_fresh_and_warm_designs_are_the_same_bytes(self):
+        # A builder that has built some of the columns before and a fresh
+        # one give the same bytes and the same F-ordered layout.
         x = mixed_inputs(25, seed=4)
         terms = list(total_degree_set(4, 3))
         warm = DesignBuilder(MIXED_4D, x)
         warm.matrix(terms[1::4])
         fresh = DesignBuilder(MIXED_4D, x).matrix(terms)
-        cached = warm.matrix(terms)
-        assert fresh.tobytes(order="A") == cached.tobytes(order="A")
-        assert fresh.flags.f_contiguous and cached.flags.f_contiguous
-        repeated = DesignBuilder(MIXED_4D, x).matrix(terms[:3] + terms[:1])
-        for design in (fresh, cached, repeated, warm.matrix(terms[:5])):
-            assert not design.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                design[0, 0] = 1.0
+        again = warm.matrix(terms)
+        assert fresh.tobytes(order="A") == again.tobytes(order="A")
+        assert fresh.flags.f_contiguous and again.flags.f_contiguous
+
+    def test_a_write_into_a_design_leaves_later_designs_alone(self):
+        x = mixed_inputs(25, seed=5)
+        terms = list(total_degree_set(4, 2))
+        builder = DesignBuilder(MIXED_4D, x)
+        expected = builder.matrix(terms).copy()
+        written = builder.matrix(terms)
+        written[:] = np.nan
+        builder.column(terms[3])[:] = np.nan
+        assert np.array_equal(builder.matrix(terms), expected)
+        assert np.array_equal(builder.matrix(terms[::-1]), expected[:, ::-1])
+        assert np.array_equal(builder.column(terms[3]), expected[:, 3])
+
+    @pytest.mark.parametrize("basis", [[], MultiIndexSet([], dim=4)], ids=["list", "set"])
+    def test_empty_basis_gives_a_q_by_0_design(self, basis):
+        design = DesignBuilder(MIXED_4D, mixed_inputs(7)).matrix(basis)
+        assert design.shape == (7, 0) and design.dtype == np.float64
 
     def test_first_non_finite_term_in_basis_order(self):
         # He_3 of x1 overflows at rows 1 and 2, He_2 only at row 2

@@ -391,6 +391,21 @@ class TestMonteCarloReference:
         low, high = map(int, str(caught.value).rsplit(" ", 1)[1].split(".."))
         assert MC_BATCH_SIZE <= low <= bad <= high < MC_BATCH_SIZE + 100
 
+    def test_complex_vectorized_outputs_name_their_samples(self):
+        message = "model outputs on samples 0..9 are not a numeric array: outputs hold complex"
+        with pytest.raises(DataError, match=re.escape(message)):
+            monte_carlo_reference(lambda rows: rows + 1j, normals(1), 10, seed=0, vectorized=True)
+
+    def test_complex_row_output_names_its_sample(self):
+        calls = []
+
+        def f(row):
+            calls.append(row)
+            return row + (1j if len(calls) == 4 else 0)
+
+        with pytest.raises(DataError, match="^model outputs at sample 3 are not a numeric array: outputs hold complex"):
+            monte_carlo_reference(f, normals(1), 10, seed=0)
+
     def test_failure_names_sample_index(self):
         spec = normals(1)
 
