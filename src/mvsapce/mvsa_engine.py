@@ -61,12 +61,13 @@ class ExpansionStep:
     ``eta`` comes from the step's own solve against the responses
     ``expand_basis`` was given, which in a fit are the Q x r factor of the
     responses when M > Q (r the numerical rank of Y): it then equals the
-    full-response value up to rounding.  The step solves on the QR factor
-    that ``expand_basis`` appends columns to, so ``eta`` and
-    ``condition_number`` equal lstsq's within rounding; a step whose
-    decision was close reran on lstsq and reports lstsq's values.  Models,
-    predictions and reports are byte-identical to an lstsq-only expansion
-    at a fixed numeric environment.
+    full-response value up to rounding.  The step was solved by the
+    expansion's ``_StepSolver``: on its QR factor, so that ``eta`` and
+    ``condition_number`` equal lstsq's within rounding, or, when the
+    decision was close or the factor had broken down, on lstsq, whose
+    values it then reports.  Models, predictions and reports are
+    byte-identical to an lstsq-only expansion at a fixed numeric
+    environment.
     """
 
     added: MultiIndex
@@ -207,7 +208,7 @@ def _admit_successors(chosen: MultiIndex, members: set, frontier: list) -> None:
 #: factor reruns on lstsq when its condition number is within this fraction
 #: of kappa, or when its two largest frontier etas are within this fraction
 #: of the summed eta (||C||_F^2) or within 1e4 times the step's rounding
-#: bound, whichever is wider (see ``_AppendedFactor.decide``).  Exact ties
+#: bound, whichever is wider (see ``_StepSolver.solve``).  Exact ties
 #: always reach lstsq.
 _CLOSE = 1e-8
 
@@ -219,53 +220,39 @@ _CLOSE = 1e-8
 _FACTOR_COND_LIMIT = _CLOSE / (1e4 * np.finfo(float).eps)
 
 
-class _AppendedFactor:
-    """Thin QR factor A = Q R of design columns in the order they were appended.
+class _StepSolver:
+    """Solves the expansion steps on a thin QR factor A = Q R of their design columns, or on lstsq.
 
-    Holds Q^T (the orthonormal columns as rows), the triangle R and Q^T
-    responses in storage for as many columns as were appended, doubled
-    when it fills (at most Q), so a fit that ends on K terms holds
-    O(Q K) numbers.  ``append`` adds columns by classical Gram-Schmidt
+    The factor holds Q^T (the orthonormal columns as rows), the triangle R
+    and Q^T responses of the columns in the order they were appended, in
+    storage doubled when it fills (at most Q rows), so a fit that ends on K
+    terms holds O(Q K) numbers.  Columns are added by classical Gram-Schmidt
     with one reorthogonalization, which keeps Q orthonormal to working
-    precision while the design is numerically of full rank (Giraud et
-    al., Numer. Math. 101, 2005).
+    precision while the design is numerically of full rank (Giraud et al.,
+    Numer. Math. 101, 2005).
     """
 
     def __init__(self, responses: np.ndarray, capacity: int):
         self.responses = responses
-        self.position: dict[MultiIndex, int] = {}
+        self.position: dict[MultiIndex, int] | None = {}
         self.qt = np.empty((capacity, len(responses)))
         self.r = np.zeros((capacity, capacity))
         self.projected = np.empty((capacity, responses.shape[1]))
         # ||Y||_F^2 - ||Q^T Y||_F^2: the squared residual of the current columns.
         with np.errstate(over="ignore"):
             self.unexplained = float(np.vdot(responses, responses))
-        self.sigma = None
 
-    def _reserve(self, size: int) -> None:
-        capacity = len(self.r)
-        if size <= capacity:
-            return
-        capacity = min(max(size, 2 * capacity), self.qt.shape[1])
-        k = len(self.position)
-        qt, r, projected = self.qt, self.r, self.projected
-        self.qt = np.empty((capacity, qt.shape[1]))
-        self.qt[:k] = qt[:k]
-        self.r = np.zeros((capacity, capacity))
-        self.r[:k, :k] = r[:k, :k]
-        self.projected = np.empty((capacity, projected.shape[1]))
-        self.projected[:k] = projected[:k]
-
-    def append(self, builder: DesignBuilder, terms) -> bool:
-        """Append the columns of the ``terms`` not factored yet; False when the factor breaks down.
-
-        It breaks down at a column with (almost) no part outside the earlier
-        ones, or when the columns' condition number exceeds
-        _FACTOR_COND_LIMIT; since appending never lowers the condition
-        number, a factor that broke down is of no further use.
-        """
+    def _append(self, builder: DesignBuilder, terms) -> np.ndarray | None:
+        """Append the columns of the ``terms`` not factored yet; R's singular values, or None when the
+        factor breaks down: at a column with (almost) no part outside the earlier ones, or at a
+        condition number above _FACTOR_COND_LIMIT."""
         new = [term for term in terms if term not in self.position]
-        self._reserve(len(self.position) + len(new))
+        grow = len(self.position) + len(new) - len(self.r)
+        if grow > 0:
+            grow = min(max(grow, len(self.r)), len(self.responses) - len(self.r))
+            self.qt = np.pad(self.qt, ((0, grow), (0, 0)))
+            self.r = np.pad(self.r, ((0, grow), (0, grow)))
+            self.projected = np.pad(self.projected, ((0, grow), (0, 0)))
         for term, column in zip(new, builder.matrix(new).T):
             k = len(self.position)
             qt = self.qt[:k]
@@ -276,7 +263,7 @@ class _AppendedFactor:
             rho = float(np.linalg.norm(v))
             # The condition number is at least ||column|| / rho; also false for a non-finite norm.
             if not rho * _FACTOR_COND_LIMIT > np.linalg.norm(column):
-                return False
+                return None
             self.qt[k] = v / rho
             self.r[:k, k] = h + again
             self.r[k, k] = rho
@@ -286,42 +273,49 @@ class _AppendedFactor:
                 self.unexplained -= float(self.projected[k] @ self.projected[k])
             self.position[term] = k
         k = len(self.position)
-        self.sigma = np.linalg.svd(self.r[:k, :k], compute_uv=False)
-        return bool(self.sigma[0] <= _FACTOR_COND_LIMIT * self.sigma[-1])
+        sigma = np.linalg.svd(self.r[:k, :k], compute_uv=False)
+        return sigma if sigma[0] <= _FACTOR_COND_LIMIT * sigma[-1] else None
 
-    def decide(self, extended: list, offset: int, kappa: float):
-        """(eta of ``extended``, cond) of a step whose decisions are clear, with eta None when the
-        design is conditioned worse than ``kappa``; None when a decision is close.
+    def solve(self, builder: DesignBuilder, extended: list, offset: int, kappa: float):
+        """(eta of ``extended``, cond) of one step, eta None when the design is conditioned worse than ``kappa``.
 
-        ``extended`` holds exactly the appended terms.  Each solve's eta errs
-        by about 4 eps cond (Sum eta + cond ||res||_F sqrt(Sum eta) / sigma_1),
-        res the residual Y - A C (Golub & Van Loan, Thm. 5.3.1: the forward
-        error of a least-squares solve grows with cond^2 times the residual);
-        the winner is decided here only when the gap between the two
-        largest frontier etas exceeds 1e4 times that bound and _CLOSE Sum eta.
+        ``extended`` is the step's basis followed by its frontier from
+        ``offset`` on.  The step is decided on the factor when its decisions
+        are clear, else on ``solve_with_condition``, which also names a term
+        whose eta is not finite; a factor that broke down is dropped, since
+        appending never lowers the condition number, and every later step
+        runs on lstsq.  Each solve's eta errs by about 4 eps cond (Sum eta +
+        cond ||res||_F sqrt(Sum eta) / sigma_1), res the residual Y - A C
+        (Golub & Van Loan, Thm. 5.3.1: the forward error of a least-squares
+        solve grows with cond^2 times the residual); the winner is decided on
+        the factor only when the gap between the two largest frontier etas
+        exceeds 1e4 times that bound and _CLOSE Sum eta.
         """
-        k = len(self.position)
-        cond = float(self.sigma[0]) / float(self.sigma[-1])
-        if abs(cond - kappa) <= _CLOSE * kappa:
-            return None
+        sigma = None if self.position is None else self._append(builder, extended)
+        cond = None if sigma is None else float(sigma[0]) / float(sigma[-1])
+        if cond is None:
+            self.position = self.qt = self.r = self.projected = None
+        elif abs(cond - kappa) > _CLOSE * kappa:
+            if cond > kappa:
+                return None, cond
+            k = len(self.position)
+            coeffs = np.linalg.solve(self.r[:k, :k], self.projected[:k])
+            with np.errstate(over="ignore"):
+                eta = sensitivity_indicators(coeffs[[self.position[term] for term in extended]])
+            clear = np.isfinite(eta).all()
+            if clear and len(extended) - offset > 1:
+                second, first = np.partition(eta[offset:], -2)[-2:]
+                total = float(eta.sum())
+                residual = math.sqrt(max(self.unexplained, 0.0))
+                bound = 4 * np.finfo(float).eps * cond * (total + cond * residual * math.sqrt(total) / float(sigma[0]))
+                # Also false when the bound is not finite.
+                clear = first - second > max(_CLOSE * total, 1e4 * bound)
+            if clear:
+                return eta, cond
+        coeffs, cond = solve_with_condition(builder.matrix(extended), self.responses)
         if cond > kappa:
             return None, cond
-        coeffs = np.linalg.solve(self.r[:k, :k], self.projected[:k])
-        try:
-            eta = _finite_indicators(coeffs[[self.position[term] for term in extended]], extended)
-        except DataError:
-            # lstsq's own check names the term, or its etas are finite.
-            return None
-        front = eta[offset:]
-        if len(front) > 1:
-            second, first = np.partition(front, -2)[-2:]
-            total = float(eta.sum())
-            residual = math.sqrt(max(self.unexplained, 0.0))
-            bound = 4 * np.finfo(float).eps * cond * (total + cond * residual * math.sqrt(total) / float(self.sigma[0]))
-            # Also true when the bound is not finite.
-            if not first - second > max(_CLOSE * total, 1e4 * bound):
-                return None
-        return eta, cond
+        return _finite_indicators(coeffs, extended), cond
 
 
 def expand_basis(
@@ -338,10 +332,11 @@ def expand_basis(
     the single admissible index with the largest sensitivity indicator
     (ties broken toward the lexicographically smallest index).
 
-    A step solves on one thin QR factor of the extended set's columns, which
-    takes only the columns each step appends; its eta and condition number
-    (from R's singular values) equal lstsq's within rounding.  A step whose
-    decision is close (see ``_CLOSE``), or whose factor breaks down, reruns
+    Each pass makes one ``_StepSolver.solve`` call.  It solves on one thin
+    QR factor of the extended set's columns, which takes only the columns
+    each step appends; its eta and condition number (from R's singular
+    values) equal lstsq's within rounding.  A step whose decision is close
+    (see ``_CLOSE``), and every step after the factor breaks down, reruns
     ``solve_with_condition`` on the whole extended design, so every decision
     is lstsq's and the models, predictions and reports built from the
     result are byte-identical to an lstsq-only expansion at a fixed numeric
@@ -358,30 +353,19 @@ def expand_basis(
     members = set(basis)
     frontier = list(initial.admissible_forward_neighbors().indices)
     steps: list[ExpansionStep] = []
-    factor = _AppendedFactor(responses, min(len(basis) + len(frontier), n_samples))
+    solver = _StepSolver(responses, min(len(basis) + len(frontier), n_samples))
     while True:
         extended = basis + frontier
         if len(extended) > n_samples:
             termination = "underdetermined"
             break
-        decided = None
-        if factor is not None and not factor.append(builder, extended):
-            factor = None
-        if factor is not None:
-            decided = factor.decide(extended, len(basis), config.kappa)
-        if decided is None:
-            coeffs, cond = solve_with_condition(builder.matrix(extended), responses)
-            eta = None
-        else:
-            eta, cond = decided
-        if cond > config.kappa:
+        offset = len(basis)
+        eta, cond = solver.solve(builder, extended, offset, config.kappa)
+        if eta is None:
             termination = "ill_conditioned"
             break
-        if eta is None:
-            eta = _finite_indicators(coeffs, extended)
         # The frontier sits after the current basis, in sorted order, so the
         # first maximum is the lexicographic winner.
-        offset = len(basis)
         best = int(np.argmax(eta[offset:]))
         chosen = frontier.pop(best)
         steps.append(

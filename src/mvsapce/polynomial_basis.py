@@ -32,13 +32,17 @@ def real_array(values, name: str, context: str) -> np.ndarray:
 
     A DataError starting with ``context`` when they are complex, whose
     imaginary parts a float conversion would drop with only a warning, or
-    when an entry is not a number; the first names ``name``, the second
-    quotes numpy's message about the entry as given.
+    text, which a float conversion would read by Python's ``float`` grammar
+    (``'1_0'`` as 10), not the data files' number grammar; both name
+    ``name``.  Any other entry that is not a number is a DataError quoting
+    numpy's message about the entry as given.
     """
     try:
-        if np.asarray(values).dtype.kind == "c":
-            raise DataError(f"{context}: {name} hold complex values, not real numbers")
-        return np.asarray(values, dtype=float)
+        array = np.asarray(values)
+        if array.dtype.kind in "cSU":
+            held = "complex values" if array.dtype.kind == "c" else "text"
+            raise DataError(f"{context}: {name} hold {held}, not real numbers")
+        return array.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{context}: {exc}") from None
 

@@ -263,6 +263,20 @@ class TestExperimentPlan:
         with pytest.raises(ConfigError, match=f"{name} must be at most {sys.maxsize}"):
             ExperimentPlan(**fields)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"test_size": 0}, "test_size must be >= 1, got 0"),
+            ({"mcs_samples": 1}, "mcs_samples must be >= 2, got 1"),
+            ({"seeds": (0, -1)}, "plan seeds and mcs_seed must be non-negative"),
+            ({"mcs_seed": -1}, "plan seeds and mcs_seed must be non-negative"),
+        ],
+        ids=["test-size", "mcs-samples", "seeds", "mcs-seed"],
+    )
+    def test_out_of_range_values_are_refused(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentPlan(training_sizes=(30,), **fields)
+
     @pytest.mark.parametrize("kappa", ["100", None, 100 + 0j], ids=["text", "none", "complex"])
     def test_kappa_must_be_a_real_number(self, kappa):
         with pytest.raises(ConfigError, match="kappa must be a real number"):
@@ -280,6 +294,11 @@ class TestExperimentPlan:
         b = ExperimentPlan(training_sizes=(30,), seeds=(1,))
         assert plan_hash(config, a) != plan_hash(config, b)
         assert plan_hash(config, a) == plan_hash(config, a)
+
+
+def test_beam_rows_refuse_a_negative_seed():
+    with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+        beam_rows(BeamConfig(response_dim=10), 5, -1, test=False)
 
 
 @pytest.fixture(scope="module")

@@ -64,7 +64,7 @@ def reference_expand(data, spec, config, builder):
 
 
 def counted_expand(builder, responses, config):
-    """``expand_basis`` and the number of steps it reran on ``solve_with_condition``."""
+    """``expand_basis`` and the design shapes of the steps it reran on ``solve_with_condition``."""
     calls = []
 
     def counting(matrix, rhs):
@@ -74,7 +74,7 @@ def counted_expand(builder, responses, config):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mvsa_engine, "solve_with_condition", counting)
         extended, trace = expand_basis(builder, responses, config)
-    return extended, trace, len(calls)
+    return extended, trace, calls
 
 
 def reference_prune(data, basis, config, builder):
@@ -103,7 +103,7 @@ def assert_matches_reference(data, spec, config=None):
     # Q x r factor when M > Q.
     engine_builder = DesignBuilder(spec, data.inputs)
     factor = _response_factor(data.responses)
-    extended, trace, fallbacks = counted_expand(engine_builder, factor, config)
+    extended, trace, reruns = counted_expand(engine_builder, factor, config)
     assert [step.added for step in trace.steps] == ref_added
     assert trace.termination == ref_termination
     # A step decided on the QR factor reports R's condition number and its
@@ -133,7 +133,7 @@ def assert_matches_reference(data, spec, config=None):
         assert coefficients.shape == ref_coeffs.shape
         assert np.array_equal(coefficients, ref_coeffs)
         assert cond == ref_cond
-    return model, fallbacks
+    return model, len(reruns)
 
 
 def beam_cell(q, seed, response_dim=1000):
@@ -274,18 +274,44 @@ def test_dependent_column_breaks_the_factor_down():
     rng = np.random.default_rng(3200)
     x = np.column_stack([rng.choice([-0.5, 0.5], 40), rng.normal(size=40)])
     y = np.column_stack([2.0 * x[:, 0] + x[:, 1], x[:, 0] * x[:, 1]]) + 1e-3 * rng.normal(size=(40, 2))
-    appended = []
-    real_append = mvsa_engine._AppendedFactor.append
+    broken = []
+    real_solve = mvsa_engine._StepSolver.solve
 
-    def spy(factor, builder, terms):
-        appended.append(real_append(factor, builder, terms))
-        return appended[-1]
+    def spy(solver, *args):
+        result = real_solve(solver, *args)
+        # A solver drops its factor when the factor breaks down.
+        broken.append(solver.position is None)
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mvsa_engine._AppendedFactor, "append", spy)
+        patch.setattr(mvsa_engine._StepSolver, "solve", spy)
         model, fallbacks = assert_matches_reference(TrainingData(x, y), spec)
-    assert appended[-1] is False and fallbacks >= 1
+    assert broken[-1] is True and fallbacks >= 1
     assert model.trace.termination == "ill_conditioned"
+
+
+def test_condition_number_at_kappa_reruns_on_lstsq():
+    # kappa is set to lstsq's condition number of the first step, whose
+    # extended set is sorted as the reference's, so the design is the
+    # reference's to the bit.  The factor's condition number is then within
+    # _CLOSE of kappa: the step reruns on lstsq, whose condition number equals
+    # kappa, and is accepted as the reference accepts it.
+    rng = np.random.default_rng(3250)
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0), Marginal.normal(0.0, 1.0), Marginal.uniform(-1.0, 1.0)])
+    x = spec.sample(40, rng)
+    y = np.column_stack([x[:, 0] + 0.5 * x[:, 1] ** 2, x[:, 1] * x[:, 2]]) + 1e-2 * rng.normal(size=(40, 2))
+    data, builder = TrainingData(x, y), DesignBuilder(spec, x)
+    kappa = reference_expand(data, spec, MvsaConfig(), builder)[3][0]
+    first_step = (len(x), 1 + spec.dim)
+    for config, close in ((MvsaConfig(), False), (MvsaConfig(kappa=kappa), True)):
+        extended, trace, reruns = counted_expand(builder, data.responses, config)
+        assert (first_step in reruns) is close
+        ref_extended, ref_added, _, _, _, ref_termination = reference_expand(data, spec, config, builder)
+        assert [step.added for step in trace.steps] == ref_added
+        assert trace.termination == ref_termination
+        assert extended.indices == ref_extended.indices
+    assert trace.steps[0].condition_number == kappa
+    assert len(trace.steps) == 1 and trace.termination == "ill_conditioned"
 
 
 def test_factor_storage_follows_the_appended_columns():

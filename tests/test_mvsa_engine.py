@@ -482,7 +482,7 @@ class TestPceModel:
             (np.array([[1.0], [np.inf]]), "non-finite entries in model coefficients"),
             (np.array([[np.nan, 1.0], [1.0, 1.0]]), "non-finite entries in model coefficients"),
             ([[1.0], [2.0, 3.0]], "model coefficients are not a numeric array: setting an array element"),
-            ([["a"], ["b"]], "model coefficients are not a numeric array: could not convert string"),
+            ([["a"], ["b"]], "model coefficients are not a numeric array: coefficients hold text, not real numbers"),
             ([[10**400], [1.0]], "model coefficients are not a numeric array: int too large"),
             (np.array([[1 + 2j], [3 + 0j]]), "model coefficients are not a numeric array: coefficients hold complex"),
             ([[1, 2], [3, 4]], None),
@@ -525,8 +525,13 @@ class TestPredict:
 
     @pytest.mark.parametrize(
         "inputs, message",
-        [([[0.5j, 0.0]], "inputs hold complex values"), ([["a", 0.0]], "could not convert string to float: 'a'")],
-        ids=["complex", "text"],
+        [
+            ([[0.5j, 0.0]], "inputs hold complex values"),
+            ([["a", 0.0]], "inputs hold text, not real numbers$"),
+            # A float conversion would read '0_5' as 5.
+            ([["0_5", "0"]], "inputs hold text, not real numbers$"),
+        ],
+        ids=["complex", "text", "numeric-text"],
     )
     def test_rejects_inputs_that_are_not_real_numbers(self, standard_normal_2d, inputs, message):
         model = build_model(standard_normal_2d, [(0, 0)], [[1.0]])

@@ -70,10 +70,20 @@ class TestTrainingData:
             TrainingData(inputs, responses)
 
     def test_rejects_non_numeric_entries(self):
-        with pytest.raises(DataError, match="^training data are not numeric arrays: could not convert string"):
+        message = "^training data are not numeric arrays: inputs hold text, not real numbers$"
+        with pytest.raises(DataError, match=message):
             TrainingData([["a"]], [[1.0]])
         with pytest.raises(DataError, match="^training data are not numeric arrays: .*inhomogeneous"):
             TrainingData([[1.0], [1.0, 2.0]], [[1.0], [2.0]])
+
+    def test_rejects_numeric_text(self):
+        # A float conversion would read '1_0' as 10 and ' 2 ' as 2, which the
+        # data files' number grammar refuses.
+        message = "^training data are not numeric arrays: {} hold text, not real numbers$"
+        with pytest.raises(DataError, match=message.format("inputs")):
+            TrainingData([["1_0"], [" 2 "], ["3"]], ["1", "2", "3e0"])
+        with pytest.raises(DataError, match=message.format("responses")):
+            TrainingData(np.ones((3, 1)), ["1", "2", "3e0"])
 
     def test_rejects_complex_entries(self):
         # A float conversion would keep 1, 2 and 0 and only warn.
@@ -126,7 +136,7 @@ class TestAssembleDesign:
         "inputs, message",
         [
             (np.array([[0.5 + 0j, 0.0]]), "^inputs are not a numeric array: inputs hold complex values"),
-            ([["a", 0.0]], "^inputs are not a numeric array: could not convert string to float: 'a'$"),
+            ([["a", 0.0]], "^inputs are not a numeric array: inputs hold text, not real numbers$"),
         ],
         ids=["complex", "text"],
     )
@@ -373,9 +383,10 @@ class TestRmse:
         [
             ([1.0 + 1j], [1.0], "^RMSE needs numeric arrays: predicted values hold complex values"),
             ([1.0], np.array([1.0 + 0j]), "^RMSE needs numeric arrays: actual values hold complex values"),
-            (["a"], ["b"], "^RMSE needs numeric arrays: could not convert string to float: 'a'$"),
+            (["a"], ["b"], "^RMSE needs numeric arrays: predicted values hold text, not real numbers$"),
+            (["1_0"], [" 10"], "^RMSE needs numeric arrays: predicted values hold text, not real numbers$"),
         ],
-        ids=["complex-predicted", "complex-actual", "text"],
+        ids=["complex-predicted", "complex-actual", "text", "numeric-text"],
     )
     def test_rejects_values_that_are_not_real_numbers(self, predicted, actual, message):
         with pytest.raises(DataError, match=message):

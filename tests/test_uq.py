@@ -281,6 +281,14 @@ class TestMonteCarloReference:
         assert abs(report.mean[0]) < 5e-3
         assert abs(report.variance[0] - 1.0) < 1e-2
 
+    def test_vectorized_1d_outputs_are_one_output(self):
+        spec = normals(2)
+        flat = monte_carlo_reference(lambda rows: rows[:, 0] * rows[:, 1], spec, 5000, seed=7, vectorized=True)
+        column = monte_carlo_reference(lambda rows: rows[:, :1] * rows[:, 1:2], spec, 5000, seed=7, vectorized=True)
+        assert flat.mean.shape == flat.variance.shape == (1,)
+        assert np.array_equal(flat.mean, column.mean)
+        assert np.array_equal(flat.variance, column.variance)
+
     def test_deterministic_per_seed(self):
         spec = normals(2)
         f = lambda rows: rows[:, :1] * rows[:, 1:2]
