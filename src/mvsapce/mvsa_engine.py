@@ -190,14 +190,18 @@ def _response_factor(responses: np.ndarray) -> np.ndarray:
     return vt[:rank].T * sigma[:rank]
 
 
-def _admit_successors(chosen: MultiIndex, members: set, frontier: list) -> None:
-    """Insert into the sorted ``frontier`` each k + e_n that ``chosen`` makes admissible.
+def _accept(chosen: MultiIndex, basis: list, members: set, frontier: list) -> None:
+    """Move ``chosen`` from the sorted ``frontier`` into ``basis`` and insert each k + e_n it makes admissible.
 
-    ``members`` is the downward-closed basis, already holding ``chosen``.
+    ``members`` holds the downward-closed ``basis``, and ``frontier`` its
+    admissible forward neighbors; both gain ``chosen`` as ``basis`` does.
     Accepting an index can only make its own forward neighbors admissible
     (the active/old bookkeeping of dimension-adaptive sparse grids), and
     none of those can already be a member or on the frontier.
     """
+    del frontier[bisect.bisect_left(frontier, chosen)]
+    basis.append(chosen)
+    members.add(chosen)
     for n in range(len(chosen)):
         candidate = chosen[:n] + (chosen[n] + 1,) + chosen[n + 1:]
         if is_admissible(candidate, members):
@@ -224,20 +228,21 @@ class _StepSolver:
     """Solves the expansion steps on a thin QR factor A = Q R of their design columns, or on lstsq.
 
     The factor holds Q^T (the orthonormal columns as rows), the triangle R
-    and Q^T responses of the columns in the order they were appended, in
-    storage doubled when it fills (at most Q rows), so a fit that ends on K
-    terms holds O(Q K) numbers.  Columns are added by classical Gram-Schmidt
+    and Q^T responses of the columns in the order they were appended.  Its
+    storage starts at the first append, sized to that step's columns, and
+    doubles when it fills (at most Q rows), so a fit that ends on K terms
+    holds O(Q K) numbers.  Columns are added by classical Gram-Schmidt
     with one reorthogonalization, which keeps Q orthonormal to working
     precision while the design is numerically of full rank (Giraud et al.,
     Numer. Math. 101, 2005).
     """
 
-    def __init__(self, responses: np.ndarray, capacity: int):
+    def __init__(self, responses: np.ndarray):
         self.responses = responses
         self.position: dict[MultiIndex, int] | None = {}
-        self.qt = np.empty((capacity, len(responses)))
-        self.r = np.zeros((capacity, capacity))
-        self.projected = np.empty((capacity, responses.shape[1]))
+        self.qt = np.empty((0, len(responses)))
+        self.r = np.zeros((0, 0))
+        self.projected = np.empty((0, responses.shape[1]))
         # ||Y||_F^2 - ||Q^T Y||_F^2: the squared residual of the current columns.
         with np.errstate(over="ignore"):
             self.unexplained = float(np.vdot(responses, responses))
@@ -349,11 +354,13 @@ def expand_basis(
     if size >= n_samples:
         raise ConfigError(f"initial set size {size} must be smaller than the sample count {n_samples}")
     initial = total_degree_set(dim, config.initial_degree)
-    basis = list(initial.indices)
-    members = set(basis)
-    frontier = list(initial.admissible_forward_neighbors().indices)
+    basis, members, frontier = [], set(), [(0,) * dim]
+    # In lexicographic order each member follows its backward neighbors, so
+    # it is on the frontier when its turn comes.
+    for index in initial.indices:
+        _accept(index, basis, members, frontier)
     steps: list[ExpansionStep] = []
-    solver = _StepSolver(responses, min(len(basis) + len(frontier), n_samples))
+    solver = _StepSolver(responses)
     while True:
         extended = basis + frontier
         if len(extended) > n_samples:
@@ -367,7 +374,7 @@ def expand_basis(
         # The frontier sits after the current basis, in sorted order, so the
         # first maximum is the lexicographic winner.
         best = int(np.argmax(eta[offset:]))
-        chosen = frontier.pop(best)
+        chosen = frontier[best]
         steps.append(
             ExpansionStep(
                 added=chosen,
@@ -376,9 +383,7 @@ def expand_basis(
                 extended_size=len(extended),
             )
         )
-        basis.append(chosen)
-        members.add(chosen)
-        _admit_successors(chosen, members, frontier)
+        _accept(chosen, basis, members, frontier)
     trace = ExpansionTrace(initial=initial, steps=tuple(steps), termination=termination)
     return MultiIndexSet(extended, dim=dim), trace
 

@@ -32,16 +32,19 @@ def real_array(values, name: str, context: str) -> np.ndarray:
 
     A DataError starting with ``context`` when they are complex, whose
     imaginary parts a float conversion would drop with only a warning, or
-    text, which a float conversion would read by Python's ``float`` grammar
-    (``'1_0'`` as 10), not the data files' number grammar; both name
-    ``name``.  Any other entry that is not a number is a DataError quoting
-    numpy's message about the entry as given.
+    text (a string array, or an object array with any ``str`` or ``bytes``
+    entry), which a float conversion would read by Python's ``float``
+    grammar (``'1_0'`` as 10), not the data files' number grammar; both
+    name ``name``.  Any other entry that is not a number is a DataError
+    quoting numpy's message about the entry as given.
     """
     try:
         array = np.asarray(values)
-        if array.dtype.kind in "cSU":
-            held = "complex values" if array.dtype.kind == "c" else "text"
-            raise DataError(f"{context}: {name} hold {held}, not real numbers")
+        kind = array.dtype.kind
+        # Only an object array is scanned: a float array passes untouched.
+        text = kind in "SU" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in array.flat))
+        if text or kind == "c":
+            raise DataError(f"{context}: {name} hold {'text' if text else 'complex values'}, not real numbers")
         return array.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{context}: {exc}") from None
@@ -198,8 +201,10 @@ class DistributionSpec:
             try:
                 if not isinstance(entry["params"], list):
                     raise TypeError(f"params must be an array, got {type(entry['params']).__name__}")
-                if bool in map(type, entry["params"]):
-                    raise TypeError("params must be numbers, got a boolean")
+                # A JSON string would otherwise be read by Python's float grammar: "0.1_5" as 0.15.
+                for kind, held in ((bool, "a boolean"), (str, "a string")):
+                    if kind in map(type, entry["params"]):
+                        raise TypeError(f"params must be numbers, got {held}")
                 marginals.append(Marginal(entry["kind"], tuple(entry["params"])))
             except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
                 raise DataError(f"distribution spec entry {n} {entry!r}: {exc}") from None

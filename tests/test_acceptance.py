@@ -21,6 +21,7 @@ from mvsapce.polynomial_basis import HERMITE, LEGENDRE
 from mvsapce.regression import DesignBuilder, solve_with_condition, write_data_csv
 
 from conftest import build_model, quadrature_gram, tensor_quadrature_gram
+from reference import random_downward_closed_truth, replay_expansion
 
 KAPPA = 100.0
 TRAINING_SIZES = (50, 100, 150)
@@ -39,15 +40,6 @@ def criterion(number, name):
         print(f"ACCEPTANCE {number} ({name}): FAIL")
         raise
     print(f"ACCEPTANCE {number} ({name}): PASS")
-
-
-def replay_expansion_is_downward_closed(trace):
-    current = trace.initial
-    assert current.is_downward_closed()
-    for step in trace.steps:
-        assert step.added in current.admissible_forward_neighbors()
-        current = current.with_index(step.added)
-        assert current.is_downward_closed()
 
 
 @pytest.fixture(scope="module")
@@ -97,12 +89,7 @@ def recovery_runs(uniform_3d_module):
     for seed in range(20):
         rng = np.random.default_rng([seed, 101])
         size = int(rng.integers(3, 9))
-        support = total_degree_set(3, 0)
-        while len(support) < size:
-            candidates = [
-                k for k in support.admissible_forward_neighbors() if sum(k) <= 4
-            ]
-            support = support.with_index(candidates[rng.integers(len(candidates))])
+        support = random_downward_closed_truth(rng, 3, size)
         truth = rng.uniform(0.5, 2.0, (size, 2)) * rng.choice([-1.0, 1.0], (size, 2))
         q = 10 * size
         x_train = mv.sample_inputs(spec, q, [seed, 0])
@@ -201,12 +188,12 @@ def test_criterion_5_termination_guarantees(beam_runs, recovery_runs):
             model = run["model"]
             assert len(model.basis) <= q
             assert model.diagnostics.condition_number <= KAPPA
-            replay_expansion_is_downward_closed(model.trace)
+            replay_expansion(model.trace)
         for case in recovery_runs["cases"]:
             model = case["model"]
             assert len(model.basis) <= case["q"]
             assert model.diagnostics.condition_number <= KAPPA
-            replay_expansion_is_downward_closed(model.trace)
+            replay_expansion(model.trace)
 
 
 def test_criterion_6_consistency_identities():

@@ -1,15 +1,10 @@
-"""The adaptive loop against a plain reference of the same algorithm.
+"""The adaptive loop against the plain lstsq-only reference of the same algorithm.
 
-The engine solves against a Q x r factor of the responses when M > Q (r
-the numerical rank of Y), keeps the admissible frontier incrementally and
-decides each expansion step on a QR factor that grows by the appended
-columns, rerunning lstsq where a decision is close.  The reference below
-does none of this: it solves against all M outputs with lstsq at every
-step, rebuilds the admissible set from scratch with
-``admissible_forward_neighbors`` and prunes with ``without_index``.  Both
+``reference`` holds the reference and says what it leaves out; the engine
 must make the same decisions and end on bit-identical coefficients.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -23,44 +18,13 @@ from hypothesis import strategies as st
 
 from mvsapce import mvsa_engine
 from mvsapce.benchmark import BeamConfig, sample_inputs
-from mvsapce.multi_index import MultiIndexSet, total_degree_set
-from mvsapce.mvsa_engine import (
-    MvsaConfig,
-    _admit_successors,
-    _response_factor,
-    expand_basis,
-    fit_mvsa,
-    prune_basis,
-    sensitivity_indicators,
-)
+from mvsapce.multi_index import total_degree_set
+from mvsapce.mvsa_engine import MvsaConfig, _accept, _response_factor, expand_basis, fit_mvsa, prune_basis
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
 from mvsapce.regression import DesignBuilder, TrainingData, solve_with_condition
 
-
-def reference_expand(data, spec, config, builder):
-    """The lstsq-only expansion: the extended set, the added indices, their etas, the
-    condition numbers and summed etas of the steps, and the termination."""
-    basis = total_degree_set(spec.dim, config.initial_degree)
-    added, etas, conds, totals = [], [], [], []
-    while True:
-        admissible = basis.admissible_forward_neighbors()
-        extended = basis.union(admissible)
-        if len(extended) > data.n_samples:
-            termination = "underdetermined"
-            break
-        coeffs, cond = solve_with_condition(builder.matrix(extended), data.responses)
-        if cond > config.kappa:
-            termination = "ill_conditioned"
-            break
-        eta = sensitivity_indicators(coeffs)
-        offset = len(basis)
-        best = max(range(len(admissible)), key=lambda i: (eta[offset + i], -i))
-        added.append(admissible.indices[best])
-        etas.append(float(eta[offset + best]))
-        conds.append(cond)
-        totals.append(float(eta.sum()))
-        basis = basis.with_index(added[-1])
-    return extended, added, etas, conds, totals, termination
+from reference import admissible_frontier, assert_lexicographic_steps, random_downward_closed_truth
+from reference import reference_expand, reference_prune
 
 
 def counted_expand(builder, responses, config):
@@ -77,18 +41,13 @@ def counted_expand(builder, responses, config):
     return extended, trace, calls
 
 
-def reference_prune(data, basis, config, builder):
-    zero = (0,) * basis.dim
-    removed = []
-    while True:
-        coeffs, cond = solve_with_condition(builder.matrix(basis), data.responses)
-        if cond <= config.kappa and len(basis) <= data.n_samples:
-            return basis, coeffs, cond, removed
-        eta = sensitivity_indicators(coeffs)
-        candidates = [(eta[i], index) for i, index in enumerate(basis.indices) if index != zero]
-        victim = min(candidates)[1]
-        basis = basis.without_index(victim)
-        removed.append(victim)
+def assert_expansion_is_the_reference(extended, trace, data, spec, config):
+    """``expand_basis``'s result added the reference's indices, stopped as it did and ended on its extended set."""
+    builder = DesignBuilder(spec, data.inputs)
+    ref_extended, ref_added, *_, ref_termination = reference_expand(data, spec, config, builder)
+    assert [step.added for step in trace.steps] == ref_added
+    assert trace.termination == ref_termination
+    assert extended.indices == ref_extended.indices
 
 
 def assert_matches_reference(data, spec, config=None):
@@ -141,14 +100,6 @@ def beam_cell(q, seed, response_dim=1000):
     spec = config.distribution_spec()
     x = sample_inputs(spec, q, [seed, 0])
     return TrainingData(x, config.response(x)), spec
-
-
-def random_downward_closed_truth(rng, dim, size):
-    support = total_degree_set(dim, 0)
-    while len(support) < size:
-        candidates = [k for k in support.admissible_forward_neighbors() if sum(k) <= 4]
-        support = support.with_index(candidates[rng.integers(len(candidates))])
-    return support
 
 
 @pytest.mark.parametrize("q, seed", [(q, seed) for q in (50, 100, 150) for seed in range(4)])
@@ -214,17 +165,6 @@ def test_wide_extended_set_prunes_in_the_reference_order(m):
     model, _ = assert_matches_reference(TrainingData(x, y), spec, MvsaConfig(initial_degree=2))
     assert model.trace.termination == "underdetermined" and not model.trace.steps
     assert model.diagnostics.pruned_count >= 44
-
-
-def assert_lexicographic_steps(trace):
-    """Each step of ``trace`` added the smallest index of its frontier."""
-    frontier = list(trace.initial.admissible_forward_neighbors().indices)
-    members = set(trace.initial.indices)
-    for step in trace.steps:
-        assert step.added == frontier[0]
-        frontier.remove(step.added)
-        members.add(step.added)
-        _admit_successors(step.added, members, frontier)
 
 
 def test_zero_responses_with_more_outputs_than_samples():
@@ -306,10 +246,7 @@ def test_condition_number_at_kappa_reruns_on_lstsq():
     for config, close in ((MvsaConfig(), False), (MvsaConfig(kappa=kappa), True)):
         extended, trace, reruns = counted_expand(builder, data.responses, config)
         assert (first_step in reruns) is close
-        ref_extended, ref_added, _, _, _, ref_termination = reference_expand(data, spec, config, builder)
-        assert [step.added for step in trace.steps] == ref_added
-        assert trace.termination == ref_termination
-        assert extended.indices == ref_extended.indices
+        assert_expansion_is_the_reference(extended, trace, data, spec, config)
     assert trace.steps[0].condition_number == kappa
     assert len(trace.steps) == 1 and trace.termination == "ill_conditioned"
 
@@ -342,19 +279,15 @@ def test_noisy_cells_near_the_factor_limit_match_the_reference(seed):
     support = random_downward_closed_truth(rng, 3, 5)
     y = DesignBuilder(spec, x).matrix(support) @ rng.normal(size=(len(support), 3)) + rng.normal(size=(60, 3))
     data, config = TrainingData(x, y), MvsaConfig(kappa=4e3)
-    ref_extended, ref_added, _, _, _, ref_termination = reference_expand(
-        data, spec, config, DesignBuilder(spec, data.inputs)
-    )
     extended, trace = expand_basis(DesignBuilder(spec, data.inputs), data.responses, config)
     assert len(trace.steps) >= 5
-    assert [step.added for step in trace.steps] == ref_added
-    assert trace.termination == ref_termination
-    assert extended.indices == ref_extended.indices
+    assert_expansion_is_the_reference(extended, trace, data, spec, config)
 
 
 @st.composite
 def small_cells(draw):
-    """(data, spec, config): 1-3 Legendre or Hermite inputs, Q = 8-40 rows, M = 1-4 outputs."""
+    """(data, spec, config): 1-3 Legendre or Hermite inputs, Q = 8-40 rows, M = 1-4 outputs, and an
+    initial set td:0, td:1 or td:2 smaller than Q."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(1, 3))
     spec = DistributionSpec(
@@ -366,37 +299,47 @@ def small_cells(draw):
     support = random_downward_closed_truth(rng, dim, int(rng.integers(1, 6)))
     y = DesignBuilder(spec, x).matrix(support) @ rng.normal(size=(len(support), m))
     y = y + draw(st.sampled_from([0.0, 1e-3, 1.0])) * rng.normal(size=y.shape)
-    return TrainingData(x, y), spec, MvsaConfig(kappa=draw(st.sampled_from([3.0, 100.0, 1e4])))
+    kappa = draw(st.sampled_from([3.0, 100.0, 1e4]))
+    degree = draw(st.sampled_from([p for p in (0, 1, 2) if math.comb(dim + p, p) < q]))
+    return TrainingData(x, y), spec, MvsaConfig(kappa=kappa, initial_degree=degree)
 
 
 @given(cell=small_cells())
 @settings(max_examples=40, deadline=None)
 def test_factored_decisions_equal_the_lstsq_reference(cell):
     data, spec, config = cell
-    ref_extended, ref_added, _, _, _, ref_termination = reference_expand(
-        data, spec, config, DesignBuilder(spec, data.inputs)
-    )
     extended, trace = expand_basis(DesignBuilder(spec, data.inputs), data.responses, config)
-    assert [step.added for step in trace.steps] == ref_added
-    assert trace.termination == ref_termination
-    assert extended.indices == ref_extended.indices
+    assert_expansion_is_the_reference(extended, trace, data, spec, config)
 
 
-@pytest.mark.parametrize("q, seed", [(100, 1), (150, 0)])
-def test_incremental_frontier_equals_brute_force(q, seed):
+def accepted(indices, dim):
+    """(basis, members, frontier) after ``_accept`` takes ``indices`` in turn, starting from the zero index."""
+    basis, members, frontier = [], set(), [(0,) * dim]
+    for index in indices:
+        _accept(index, basis, members, frontier)
+    return basis, members, frontier
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 20])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_accepting_the_initial_set_seeds_the_brute_force_frontier(dim, degree):
+    initial = total_degree_set(dim, degree)
+    basis, _, frontier = accepted(initial, dim)
+    assert basis == list(initial)
+    assert frontier == admissible_frontier(initial)
+
+
+# At Q <= 231 the td:1 extended set (21 terms and 210 candidates) outgrows the rows before the first step.
+@pytest.mark.parametrize("q, seed, degree", [(100, 1, 0), (150, 0, 0), (300, 0, 1)], ids=["100-1", "150-0", "td1-300"])
+def test_incremental_frontier_equals_brute_force(q, seed, degree):
     data, spec = beam_cell(q, seed, response_dim=20)
-    trace = fit_mvsa(data, spec, MvsaConfig(kappa=100.0)).trace
+    trace = fit_mvsa(data, spec, MvsaConfig(kappa=100.0, initial_degree=degree)).trace
     assert len(trace.steps) > 10
-    basis = list(trace.initial.indices)
-    members = set(basis)
-    frontier = list(trace.initial.admissible_forward_neighbors().indices)
+    basis, members, frontier = accepted(trace.initial, spec.dim)
+    assert frontier == admissible_frontier(basis)
     for step in trace.steps:
-        frontier.remove(step.added)
-        basis.append(step.added)
-        members.add(step.added)
-        _admit_successors(step.added, members, frontier)
-        brute = MultiIndexSet(basis).admissible_forward_neighbors()
-        assert frontier == list(brute.indices)
+        _accept(step.added, basis, members, frontier)
+        assert frontier == admissible_frontier(basis)
         assert len(basis) + len(frontier) == len(set(basis) | set(frontier))
 
 

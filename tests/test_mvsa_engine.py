@@ -28,22 +28,11 @@ from mvsapce.polynomial_basis import DistributionSpec, Marginal
 from mvsapce.regression import DesignBuilder, TrainingData, solve_with_condition
 
 from conftest import build_model
+from reference import lstsq_with_condition, reference_expand, reference_prune, replay_expansion
 
 
 def normal_spec(dim):
     return DistributionSpec([Marginal.normal(0.0, 1.0)] * dim)
-
-
-def replay_expansion(trace):
-    """Re-run the recorded expansion and check closure at every step."""
-    current = trace.initial
-    assert current.is_downward_closed()
-    for step in trace.steps:
-        admissible = current.admissible_forward_neighbors()
-        assert step.added in admissible
-        current = current.with_index(step.added)
-        assert current.is_downward_closed()
-    return current
 
 
 class TestSensitivityIndicators:
@@ -137,27 +126,18 @@ class TestExpansion:
         assert all(k[1] == 0 for k in meaningful)
 
     def test_accepted_index_attains_maximum_indicator(self):
-        # re-solve the extended system at every recorded step: the accepted
-        # index must carry the largest indicator among the admissible
-        # candidates, with the lexicographic tie-break
+        # the reference re-solves the extended system at every step: the
+        # accepted index must carry the largest indicator among the
+        # admissible candidates, with the lexicographic tie-break
         rng = np.random.default_rng(9)
         x = rng.normal(size=(35, 2))
         y = np.column_stack([np.exp(0.3 * x[:, 0]), np.cos(x[:, 1])])
-        data = TrainingData(x, y)
         spec = normal_spec(2)
         builder = DesignBuilder(spec, x)
         _, trace = expand_basis(builder, y, MvsaConfig())
-        current = trace.initial
-        for step in trace.steps:
-            admissible = current.admissible_forward_neighbors()
-            extended = current.union(admissible)
-            coeffs = np.linalg.lstsq(builder.matrix(extended), y, rcond=1e-12)[0]
-            eta = sensitivity_indicators(coeffs)
-            lookup = {k: eta[i] for i, k in enumerate(extended.indices)}
-            best = max(admissible.indices, key=lambda k: (lookup[k], [-v for v in k]))
-            assert step.added == best
-            assert step.eta == pytest.approx(lookup[best], rel=1e-12)
-            current = current.with_index(step.added)
+        _, added, etas, *_ = reference_expand(TrainingData(x, y), spec, MvsaConfig(), builder)
+        assert [step.added for step in trace.steps] == added
+        assert [step.eta for step in trace.steps] == pytest.approx(etas, rel=1e-12)
 
 
 class TestPruning:
@@ -187,15 +167,11 @@ class TestPruning:
         data = TrainingData(x, 2.0 * column)
         spec = normal_spec(2)
         basis = MultiIndexSet([(0, 0), (1, 0), (0, 1)])
-        design = DesignBuilder(spec, x).matrix(basis)
-        coeffs, cond = solve_with_condition(design, data.responses)
-        assert cond == np.inf
-        eta = sensitivity_indicators(coeffs)
-        expected_victim = min(
-            ((eta[i], k) for i, k in enumerate(basis.indices) if k != (0, 0)),
-        )[1]
-        result = prune_basis(DesignBuilder(spec, x), data.responses, basis, MvsaConfig())
-        assert result.removed == (expected_victim,)
+        builder = DesignBuilder(spec, x)
+        assert lstsq_with_condition(builder.matrix(basis), data.responses)[1] == np.inf
+        ref_removed = reference_prune(data, basis, MvsaConfig(), builder)[3]
+        result = prune_basis(builder, data.responses, basis, MvsaConfig())
+        assert len(ref_removed) == 1 and list(result.removed) == ref_removed
         assert len(result.basis) == 2 and (0, 0) in result.basis
         assert result.condition_number <= 100.0
 
@@ -211,23 +187,9 @@ class TestPruning:
         result = prune_basis(DesignBuilder(uniform_3d, x), data.responses, basis, config)
         assert len(result.basis) <= 8
         assert result.condition_number <= config.kappa
-        # brute-force replay
-        builder = DesignBuilder(uniform_3d, x)
-        current = basis
-        for removed in result.removed:
-            matrix = builder.matrix(current)
-            coeffs, _, _, s = np.linalg.lstsq(matrix, data.responses, rcond=1e-12)
-            wide = matrix.shape[1] > matrix.shape[0]
-            cond = np.inf if wide or s[-1] <= s[0] * 1e-15 else s[0] / s[-1]
-            assert cond > config.kappa or len(current) > 8
-            eta = sensitivity_indicators(coeffs)
-            removable = [
-                (eta[i], k) for i, k in enumerate(current.indices) if k != (0, 0, 0)
-            ]
-            best = min(removable, key=lambda pair: (pair[0], pair[1]))
-            assert removed == best[1]
-            current = current.without_index(removed)
-        assert current == result.basis
+        ref_basis, _, _, ref_removed = reference_prune(data, basis, config, DesignBuilder(uniform_3d, x))
+        assert list(result.removed) == ref_removed
+        assert result.basis == ref_basis
 
     def test_zero_index_protection_toggle(self):
         rng = np.random.default_rng(6)

@@ -203,6 +203,11 @@ class TestSerialization:
             with pytest.raises(DataError, match="^distribution spec entry 0 .*: params must be numbers, got a boolean$"):
                 DistributionSpec.from_json([{"kind": "lognormal", "params": params}])
 
+    def test_rejects_quoted_params(self):
+        # Python's float would read "0.1_5" as 0.15.
+        with pytest.raises(DataError, match="^distribution spec entry 0 .*: params must be numbers, got a string$"):
+            DistributionSpec.from_json([{"kind": "normal", "params": ["0.1_5", 0.0075]}])
+
     def test_params_that_are_not_two_numbers_name_the_entry(self):
         payload = [{"kind": "normal", "params": [0.0, 1.0]}, {"kind": "uniform", "params": [0.0, 1.0, 2.0]}]
         message = r"^distribution spec entry 1 .*: uniform marginal params must be two numbers, got \(0\.0, 1\.0, 2\.0\)$"

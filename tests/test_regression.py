@@ -84,6 +84,8 @@ class TestTrainingData:
             TrainingData([["1_0"], [" 2 "], ["3"]], ["1", "2", "3e0"])
         with pytest.raises(DataError, match=message.format("responses")):
             TrainingData(np.ones((3, 1)), ["1", "2", "3e0"])
+        with pytest.raises(DataError, match=message.format("inputs")):
+            TrainingData(np.array([["1_0"], [" 2 "], ["3"]], dtype=object), np.array(["1", "2", "3e0"], dtype=object))
 
     def test_rejects_complex_entries(self):
         # A float conversion would keep 1, 2 and 0 and only warn.
@@ -385,8 +387,11 @@ class TestRmse:
             ([1.0], np.array([1.0 + 0j]), "^RMSE needs numeric arrays: actual values hold complex values"),
             (["a"], ["b"], "^RMSE needs numeric arrays: predicted values hold text, not real numbers$"),
             (["1_0"], [" 10"], "^RMSE needs numeric arrays: predicted values hold text, not real numbers$"),
+            (np.array(["1_0"], dtype=object), [10.0], "^RMSE needs numeric arrays: predicted values hold text"),
+            (np.array([1.0, "2"], dtype=object), [1.0, 2.0], "^RMSE needs numeric arrays: predicted values hold text"),
+            ([1.0], np.array([b"1"], dtype=object), "^RMSE needs numeric arrays: actual values hold text"),
         ],
-        ids=["complex-predicted", "complex-actual", "text", "numeric-text"],
+        ids=["complex-predicted", "complex-actual", "text", "numeric-text", "object-text", "object-mixed", "bytes"],
     )
     def test_rejects_values_that_are_not_real_numbers(self, predicted, actual, message):
         with pytest.raises(DataError, match=message):
