@@ -137,6 +137,7 @@ def sample_inputs(spec: DistributionSpec, size: int, seed) -> np.ndarray:
 def beam_rows(config: BeamConfig, size: int, seed: int, test: bool) -> TrainingData:
     """``size`` beam rows and their responses: training rows from the stream [seed, 0], test rows from [seed, 1],
     so a cell's data depends on its seed alone and every training size of one seed shares its test set."""
+    seed = as_integer("seed", seed)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     inputs = sample_inputs(config.distribution_spec(), size, [seed, int(test)])
@@ -240,13 +241,7 @@ def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentR
     for method in plan.methods:
         degree = _parse_method(method)
         bases[method] = None if degree is None else total_degree_set(spec.dim, degree)
-    reference = monte_carlo_reference(
-        config.response,
-        spec,
-        plan.mcs_samples,
-        plan.mcs_seed,
-        vectorized=True,
-    )
+    reference = monte_carlo_reference(config.response, spec, plan.mcs_samples, plan.mcs_seed)
     mvsa_config = MvsaConfig(kappa=plan.kappa)
     cells: dict[tuple[int, int], list[CellResult]] = {}
     for seed in plan.seeds:

@@ -175,6 +175,9 @@ def parse_count(text: str) -> int:
 def as_integer(name: str, value) -> int:
     """``value`` as an int, by ``operator.index``, at most sys.maxsize; ConfigError naming ``name`` otherwise."""
     try:
+        # operator.index would read True as 1.
+        if isinstance(value, bool):
+            raise TypeError
         integer = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None

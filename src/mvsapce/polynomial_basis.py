@@ -71,7 +71,11 @@ class Marginal:
         if self.kind not in ("normal", "lognormal", "uniform"):
             raise ConfigError(f"unknown marginal kind {self.kind!r}")
         try:
-            a, b = (float(v) for v in self.params)
+            params = tuple(self.params)
+            # float() would read True as 1.0 and the text '0.1_5' as 0.15.
+            if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in params):
+                raise TypeError
+            a, b = (float(v) for v in params)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{self.kind} marginal params must be two numbers, got {self.params!r}") from None
         object.__setattr__(self, "params", (a, b))
@@ -119,9 +123,10 @@ class Marginal:
         """Map physical values onto the reference variable.
 
         Accepts a scalar or ndarray; raises DomainError for values outside
-        the support, with ``row`` the flat position of the first one.
+        the support, with ``row`` the flat position of the first one, and
+        DataError for values that are not real numbers (text included).
         """
-        x = np.asarray(x, dtype=float)
+        x = real_array(x, "values", f"{self.kind} marginal values are not a numeric array")
         flat = x.reshape(-1)  # flat positions; a view of standardize_rows' 1-D columns
         require(np.isfinite(flat), partial(DomainError, f"non-finite value for {self.kind} marginal"))
         if self.kind == "normal":
@@ -201,10 +206,6 @@ class DistributionSpec:
             try:
                 if not isinstance(entry["params"], list):
                     raise TypeError(f"params must be an array, got {type(entry['params']).__name__}")
-                # A JSON string would otherwise be read by Python's float grammar: "0.1_5" as 0.15.
-                for kind, held in ((bool, "a boolean"), (str, "a string")):
-                    if kind in map(type, entry["params"]):
-                        raise TypeError(f"params must be numbers, got {held}")
                 marginals.append(Marginal(entry["kind"], tuple(entry["params"])))
             except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
                 raise DataError(f"distribution spec entry {n} {entry!r}: {exc}") from None

@@ -189,16 +189,20 @@ def monte_carlo_reference(
     spec: DistributionSpec,
     samples: int,
     seed,
-    vectorized: bool = False,
+    *,
+    vectorized: bool = True,
 ) -> MomentReport:
     """Seeded Monte-Carlo moments of ``f`` under the input distribution.
 
-    ``f`` maps one N-vector to an M-vector, or a Q x N batch to Q x M when
-    ``vectorized`` is set; every sample must give the same M >= 1 finite
-    values, or a ``DataError`` names the samples.  Draws are consumed in
-    batches of ``MC_BATCH_SIZE`` from a single pcg64 stream, so results are
-    deterministic per seed.  Uses a shifted two-pass accumulation and the
-    unbiased variance estimator.
+    ``f`` maps a Q x N batch of inputs to Q x M outputs, a Q-vector counting
+    as one output; every sample must give the same M >= 1 finite values, or
+    a ``DataError`` names the samples.  ``vectorized`` is accepted only as
+    True, the one form of ``f``; any other value is a ``ConfigError``.
+    Draws are consumed in batches of ``MC_BATCH_SIZE`` from a single pcg64
+    stream, so results are deterministic per seed.  One pass over the
+    samples sums the values shifted by the first sample's outputs and their
+    squares (the shifted-data algorithm), and the variance is the unbiased
+    estimator.
 
     ``f`` is called once per batch and its output is read, never written.
     Each batch's sums are taken over row blocks of about ``_BLOCK_ELEMENTS``
@@ -207,6 +211,8 @@ def monte_carlo_reference(
     ``f``'s output is one block: the reference holds one batch of outputs
     (``MC_BATCH_SIZE`` x M doubles) whatever ``samples`` is.
     """
+    if vectorized is not True:
+        raise ConfigError(f"vectorized must be True, got {vectorized!r}")
     samples = as_integer("Monte-Carlo sample count", samples)
     if samples < 2:
         raise ConfigError(f"Monte-Carlo reference needs at least 2 samples, got {samples}")
@@ -215,7 +221,7 @@ def monte_carlo_reference(
     offset = None
     while count < samples:
         n = min(MC_BATCH_SIZE, samples - count)
-        y = _batch_outputs(f, spec.sample(n, rng), count, vectorized)
+        y = _batch_outputs(f, spec.sample(n, rng), count)
         if offset is None:
             offset = y[0].copy()
             sum_d = np.zeros_like(offset)
@@ -248,33 +254,17 @@ def monte_carlo_reference(
     return MomentReport(mean=mean, variance=variance, std=np.sqrt(variance))
 
 
-def _batch_outputs(f: Callable, x: np.ndarray, first: int, vectorized: bool) -> np.ndarray:
+def _batch_outputs(f: Callable, x: np.ndarray, first: int) -> np.ndarray:
     """``f`` on one batch of input rows as an n x M float array, M >= 1."""
     n = len(x)
     where = f"samples {first}..{first + n - 1}"
-    if vectorized:
-        try:
-            y = f(x)
-        except Exception as exc:
-            raise DataError(f"model evaluation failed on {where}: {exc}") from exc
-        y = real_array(y, "outputs", f"model outputs on {where} are not a numeric array")
-        if y.shape[:1] != (n,):
-            raise DataError(f"vectorized model returned shape {y.shape} for {n} inputs on {where}")
-    else:
-        rows = []
-        for i, row in enumerate(x):
-            try:
-                output = f(row)
-            except Exception as exc:
-                raise DataError(f"model evaluation failed at sample {first + i}: {exc}") from exc
-            context = f"model outputs at sample {first + i} are not a numeric array"
-            rows.append(real_array(output, "outputs", context).ravel())
-            if rows[-1].size != rows[0].size:
-                raise DataError(
-                    f"model returned {rows[-1].size} outputs at sample {first + i}, "
-                    f"{rows[0].size} at sample {first}"
-                )
-        y = np.vstack(rows)
+    try:
+        y = f(x)
+    except Exception as exc:
+        raise DataError(f"model evaluation failed on {where}: {exc}") from exc
+    y = real_array(y, "outputs", f"model outputs on {where} are not a numeric array")
+    if y.shape[:1] != (n,):
+        raise DataError(f"model returned shape {y.shape} for {n} inputs on {where}")
     if y.ndim == 1:
         y = y[:, None]
     if y.ndim != 2 or y.shape[1] == 0:

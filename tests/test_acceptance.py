@@ -47,9 +47,7 @@ def beam_runs():
     """Full beam protocol: adaptive fits everywhere, TD p=2 at Q=150."""
     config = mv.BeamConfig(response_dim=1000)
     spec = config.distribution_spec()
-    reference = mv.monte_carlo_reference(
-        config.response, spec, MCS_SAMPLES, MCS_SEED, vectorized=True
-    )
+    reference = mv.monte_carlo_reference(config.response, spec, MCS_SAMPLES, MCS_SEED)
     runs = {}
     td_max_rmse = {}
     for q in TRAINING_SIZES:

@@ -168,7 +168,9 @@ class TestBeamConfig:
         with pytest.raises(ConfigError):
             BeamConfig(dummy_count=-1)
 
-    @pytest.mark.parametrize("field, value", [("response_dim", 2.5), ("dummy_count", 1.5), ("response_dim", "3")])
+    @pytest.mark.parametrize(
+        "field, value", [("response_dim", 2.5), ("dummy_count", 1.5), ("response_dim", "3"), ("response_dim", True)]
+    )
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             BeamConfig(**{field: value})
@@ -241,8 +243,9 @@ class TestExperimentPlan:
             ({"training_sizes": (30,), "mcs_samples": 10.5}, "mcs_samples"),
             ({"training_sizes": (30,), "test_size": 20.5}, "test_size"),
             ({"training_sizes": (30,), "mcs_seed": 7.5}, "mcs_seed"),
+            ({"training_sizes": (30,), "seeds": (True,)}, "seeds entry"),
         ],
-        ids=["training-sizes", "seeds", "mcs-samples", "test-size", "mcs-seed"],
+        ids=["training-sizes", "seeds", "mcs-samples", "test-size", "mcs-seed", "boolean-seed"],
     )
     def test_counts_must_be_integers(self, fields, name):
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
@@ -299,6 +302,13 @@ class TestExperimentPlan:
 def test_beam_rows_refuse_a_negative_seed():
     with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
         beam_rows(BeamConfig(response_dim=10), 5, -1, test=False)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "1"])
+def test_beam_rows_refuse_a_seed_that_is_not_an_integer(seed):
+    # numpy would draw the seed-1 rows for True.
+    with pytest.raises(ConfigError, match=rf"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        beam_rows(BeamConfig(response_dim=10), 5, seed, test=False)
 
 
 @pytest.fixture(scope="module")

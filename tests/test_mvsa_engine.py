@@ -57,7 +57,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="initial_degree"):
             MvsaConfig(initial_degree=-1)
 
-    @pytest.mark.parametrize("value", [1.5, "1", sys.maxsize + 1], ids=["float", "text", "above-maxsize"])
+    @pytest.mark.parametrize(
+        "value", [1.5, "1", sys.maxsize + 1, True], ids=["float", "text", "above-maxsize", "boolean"]
+    )
     def test_initial_degree_must_be_an_integer_up_to_maxsize(self, value):
         data = TrainingData(np.zeros((30, 2)), np.zeros((30, 1)))
         with pytest.raises(ConfigError, match="initial_degree must be"):

@@ -9,6 +9,7 @@ from mvsapce.polynomial_basis import (
     LEGENDRE,
     DistributionSpec,
     Marginal,
+    real_array,
     univariate_table,
 )
 from mvsapce.regression import DesignBuilder
@@ -36,8 +37,11 @@ class TestMarginalValidation:
             Marginal("beta", (1.0, 2.0))
 
     @pytest.mark.parametrize(
-        "params", [(0, 1, 2), (0.0,), 5.0, ("a", 1.0), (None, 1.0), (10**400, 1.0)],
-        ids=["three", "one", "scalar", "text", "none", "too-large"],
+        "params",
+        [(0, 1, 2), (0.0,), 5.0, ("a", 1.0), (None, 1.0), (10**400, 1.0),
+         ("0.1_5", 1.0), (b"0.15", 1.0), "12", (True, 1.0), (0.0, np.True_)],
+        ids=["three", "one", "scalar", "text", "none", "too-large",
+             "underscore-text", "bytes", "string", "true", "numpy-true"],
     )
     def test_params_must_be_two_numbers(self, params):
         with pytest.raises(ConfigError, match=r"^normal marginal params must be two numbers, got "):
@@ -75,6 +79,20 @@ class TestStandardize:
     def test_lognormal_rejects_nonpositive_x(self):
         with pytest.raises(DomainError):
             Marginal.lognormal(1.0, 0.5).standardize(0.0)
+
+    @pytest.mark.parametrize(
+        "x", ["1_0", np.array(["1_0"]), np.array([1.0, "2"], dtype=object), b"3"],
+        ids=["text", "string-array", "object-array", "bytes"],
+    )
+    def test_text_is_refused(self, x):
+        # A float conversion would read "1_0" as 10.
+        with pytest.raises(DataError, match="^normal marginal values are not a numeric array: values hold text"):
+            Marginal.normal(0.0, 1.0).standardize(x)
+
+    def test_float_columns_are_read_in_place(self):
+        # standardize_rows hands each marginal a strided column of its float inputs.
+        column = np.ones((4, 3))[:, 1]
+        assert real_array(column, "values", "context") is column
 
     def test_uniform_rejects_outside_support(self):
         with pytest.raises(DomainError):
@@ -199,13 +217,15 @@ class TestSerialization:
         with pytest.raises(DataError):
             DistributionSpec.from_json([{"kind": "normal", "params": [0.0]}])
         # JSON true would otherwise read as 1.0: lognormal(1.0, 1.0)
-        for params in [[True, 1], [1.0, False]]:
-            with pytest.raises(DataError, match="^distribution spec entry 0 .*: params must be numbers, got a boolean$"):
+        for params, shown in [([True, 1], r"\(True, 1\)"), ([1.0, False], r"\(1\.0, False\)")]:
+            message = f"^distribution spec entry 0 .*: lognormal marginal params must be two numbers, got {shown}$"
+            with pytest.raises(DataError, match=message):
                 DistributionSpec.from_json([{"kind": "lognormal", "params": params}])
 
     def test_rejects_quoted_params(self):
         # Python's float would read "0.1_5" as 0.15.
-        with pytest.raises(DataError, match="^distribution spec entry 0 .*: params must be numbers, got a string$"):
+        message = r"^distribution spec entry 0 .*: normal marginal params must be two numbers, got \('0\.1_5', 0\.0075\)$"
+        with pytest.raises(DataError, match=message):
             DistributionSpec.from_json([{"kind": "normal", "params": ["0.1_5", 0.0075]}])
 
     def test_params_that_are_not_two_numbers_name_the_entry(self):

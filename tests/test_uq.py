@@ -63,9 +63,7 @@ class TestMoments:
         report = moments(model)
         assert report.mean[0] == 0.0
         assert report.variance[0] == 5.0
-        reference = monte_carlo_reference(
-            lambda rows: predict(model, rows), spec, 10**6, seed=99, vectorized=True
-        )
+        reference = monte_carlo_reference(lambda rows: predict(model, rows), spec, 10**6, seed=99)
         # 4-sigma Monte-Carlo confidence: sd(mean) = sqrt(5/n),
         # sd(variance) ~ sqrt(2/n) * variance
         n = 10**6
@@ -270,21 +268,19 @@ class TestFittedModelConsistency:
 class TestMonteCarloReference:
     def test_constant_function_has_exactly_zero_variance(self):
         spec = normals(1)
-        report = monte_carlo_reference(lambda x: np.array([2.5]), spec, 1000, seed=0)
+        report = monte_carlo_reference(lambda rows: np.full((len(rows), 1), 2.5), spec, 1000, seed=0)
         assert report.variance[0] == 0.0
 
     def test_identity_on_standard_normal(self):
         spec = normals(1)
-        report = monte_carlo_reference(
-            lambda rows: rows, spec, 10**6, seed=1, vectorized=True
-        )
+        report = monte_carlo_reference(lambda rows: rows, spec, 10**6, seed=1)
         assert abs(report.mean[0]) < 5e-3
         assert abs(report.variance[0] - 1.0) < 1e-2
 
     def test_vectorized_1d_outputs_are_one_output(self):
         spec = normals(2)
-        flat = monte_carlo_reference(lambda rows: rows[:, 0] * rows[:, 1], spec, 5000, seed=7, vectorized=True)
-        column = monte_carlo_reference(lambda rows: rows[:, :1] * rows[:, 1:2], spec, 5000, seed=7, vectorized=True)
+        flat = monte_carlo_reference(lambda rows: rows[:, 0] * rows[:, 1], spec, 5000, seed=7)
+        column = monte_carlo_reference(lambda rows: rows[:, :1] * rows[:, 1:2], spec, 5000, seed=7)
         assert flat.mean.shape == flat.variance.shape == (1,)
         assert np.array_equal(flat.mean, column.mean)
         assert np.array_equal(flat.variance, column.variance)
@@ -292,8 +288,8 @@ class TestMonteCarloReference:
     def test_deterministic_per_seed(self):
         spec = normals(2)
         f = lambda rows: rows[:, :1] * rows[:, 1:2]
-        a = monte_carlo_reference(f, spec, 5000, seed=7, vectorized=True)
-        b = monte_carlo_reference(f, spec, 5000, seed=7, vectorized=True)
+        a = monte_carlo_reference(f, spec, 5000, seed=7)
+        b = monte_carlo_reference(f, spec, 5000, seed=7)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.variance, b.variance)
 
@@ -312,7 +308,7 @@ class TestMonteCarloReference:
             returned.append((y, y.copy()))
             return y
 
-        report = monte_carlo_reference(f, spec, samples, seed=3, vectorized=True)
+        report = monte_carlo_reference(f, spec, samples, seed=3)
         assert len(returned) == 3
         for y, original in returned:
             assert np.array_equal(y, original)
@@ -336,10 +332,7 @@ class TestMonteCarloReference:
         batch_bytes = MC_BATCH_SIZE * 1000 * 8
         tracemalloc.start()
         try:
-            monte_carlo_reference(
-                config.response, config.distribution_spec(), 2 * MC_BATCH_SIZE + 17,
-                seed=0, vectorized=True,
-            )
+            monte_carlo_reference(config.response, config.distribution_spec(), 2 * MC_BATCH_SIZE + 17, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -353,7 +346,7 @@ class TestMonteCarloReference:
     def test_vectorized_output_of_another_length_is_refused(self, f, shape):
         message = f"returned shape {shape} for 10 inputs on samples 0..9"
         with pytest.raises(DataError, match=re.escape(message)):
-            monte_carlo_reference(f, normals(1), 10, seed=0, vectorized=True)
+            monte_carlo_reference(f, normals(1), 10, seed=0)
 
     @pytest.mark.parametrize("width", [1, 2, 4])
     def test_batch_of_another_width_is_refused(self, width):
@@ -363,17 +356,7 @@ class TestMonteCarloReference:
 
         message = f"{width} outputs per sample on samples {MC_BATCH_SIZE}..{MC_BATCH_SIZE + 4}, 3 "
         with pytest.raises(DataError, match=re.escape(message)):
-            monte_carlo_reference(f, normals(1), MC_BATCH_SIZE + 5, seed=0, vectorized=True)
-
-    def test_ragged_rows_are_refused(self):
-        calls = []
-
-        def f(row):
-            calls.append(row)
-            return np.zeros(3 if len(calls) == 6 else 2)
-
-        with pytest.raises(DataError, match="^model returned 3 outputs at sample 5, 2 at sample 0$"):
-            monte_carlo_reference(f, normals(1), 10, seed=0)
+            monte_carlo_reference(f, normals(1), MC_BATCH_SIZE + 5, seed=0)
 
     @pytest.mark.parametrize(
         "f, shape",
@@ -383,7 +366,7 @@ class TestMonteCarloReference:
     )
     def test_outputs_that_are_not_a_vector_are_refused(self, f, shape):
         with pytest.raises(DataError, match=re.escape(f"shape {shape} per sample on samples 0..9")):
-            monte_carlo_reference(f, normals(1), 10, seed=0, vectorized=True)
+            monte_carlo_reference(f, normals(1), 10, seed=0)
 
     def test_non_finite_output_names_its_samples(self):
         bad = MC_BATCH_SIZE + 40
@@ -395,42 +378,37 @@ class TestMonteCarloReference:
             return y
 
         with pytest.raises(DataError, match="non-finite model output") as caught:
-            monte_carlo_reference(f, normals(1), MC_BATCH_SIZE + 100, seed=0, vectorized=True)
+            monte_carlo_reference(f, normals(1), MC_BATCH_SIZE + 100, seed=0)
         low, high = map(int, str(caught.value).rsplit(" ", 1)[1].split(".."))
         assert MC_BATCH_SIZE <= low <= bad <= high < MC_BATCH_SIZE + 100
 
     def test_complex_vectorized_outputs_name_their_samples(self):
         message = "model outputs on samples 0..9 are not a numeric array: outputs hold complex"
         with pytest.raises(DataError, match=re.escape(message)):
-            monte_carlo_reference(lambda rows: rows + 1j, normals(1), 10, seed=0, vectorized=True)
-
-    def test_complex_row_output_names_its_sample(self):
-        calls = []
-
-        def f(row):
-            calls.append(row)
-            return row + (1j if len(calls) == 4 else 0)
-
-        with pytest.raises(DataError, match="^model outputs at sample 3 are not a numeric array: outputs hold complex"):
-            monte_carlo_reference(f, normals(1), 10, seed=0)
+            monte_carlo_reference(lambda rows: rows + 1j, normals(1), 10, seed=0)
 
     def test_failure_names_sample_index(self):
         spec = normals(1)
 
-        def broken(x):
+        def broken(rows):
             raise RuntimeError("boom")
 
-        with pytest.raises(DataError, match="sample 0"):
+        with pytest.raises(DataError, match=re.escape("samples 0..9")):
             monte_carlo_reference(broken, spec, 10, seed=0)
 
     def test_requires_two_samples(self):
         with pytest.raises(ConfigError):
-            monte_carlo_reference(lambda x: x, normals(1), 1, seed=0)
+            monte_carlo_reference(lambda rows: rows, normals(1), 1, seed=0)
 
     @pytest.mark.parametrize("samples", [10.5, "10"])
     def test_sample_count_must_be_an_integer(self, samples):
         with pytest.raises(ConfigError, match=r"^Monte-Carlo sample count must be an integer, got "):
-            monte_carlo_reference(lambda x: x, normals(1), samples, seed=0)
+            monte_carlo_reference(lambda rows: rows, normals(1), samples, seed=0)
+
+    @pytest.mark.parametrize("vectorized", [False, 1])
+    def test_vectorized_is_accepted_only_as_true(self, vectorized):
+        with pytest.raises(ConfigError, match=rf"^vectorized must be True, got {vectorized!r}"):
+            monte_carlo_reference(lambda rows: rows, normals(1), 10, seed=0, vectorized=vectorized)
 
 
 class TestReportFiles:
