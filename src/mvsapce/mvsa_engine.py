@@ -208,20 +208,39 @@ def _accept(chosen: MultiIndex, basis: list, members: set, frontier: list) -> No
             bisect.insort(frontier, candidate)
 
 
-#: Relative width of a close decision.  A step decided on the appended QR
-#: factor reruns on lstsq when its condition number is within this fraction
-#: of kappa, or when its two largest frontier etas are within this fraction
-#: of the summed eta (||C||_F^2) or within 1e4 times the step's rounding
-#: bound, whichever is wider (see ``_StepSolver.solve``).  Exact ties
-#: always reach lstsq.
+#: Relative width of a close decision.  A step decided on a QR factor reruns
+#: on lstsq when its condition number is within this fraction of kappa, or
+#: when the two etas it tells apart are within this fraction of the larger
+#: one or within 1e4 times their rounding bounds (see ``_clear``).  Exact
+#: ties always reach lstsq.
 _CLOSE = 1e-8
 
-#: Largest condition number the factor decides at (about 4.5e3): a
+#: Largest condition number a factor decides at (about 4.5e3): a
 #: condition number from R and lstsq's differ by about cond * eps
 #: relative, which stays 1e4 times below _CLOSE up to here.  Columns are
 #: only appended, so the condition number never falls; a factor past the
 #: limit is dropped and the rest of the expansion runs on lstsq.
 _FACTOR_COND_LIMIT = _CLOSE / (1e4 * np.finfo(float).eps)
+
+
+def _factored_eta(r: np.ndarray, projected: np.ndarray, sigma: np.ndarray, residual: float):
+    """eta of the solve R C = Q^T Y, ``sigma`` holding R's singular values, and err = 4 eps cond (||C||_F +
+    cond ||Y - A C||_F / sigma_1), a bound on the Frobenius error of a least-squares C (Golub & Van Loan,
+    Thm. 5.3.1).  An overflow is reported by the caller's finite check, not as a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = sensitivity_indicators(np.linalg.solve(r, projected))
+        cond = float(sigma[0]) / float(sigma[-1])
+        err = 4 * np.finfo(float).eps * cond * (math.sqrt(float(eta.sum())) + cond * residual / float(sigma[0]))
+    return eta, err
+
+
+def _clear(low: float, high: float, err: float) -> bool:
+    """Whether etas low <= high of coefficients off by at most ``err`` are apart: each eta then errs by at most
+    beta(eta) = err (2 sqrt(eta) + err), and the gap must exceed _CLOSE high and 1e4 (beta(low) + beta(high)).
+    An exact tie or a non-finite err is never clear."""
+    gap = high - low
+    # Two comparisons, so that a NaN err is not clear either.
+    return gap > _CLOSE * high and gap > 1e4 * err * (2 * math.sqrt(low) + 2 * math.sqrt(high) + 2 * err)
 
 
 class _StepSolver:
@@ -289,12 +308,9 @@ class _StepSolver:
         are clear, else on ``solve_with_condition``, which also names a term
         whose eta is not finite; a factor that broke down is dropped, since
         appending never lowers the condition number, and every later step
-        runs on lstsq.  Each solve's eta errs by about 4 eps cond (Sum eta +
-        cond ||res||_F sqrt(Sum eta) / sigma_1), res the residual Y - A C
-        (Golub & Van Loan, Thm. 5.3.1: the forward error of a least-squares
-        solve grows with cond^2 times the residual); the winner is decided on
-        the factor only when the gap between the two largest frontier etas
-        exceeds 1e4 times that bound and _CLOSE Sum eta.
+        runs on lstsq.  The winner is decided on the factor only when
+        ``_clear`` tells the two largest frontier etas apart under the
+        step's rounding bound (see ``_factored_eta``).
         """
         sigma = None if self.position is None else self._append(builder, extended)
         cond = None if sigma is None else float(sigma[0]) / float(sigma[-1])
@@ -304,18 +320,10 @@ class _StepSolver:
             if cond > kappa:
                 return None, cond
             k = len(self.position)
-            coeffs = np.linalg.solve(self.r[:k, :k], self.projected[:k])
-            with np.errstate(over="ignore"):
-                eta = sensitivity_indicators(coeffs[[self.position[term] for term in extended]])
-            clear = np.isfinite(eta).all()
-            if clear and len(extended) - offset > 1:
-                second, first = np.partition(eta[offset:], -2)[-2:]
-                total = float(eta.sum())
-                residual = math.sqrt(max(self.unexplained, 0.0))
-                bound = 4 * np.finfo(float).eps * cond * (total + cond * residual * math.sqrt(total) / float(sigma[0]))
-                # Also false when the bound is not finite.
-                clear = first - second > max(_CLOSE * total, 1e4 * bound)
-            if clear:
+            eta, err = _factored_eta(self.r[:k, :k], self.projected[:k], sigma, math.sqrt(max(self.unexplained, 0.0)))
+            eta = eta[[self.position[term] for term in extended]]
+            frontier = eta[offset:]
+            if np.isfinite(eta).all() and (len(frontier) < 2 or _clear(*np.partition(frontier, -2)[-2:], err)):
                 return eta, cond
         coeffs, cond = solve_with_condition(builder.matrix(extended), self.responses)
         if cond > kappa:
@@ -403,6 +411,14 @@ def prune_basis(
     assembled once and loses the victim's column at each removal.  Returns
     the final basis with the coefficients and condition number of its solve
     against ``responses``.
+
+    While the basis outsizes the sample count, each removal solves on
+    ``solve_with_condition``.  From there on a QR of [A | Y] holds R, Q^T Y
+    and the residual, and each removal deletes its column from it (Golub &
+    Van Loan, Sec. 6.5).  A removal is decided there when
+    ``_factored_victim`` finds it clear; every other step, the last
+    included, solves on lstsq, so the decisions, coefficients and
+    condition number are lstsq's.
     """
     zero = (0,) * basis.dim
     if zero not in basis:
@@ -410,22 +426,54 @@ def prune_basis(
     kept = list(basis.indices)
     design = builder.matrix(kept)
     removed: list[MultiIndex] = []
+    triangle = None
     while True:
-        coeffs, cond = solve_with_condition(design, responses)
-        if cond <= config.kappa and len(kept) <= len(responses):
-            return PruneResult(
-                basis=MultiIndexSet(kept, dim=basis.dim),
-                coefficients=coeffs,
-                removed=tuple(removed),
-                condition_number=cond,
-            )
-        eta = _finite_indicators(coeffs, kept)
-        # A lone all-ones column has condition number 1 and size 1 <= Q, so
-        # the loop returns before the zero index is the only one left.
-        _, victim, position = min((eta[i], index, i) for i, index in enumerate(kept) if index != zero)
-        del kept[position]
+        position = None
+        # The factor decides only where kappa (1 + _CLOSE) < cond <= _FACTOR_COND_LIMIT.
+        if len(kept) <= len(responses) and config.kappa * (1 + _CLOSE) < _FACTOR_COND_LIMIT:
+            if triangle is None:
+                triangle = np.linalg.qr(np.hstack([design, responses]), mode="r")
+            position = _factored_victim(triangle, len(kept), kept.index(zero), config.kappa)
+        if position is None:
+            coeffs, cond = solve_with_condition(design, responses)
+            if cond <= config.kappa and len(kept) <= len(responses):
+                return PruneResult(
+                    basis=MultiIndexSet(kept, dim=basis.dim),
+                    coefficients=coeffs,
+                    removed=tuple(removed),
+                    condition_number=cond,
+                )
+            eta = _finite_indicators(coeffs, kept)
+            # A lone all-ones column has condition number 1 and size 1 <= Q, so
+            # the loop returns before the zero index is the only one left.
+            _, _, position = min((eta[i], index, i) for i, index in enumerate(kept) if index != zero)
+        removed.append(kept.pop(position))
         design = np.delete(design, position, axis=1)
-        removed.append(victim)
+        if triangle is not None:
+            triangle = np.delete(triangle, position, axis=1)
+            tail = np.linalg.qr(triangle[position:, position:], mode="r")
+            triangle = triangle[:position + len(tail)]
+            triangle[position:, position:] = tail
+
+
+def _factored_victim(triangle: np.ndarray, k: int, zero: int, kappa: float) -> int | None:
+    """Position of the weakest of the k terms but the one at ``zero``, or None to solve on lstsq: when the
+    condition number of R = triangle[:k, :k] is within _CLOSE of kappa or below it or past
+    _FACTOR_COND_LIMIT, an eta is not finite, or the two weakest are not ``_clear``.
+
+    ``triangle`` is the triangle of a QR of [A | Y]: Q^T Y = triangle[:k, k:] and the rest holds the residual.
+    """
+    r = triangle[:k, :k]
+    sigma = np.linalg.svd(r, compute_uv=False)
+    if not kappa * (1 + _CLOSE) * sigma[-1] < sigma[0] <= _FACTOR_COND_LIMIT * sigma[-1]:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = math.sqrt(float(np.vdot(triangle[k:, k:], triangle[k:, k:])))
+    eta, err = _factored_eta(r, triangle[:k, k:], sigma, residual)
+    if not np.isfinite(eta).all():
+        return None
+    eta[zero] = np.inf
+    return int(np.argmin(eta)) if k < 3 or _clear(*np.partition(eta, 1)[:2], err) else None
 
 
 def fit_mvsa(

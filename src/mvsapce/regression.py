@@ -5,9 +5,10 @@ One orthonormal-basis design matrix serves all response components at once:
 univariate tables, and ``solve_with_condition`` resolves every column of the
 right-hand side with a single SVD factorization, falling back to the
 minimum-2-norm solution when the system is rank-deficient or underdetermined.
-That is the solve of every fixed-basis fit, prune step and final fit, and of
-the expansion steps whose decision is close; the other expansion steps solve
-on a QR factor in ``mvsa_engine.expand_basis``.
+That is the solve of every fixed-basis fit and final fit, of every prune step
+while the basis outsizes the sample count, and of the expansion and prune
+steps whose decision is close; the other steps solve on QR factors in
+``mvsa_engine``.
 """
 
 from __future__ import annotations

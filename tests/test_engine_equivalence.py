@@ -27,8 +27,8 @@ from reference import admissible_frontier, assert_lexicographic_steps, random_do
 from reference import reference_expand, reference_prune
 
 
-def counted_expand(builder, responses, config):
-    """``expand_basis`` and the design shapes of the steps it reran on ``solve_with_condition``."""
+def counted(function, *args):
+    """``function(*args)`` and the design shapes of the ``solve_with_condition`` calls it made."""
     calls = []
 
     def counting(matrix, rhs):
@@ -37,8 +37,8 @@ def counted_expand(builder, responses, config):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mvsa_engine, "solve_with_condition", counting)
-        extended, trace = expand_basis(builder, responses, config)
-    return extended, trace, calls
+        result = function(*args)
+    return result, calls
 
 
 def assert_expansion_is_the_reference(extended, trace, data, spec, config):
@@ -62,7 +62,7 @@ def assert_matches_reference(data, spec, config=None):
     # Q x r factor when M > Q.
     engine_builder = DesignBuilder(spec, data.inputs)
     factor = _response_factor(data.responses)
-    extended, trace, reruns = counted_expand(engine_builder, factor, config)
+    (extended, trace), reruns = counted(expand_basis, engine_builder, factor, config)
     assert [step.added for step in trace.steps] == ref_added
     assert trace.termination == ref_termination
     # A step decided on the QR factor reports R's condition number and its
@@ -77,9 +77,11 @@ def assert_matches_reference(data, spec, config=None):
     assert extended.indices == ref_extended.indices
 
     # The prune on all outputs runs last, so its result feeds the bitwise
-    # check below.
+    # check below; a fit's own prune runs on the factor, the first.
+    prune_solves = []
     for rhs in (factor, data.responses):
-        pruned = prune_basis(engine_builder, rhs, extended, config)
+        pruned, solves = counted(prune_basis, engine_builder, rhs, extended, config)
+        prune_solves.append(len(solves))
         assert list(pruned.removed) == ref_removed
         assert pruned.basis.indices == ref_basis.indices
 
@@ -92,7 +94,7 @@ def assert_matches_reference(data, spec, config=None):
         assert coefficients.shape == ref_coeffs.shape
         assert np.array_equal(coefficients, ref_coeffs)
         assert cond == ref_cond
-    return model, len(reruns)
+    return model, len(reruns), prune_solves[0]
 
 
 def beam_cell(q, seed, response_dim=1000):
@@ -102,12 +104,19 @@ def beam_cell(q, seed, response_dim=1000):
     return TrainingData(x, config.response(x)), spec
 
 
+#: The expansion's lstsq reruns and the prune's lstsq solves of each beam cell.  Each prune solves on lstsq
+#: only at its last step, except at (50, 2), whose expansion ends past _FACTOR_COND_LIMIT: its last step
+#: reruns, and its first removal solves on lstsq too.
+BEAM_SOLVES = {(q, seed): (0, 1) for q in (50, 100, 150) for seed in range(4)} | {(50, 2): (1, 2)}
+
+
 @pytest.mark.parametrize("q, seed", [(q, seed) for q in (50, 100, 150) for seed in range(4)])
 def test_beam_cells_with_compressed_responses(q, seed):
     data, spec = beam_cell(q, seed)
     assert data.n_outputs > data.n_samples
-    model, _ = assert_matches_reference(data, spec, MvsaConfig(kappa=100.0))
+    model, reruns, prune_solves = assert_matches_reference(data, spec, MvsaConfig(kappa=100.0))
     assert model.trace.steps and model.diagnostics.pruned_count > 0
+    assert (reruns, prune_solves) == BEAM_SOLVES[q, seed]
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -146,7 +155,7 @@ def test_low_rank_field_with_more_outputs_than_samples(seed):
     fields = DesignBuilder(spec, x).matrix(support) @ (decay[:, None] * rng.normal(size=(len(support), 3)))
     data = TrainingData(x, fields @ weights)
     assert data.n_outputs > data.n_samples
-    model, fallbacks = assert_matches_reference(data, spec)
+    model, fallbacks, _ = assert_matches_reference(data, spec)
     assert model.trace.steps
     # The factor decides most steps on the Q x 3 right-hand side.
     assert fallbacks < len(model.trace.steps)
@@ -162,7 +171,7 @@ def test_wide_extended_set_prunes_in_the_reference_order(m):
     x = spec.sample(40, rng)
     support = total_degree_set(6, 2)
     y = DesignBuilder(spec, x).matrix(support) @ rng.normal(size=(len(support), m)) + 1e-2 * rng.normal(size=(40, m))
-    model, _ = assert_matches_reference(TrainingData(x, y), spec, MvsaConfig(initial_degree=2))
+    model, *_ = assert_matches_reference(TrainingData(x, y), spec, MvsaConfig(initial_degree=2))
     assert model.trace.termination == "underdetermined" and not model.trace.steps
     assert model.diagnostics.pruned_count >= 44
 
@@ -176,7 +185,7 @@ def test_zero_responses_with_more_outputs_than_samples():
     x = spec.sample(30, np.random.default_rng(3000))
     data = TrainingData(x, np.zeros((30, 50)))
     assert _response_factor(data.responses).shape == (30, 0)
-    model, fallbacks = assert_matches_reference(data, spec)
+    model, fallbacks, _ = assert_matches_reference(data, spec)
     assert model.trace.steps and not np.any(model.coefficients)
     assert fallbacks >= len(model.trace.steps)
     assert_lexicographic_steps(model.trace)
@@ -187,9 +196,36 @@ def test_exact_tie_reruns_on_lstsq_and_takes_the_lexicographic_winner():
     # is an exact tie, which reruns on lstsq and goes to the smallest index.
     spec = DistributionSpec([Marginal.uniform(-1.0, 1.0), Marginal.normal(0.0, 1.0)])
     x = spec.sample(30, np.random.default_rng(3000))
-    model, fallbacks = assert_matches_reference(TrainingData(x, np.zeros((30, 2))), spec)
+    model, fallbacks, _ = assert_matches_reference(TrainingData(x, np.zeros((30, 2))), spec)
     assert model.trace.steps and fallbacks >= len(model.trace.steps)
     assert_lexicographic_steps(model.trace)
+
+
+def test_exact_tie_in_the_prune_reruns_on_lstsq_and_removes_the_lexicographic_victim():
+    # Zero responses, M <= Q: every eta is exactly 0 on the prune's factor
+    # as on lstsq, so each removal is an exact tie, which the factor leaves
+    # to lstsq, and lstsq removes the smallest index but the zero one.
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0), Marginal.normal(0.0, 1.0)])
+    x = spec.sample(30, np.random.default_rng(3000))
+    basis, config, builder = total_degree_set(2, 4), MvsaConfig(kappa=3.0), DesignBuilder(spec, x)
+    assert config.kappa < np.linalg.cond(builder.matrix(basis)) < mvsa_engine._FACTOR_COND_LIMIT
+    pruned, solves = counted(prune_basis, builder, np.zeros((30, 2)), basis, config)
+    assert len(pruned.removed) >= 2 and len(solves) == len(pruned.removed) + 1
+    assert list(pruned.removed) == sorted(basis.indices[1:])[: len(pruned.removed)]
+
+
+def test_prune_past_the_factor_limit_solves_every_step_on_lstsq():
+    # At kappa = 1e4 the prune starts, and needs to end, above the factor's
+    # limit (about 4.5e3), where no removal can be decided on R.
+    data, spec = beam_cell(100, 0, response_dim=10)
+    config, builder = MvsaConfig(kappa=1e4), DesignBuilder(spec, data.inputs)
+    extended, _ = expand_basis(builder, data.responses, config)
+    assert solve_with_condition(builder.matrix(extended), data.responses)[1] > mvsa_engine._FACTOR_COND_LIMIT
+    pruned, solves = counted(prune_basis, builder, data.responses, extended, config)
+    assert len(pruned.removed) >= 2 and len(solves) == len(pruned.removed) + 1
+    ref_basis, _, _, ref_removed = reference_prune(data, extended, config, builder)
+    assert list(pruned.removed) == ref_removed
+    assert pruned.basis.indices == ref_basis.indices
 
 
 def test_near_tie_reruns_on_lstsq():
@@ -201,7 +237,7 @@ def test_near_tie_reruns_on_lstsq():
     half = spec.sample(20, np.random.default_rng(3100))
     x = np.vstack([half, half[:, [1, 0, 2]]])
     y = (x[:, :1] + x[:, 1:2] + 0.3 * x[:, 2:] ** 2) * [1.0, -0.5]
-    model, fallbacks = assert_matches_reference(TrainingData(x, y), spec)
+    model, fallbacks, _ = assert_matches_reference(TrainingData(x, y), spec)
     assert fallbacks >= 1
     assert {model.trace.steps[0].added, model.trace.steps[1].added} == {(1, 0, 0), (0, 1, 0)}
 
@@ -225,7 +261,7 @@ def test_dependent_column_breaks_the_factor_down():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mvsa_engine._StepSolver, "solve", spy)
-        model, fallbacks = assert_matches_reference(TrainingData(x, y), spec)
+        model, fallbacks, _ = assert_matches_reference(TrainingData(x, y), spec)
     assert broken[-1] is True and fallbacks >= 1
     assert model.trace.termination == "ill_conditioned"
 
@@ -244,7 +280,7 @@ def test_condition_number_at_kappa_reruns_on_lstsq():
     kappa = reference_expand(data, spec, MvsaConfig(), builder)[3][0]
     first_step = (len(x), 1 + spec.dim)
     for config, close in ((MvsaConfig(), False), (MvsaConfig(kappa=kappa), True)):
-        extended, trace, reruns = counted_expand(builder, data.responses, config)
+        (extended, trace), reruns = counted(expand_basis, builder, data.responses, config)
         assert (first_step in reruns) is close
         assert_expansion_is_the_reference(extended, trace, data, spec, config)
     assert trace.steps[0].condition_number == kappa
@@ -310,6 +346,18 @@ def test_factored_decisions_equal_the_lstsq_reference(cell):
     data, spec, config = cell
     extended, trace = expand_basis(DesignBuilder(spec, data.inputs), data.responses, config)
     assert_expansion_is_the_reference(extended, trace, data, spec, config)
+
+
+@given(cell=small_cells())
+@settings(max_examples=40, deadline=None)
+def test_factored_prunes_equal_the_lstsq_reference(cell):
+    data, spec, config = cell
+    builder = DesignBuilder(spec, data.inputs)
+    extended, _ = expand_basis(builder, data.responses, config)
+    ref_basis, _, _, ref_removed = reference_prune(data, extended, config, builder)
+    pruned = prune_basis(builder, data.responses, extended, config)
+    assert list(pruned.removed) == ref_removed
+    assert pruned.basis.indices == ref_basis.indices
 
 
 def accepted(indices, dim):

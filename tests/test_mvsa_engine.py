@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import numpy as np
@@ -282,15 +283,37 @@ class TestNonFiniteIndicators:
         with pytest.raises(DataError, match=r"^sensitivity indicator of term \(0, 0, 0\) is not finite$"):
             fit_mvsa(TrainingData(x, y), uniform_3d)
 
-    @pytest.mark.parametrize("m", [2, 20], ids=["M<=Q", "M>Q"])
-    def test_pruning_names_the_term(self, uniform_3d, m):
+    @pytest.mark.parametrize(
+        "q, degree, kappa, m",
+        [(8, 2, 100.0, 2), (8, 2, 100.0, 20), (40, 3, 1.5, 2), (40, 3, 1.5, 60)],
+        ids=["M<=Q", "M>Q", "tall-M<=Q", "tall-M>Q"],
+    )
+    def test_pruning_names_the_term(self, uniform_3d, q, degree, kappa, m):
+        # 10 terms over 8 samples: the first solve must rank them.  20 terms
+        # over 40 samples at kappa 1.5: the first removal is ranked on the
+        # prune's QR factor, whose Q^T Y and residual overflow.
         rng = np.random.default_rng(25)
-        x = rng.uniform(-1, 1, (8, 3))
-        y = 1e300 * (1.0 + 0.5 * x[:, :1] + 0.1 * rng.normal(size=(8, m)))
+        x = rng.uniform(-1, 1, (q, 3))
+        y = 1e300 * (1.0 + 0.5 * x[:, :1] + 0.1 * rng.normal(size=(q, m)))
         builder = DesignBuilder(uniform_3d, x)
-        # 10 terms over 8 samples: the first solve must rank them.
         with pytest.raises(DataError, match=r"^sensitivity indicator of term \(0, 0, 0\) is not finite$"):
-            prune_basis(builder, _response_factor(y), total_degree_set(3, 2), MvsaConfig())
+            prune_basis(builder, _response_factor(y), total_degree_set(3, degree), MvsaConfig(kappa=kappa))
+
+
+class TestDecisionGuard:
+    """``_clear`` tells two etas apart only by a gap wider than _CLOSE of the larger and 1e4 rounding bounds."""
+
+    @pytest.mark.parametrize(
+        "low, high, err",
+        [(2.0, 2.0, 0.0), (1.0, 1.0 + 1e-9, 0.0), (1.0, 2.0, 1e-4), (1.0, 2.0, math.inf), (1.0, 2.0, math.nan)],
+        ids=["exact-tie", "within-close", "within-bound", "infinite-err", "nan-err"],
+    )
+    def test_unclear_gaps(self, low, high, err):
+        assert not mvsa_engine._clear(low, high, err)
+
+    def test_gap_past_both_limits_is_clear(self):
+        assert mvsa_engine._clear(1.0, 2.0, 1e-5)
+        assert mvsa_engine._clear(0.0, 1e-300, 0.0)
 
 
 class TestFitMvsa:
