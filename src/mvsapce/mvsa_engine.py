@@ -84,14 +84,6 @@ class ExpansionTrace:
 
 
 @dataclass(frozen=True)
-class PruneResult:
-    basis: MultiIndexSet
-    coefficients: np.ndarray
-    removed: tuple[MultiIndex, ...]
-    condition_number: float
-
-
-@dataclass(frozen=True)
 class FitDiagnostics:
     condition_number: float
     iterations: int
@@ -161,6 +153,16 @@ def _finite_indicators(coefficients: np.ndarray, terms) -> np.ndarray:
     return eta
 
 
+def _right_hand_side(builder: DesignBuilder, responses) -> np.ndarray:
+    """``responses`` as a phase's float right-hand side: real, 2-D, one row per input row of ``builder`` and
+    finite, a Q x 0 array included; anything else is a DataError."""
+    rhs = real_array(responses, "responses", "the responses are not a numeric array")
+    if rhs.ndim != 2 or len(rhs) != len(builder.z):
+        raise DataError(f"responses must form a {len(builder.z)} x M array, one row per input row; got {rhs.shape}")
+    require(np.isfinite(rhs), lambda q, m: DataError(f"row {q + 1}, y{m + 1}: non-finite value"))
+    return rhs
+
+
 def _response_factor(responses: np.ndarray) -> np.ndarray:
     """Right-hand side of the adaptive steps: Y itself, or a Q x r factor of it.
 
@@ -217,21 +219,28 @@ _CLOSE = 1e-8
 
 #: Largest condition number a factor decides at (about 4.5e3): a
 #: condition number from R and lstsq's differ by about cond * eps
-#: relative, which stays 1e4 times below _CLOSE up to here.  Columns are
-#: only appended, so the condition number never falls; a factor past the
-#: limit is dropped and the rest of the expansion runs on lstsq.
+#: relative, which stays 1e4 times below _CLOSE up to here.  The
+#: expansion only appends columns, so its condition number never falls: a
+#: factor past the limit is dropped and the rest of the expansion runs on
+#: lstsq.  A prune step past it runs on lstsq.
 _FACTOR_COND_LIMIT = _CLOSE / (1e4 * np.finfo(float).eps)
 
 
-def _factored_eta(r: np.ndarray, projected: np.ndarray, sigma: np.ndarray, residual: float):
-    """eta of the solve R C = Q^T Y, ``sigma`` holding R's singular values, and err = 4 eps cond (||C||_F +
-    cond ||Y - A C||_F / sigma_1), a bound on the Frobenius error of a least-squares C (Golub & Van Loan,
-    Thm. 5.3.1).  An overflow is reported by the caller's finite check, not as a warning."""
+def _factored(r: np.ndarray, projected: np.ndarray, residual: float):
+    """(cond, eta, err) of the solve R C = Q^T Y, or None when R's condition number exceeds _FACTOR_COND_LIMIT.
+
+    cond comes from R's singular values, and err = 4 eps cond (||C||_F + cond ||Y - A C||_F / sigma_1), with
+    ``residual`` = ||Y - A C||_F, bounds the Frobenius error of a least-squares C (Golub & Van Loan,
+    Thm. 5.3.1).  An overflow is reported by the caller's finite check, not as a warning.
+    """
+    sigma = np.linalg.svd(r, compute_uv=False)
+    if not sigma[0] <= _FACTOR_COND_LIMIT * sigma[-1]:
+        return None
+    cond = float(sigma[0]) / float(sigma[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         eta = sensitivity_indicators(np.linalg.solve(r, projected))
-        cond = float(sigma[0]) / float(sigma[-1])
         err = 4 * np.finfo(float).eps * cond * (math.sqrt(float(eta.sum())) + cond * residual / float(sigma[0]))
-    return eta, err
+    return cond, eta, err
 
 
 def _clear(low: float, high: float, err: float) -> bool:
@@ -266,10 +275,9 @@ class _StepSolver:
         with np.errstate(over="ignore"):
             self.unexplained = float(np.vdot(responses, responses))
 
-    def _append(self, builder: DesignBuilder, terms) -> np.ndarray | None:
-        """Append the columns of the ``terms`` not factored yet; R's singular values, or None when the
-        factor breaks down: at a column with (almost) no part outside the earlier ones, or at a
-        condition number above _FACTOR_COND_LIMIT."""
+    def _append(self, builder: DesignBuilder, terms) -> bool:
+        """Append the columns of the ``terms`` not factored yet; False when Gram-Schmidt breaks down at a
+        column with (almost) no part outside the earlier ones."""
         new = [term for term in terms if term not in self.position]
         grow = len(self.position) + len(new) - len(self.r)
         if grow > 0:
@@ -287,7 +295,7 @@ class _StepSolver:
             rho = float(np.linalg.norm(v))
             # The condition number is at least ||column|| / rho; also false for a non-finite norm.
             if not rho * _FACTOR_COND_LIMIT > np.linalg.norm(column):
-                return None
+                return False
             self.qt[k] = v / rho
             self.r[:k, k] = h + again
             self.r[k, k] = rho
@@ -296,9 +304,7 @@ class _StepSolver:
                 self.projected[k] = self.qt[k] @ self.responses
                 self.unexplained -= float(self.projected[k] @ self.projected[k])
             self.position[term] = k
-        k = len(self.position)
-        sigma = np.linalg.svd(self.r[:k, :k], compute_uv=False)
-        return sigma if sigma[0] <= _FACTOR_COND_LIMIT * sigma[-1] else None
+        return True
 
     def solve(self, builder: DesignBuilder, extended: list, offset: int, kappa: float):
         """(eta of ``extended``, cond) of one step, eta None when the design is conditioned worse than ``kappa``.
@@ -306,21 +312,23 @@ class _StepSolver:
         ``extended`` is the step's basis followed by its frontier from
         ``offset`` on.  The step is decided on the factor when its decisions
         are clear, else on ``solve_with_condition``, which also names a term
-        whose eta is not finite; a factor that broke down is dropped, since
-        appending never lowers the condition number, and every later step
-        runs on lstsq.  The winner is decided on the factor only when
-        ``_clear`` tells the two largest frontier etas apart under the
-        step's rounding bound (see ``_factored_eta``).
+        whose eta is not finite; a factor that broke down or passed
+        _FACTOR_COND_LIMIT is dropped, since appending never lowers the
+        condition number, and every later step runs on lstsq.  The winner is
+        decided on the factor only when ``_clear`` tells the two largest
+        frontier etas apart under the step's rounding bound (see
+        ``_factored``).
         """
-        sigma = None if self.position is None else self._append(builder, extended)
-        cond = None if sigma is None else float(sigma[0]) / float(sigma[-1])
-        if cond is None:
+        step = None
+        if self.position is not None and self._append(builder, extended):
+            k = len(self.position)
+            step = _factored(self.r[:k, :k], self.projected[:k], math.sqrt(max(self.unexplained, 0.0)))
+        if step is None:
             self.position = self.qt = self.r = self.projected = None
-        elif abs(cond - kappa) > _CLOSE * kappa:
+        elif abs(step[0] - kappa) > _CLOSE * kappa:
+            cond, eta, err = step
             if cond > kappa:
                 return None, cond
-            k = len(self.position)
-            eta, err = _factored_eta(self.r[:k, :k], self.projected[:k], sigma, math.sqrt(max(self.unexplained, 0.0)))
             eta = eta[[self.position[term] for term in extended]]
             frontier = eta[offset:]
             if np.isfinite(eta).all() and (len(frontier) < 2 or _clear(*np.partition(frontier, -2)[-2:], err)):
@@ -355,6 +363,7 @@ def expand_basis(
     result are byte-identical to an lstsq-only expansion at a fixed numeric
     environment.
     """
+    responses = _right_hand_side(builder, responses)
     dim, n_samples = builder.spec.dim, len(responses)
     # The initial set has C(N + p, p) members; reject an oversized one before
     # enumerating it, which at N = 20 takes seconds from p = 6 on.
@@ -401,25 +410,27 @@ def prune_basis(
     responses: np.ndarray,
     basis: MultiIndexSet,
     config: MvsaConfig,
-) -> PruneResult:
-    """Remove minimum-sensitivity terms until size and conditioning hold.
+) -> tuple[MultiIndexSet, tuple[MultiIndex, ...]]:
+    """Remove minimum-sensitivity terms until size and conditioning hold; returns the kept basis and the
+    removed terms in removal order.
 
     While the design is conditioned worse than kappa or the basis outsizes
-    the sample count ``len(responses)``, re-solves the least-squares problem
-    and drops the index with the smallest sensitivity indicator
-    (lexicographic tie-break; the zero index is exempt).  The design is
-    assembled once and loses the victim's column at each removal.  Returns
-    the final basis with the coefficients and condition number of its solve
-    against ``responses``.
+    the sample count ``len(responses)``, drops the index with the smallest
+    sensitivity indicator (lexicographic tie-break; the zero index is
+    exempt).  The design is assembled once and loses the victim's column at
+    each removal.  The prune only decides: ``fit_mvsa`` makes the solve a
+    model keeps.
 
-    While the basis outsizes the sample count, each removal solves on
+    While the basis outsizes the sample count, each step solves on
     ``solve_with_condition``.  From there on a QR of [A | Y] holds R, Q^T Y
     and the residual, and each removal deletes its column from it (Golub &
-    Van Loan, Sec. 6.5).  A removal is decided there when
-    ``_factored_victim`` finds it clear; every other step, the last
-    included, solves on lstsq, so the decisions, coefficients and
-    condition number are lstsq's.
+    Van Loan, Sec. 6.5).  A step whose condition number on R is more than
+    _CLOSE kappa away from kappa and at most _FACTOR_COND_LIMIT is decided
+    there: below kappa the prune stops, and above it the weakest term goes
+    when ``_factored_victim`` finds it.  Every other step solves on lstsq,
+    so the decisions are lstsq's.
     """
+    responses = _right_hand_side(builder, responses)
     zero = (0,) * basis.dim
     if zero not in basis:
         raise ConfigError("prune_basis expects the zero multi-index in the basis")
@@ -428,24 +439,26 @@ def prune_basis(
     removed: list[MultiIndex] = []
     triangle = None
     while True:
-        position = None
-        # The factor decides only where kappa (1 + _CLOSE) < cond <= _FACTOR_COND_LIMIT.
-        if len(kept) <= len(responses) and config.kappa * (1 + _CLOSE) < _FACTOR_COND_LIMIT:
+        k, position = len(kept), None
+        # At kappa (1 + _CLOSE) >= _FACTOR_COND_LIMIT no removal can be decided on a factor, so none is built.
+        if k <= len(responses) and config.kappa * (1 + _CLOSE) < _FACTOR_COND_LIMIT:
             if triangle is None:
                 triangle = np.linalg.qr(np.hstack([design, responses]), mode="r")
-            position = _factored_victim(triangle, len(kept), kept.index(zero), config.kappa)
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = math.sqrt(float(np.vdot(triangle[k:, k:], triangle[k:, k:])))
+            step = _factored(triangle[:k, :k], triangle[:k, k:], residual)
+            if step is not None and abs(step[0] - config.kappa) > _CLOSE * config.kappa:
+                cond, eta, err = step
+                if cond < config.kappa:
+                    break
+                position = _factored_victim(eta, err, kept.index(zero))
         if position is None:
             coeffs, cond = solve_with_condition(design, responses)
-            if cond <= config.kappa and len(kept) <= len(responses):
-                return PruneResult(
-                    basis=MultiIndexSet(kept, dim=basis.dim),
-                    coefficients=coeffs,
-                    removed=tuple(removed),
-                    condition_number=cond,
-                )
+            if cond <= config.kappa and k <= len(responses):
+                break
             eta = _finite_indicators(coeffs, kept)
             # A lone all-ones column has condition number 1 and size 1 <= Q, so
-            # the loop returns before the zero index is the only one left.
+            # the loop stops before the zero index is the only one left.
             _, _, position = min((eta[i], index, i) for i, index in enumerate(kept) if index != zero)
         removed.append(kept.pop(position))
         design = np.delete(design, position, axis=1)
@@ -454,26 +467,16 @@ def prune_basis(
             tail = np.linalg.qr(triangle[position:, position:], mode="r")
             triangle = triangle[:position + len(tail)]
             triangle[position:, position:] = tail
+    return MultiIndexSet(kept, dim=basis.dim), tuple(removed)
 
 
-def _factored_victim(triangle: np.ndarray, k: int, zero: int, kappa: float) -> int | None:
-    """Position of the weakest of the k terms but the one at ``zero``, or None to solve on lstsq: when the
-    condition number of R = triangle[:k, :k] is within _CLOSE of kappa or below it or past
-    _FACTOR_COND_LIMIT, an eta is not finite, or the two weakest are not ``_clear``.
-
-    ``triangle`` is the triangle of a QR of [A | Y]: Q^T Y = triangle[:k, k:] and the rest holds the residual.
-    """
-    r = triangle[:k, :k]
-    sigma = np.linalg.svd(r, compute_uv=False)
-    if not kappa * (1 + _CLOSE) * sigma[-1] < sigma[0] <= _FACTOR_COND_LIMIT * sigma[-1]:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = math.sqrt(float(np.vdot(triangle[k:, k:], triangle[k:, k:])))
-    eta, err = _factored_eta(r, triangle[:k, k:], sigma, residual)
+def _factored_victim(eta: np.ndarray, err: float, zero: int) -> int | None:
+    """Position of the smallest of the factor's ``eta`` but the one at ``zero``, or None to solve on lstsq: when
+    an eta is not finite, or the two smallest are not ``_clear`` under ``err``."""
     if not np.isfinite(eta).all():
         return None
     eta[zero] = np.inf
-    return int(np.argmin(eta)) if k < 3 or _clear(*np.partition(eta, 1)[:2], err) else None
+    return int(np.argmin(eta)) if len(eta) < 3 or _clear(*np.partition(eta, 1)[:2], err) else None
 
 
 def fit_mvsa(
@@ -481,30 +484,20 @@ def fit_mvsa(
     spec: DistributionSpec,
     config: MvsaConfig | None = None,
 ) -> PceModel:
-    """Full adaptive fit: expansion, pruning, and final solve.
+    """Full adaptive fit: expansion, pruning, and the one final solve.
 
     The one design builder and the responses, compressed once when M > Q,
-    are shared by both phases; the kept basis is then solved against all
-    outputs here, unless the phases already solved against them.
+    are shared by both phases, which only choose terms; the kept basis is
+    then solved against all outputs here, on every path.
     """
     config = config or MvsaConfig()
     builder = DesignBuilder(spec, data.inputs)
     factor = _response_factor(data.responses)
     extended, trace = expand_basis(builder, factor, config)
-    result = prune_basis(builder, factor, extended, config)
-    coefficients, cond = result.coefficients, result.condition_number
-    if factor is not data.responses:
-        coefficients, cond = solve_with_condition(builder.matrix(result.basis), data.responses)
-    diagnostics = FitDiagnostics.of(
-        result.basis, cond, len(trace.steps), len(result.removed), trace.termination
-    )
-    return PceModel(
-        spec=spec,
-        basis=result.basis,
-        coefficients=coefficients,
-        diagnostics=diagnostics,
-        trace=trace,
-    )
+    basis, removed = prune_basis(builder, factor, extended, config)
+    coefficients, cond = solve_with_condition(builder.matrix(basis), data.responses)
+    diagnostics = FitDiagnostics.of(basis, cond, len(trace.steps), len(removed), trace.termination)
+    return PceModel(spec=spec, basis=basis, coefficients=coefficients, diagnostics=diagnostics, trace=trace)
 
 
 def fit_fixed(data: TrainingData, spec: DistributionSpec, basis: MultiIndexSet) -> PceModel:

@@ -5,10 +5,11 @@ One orthonormal-basis design matrix serves all response components at once:
 univariate tables, and ``solve_with_condition`` resolves every column of the
 right-hand side with a single SVD factorization, falling back to the
 minimum-2-norm solution when the system is rank-deficient or underdetermined.
-That is the solve of every fixed-basis fit and final fit, of every prune step
-while the basis outsizes the sample count, and of the expansion and prune
-steps whose decision is close; the other steps solve on QR factors in
-``mvsa_engine``.
+That is the solve of every fixed-basis fit and of every adaptive fit's one
+final solve, whose coefficients and condition number a model keeps, of
+every prune step while the basis outsizes the sample count, and of the
+expansion and prune steps whose decision is close; the other steps are
+decided on QR factors in ``mvsa_engine``.
 """
 
 from __future__ import annotations

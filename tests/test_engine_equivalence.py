@@ -76,24 +76,22 @@ def assert_matches_reference(data, spec, config=None):
         assert [step.eta for step in trace.steps] == pytest.approx(ref_etas, rel=1e-8, abs=1e-300)
     assert extended.indices == ref_extended.indices
 
-    # The prune on all outputs runs last, so its result feeds the bitwise
-    # check below; a fit's own prune runs on the factor, the first.
+    # A fit's own prune runs on the factor, the first; the prune only
+    # decides, so the bitwise check below reads the fit's final solve.
     prune_solves = []
     for rhs in (factor, data.responses):
-        pruned, solves = counted(prune_basis, engine_builder, rhs, extended, config)
+        (basis, removed), solves = counted(prune_basis, engine_builder, rhs, extended, config)
         prune_solves.append(len(solves))
-        assert list(pruned.removed) == ref_removed
-        assert pruned.basis.indices == ref_basis.indices
+        assert list(removed) == ref_removed
+        assert basis.indices == ref_basis.indices
 
     model = fit_mvsa(data, spec, config)
     assert [step.added for step in model.trace.steps] == ref_added
     assert model.basis.indices == ref_basis.indices
     assert model.diagnostics.pruned_count == len(ref_removed)
-    for coefficients, cond in ((pruned.coefficients, pruned.condition_number),
-                               (model.coefficients, model.diagnostics.condition_number)):
-        assert coefficients.shape == ref_coeffs.shape
-        assert np.array_equal(coefficients, ref_coeffs)
-        assert cond == ref_cond
+    assert model.coefficients.shape == ref_coeffs.shape
+    assert np.array_equal(model.coefficients, ref_coeffs)
+    assert model.diagnostics.condition_number == ref_cond
     return model, len(reruns), prune_solves[0]
 
 
@@ -104,10 +102,10 @@ def beam_cell(q, seed, response_dim=1000):
     return TrainingData(x, config.response(x)), spec
 
 
-#: The expansion's lstsq reruns and the prune's lstsq solves of each beam cell.  Each prune solves on lstsq
-#: only at its last step, except at (50, 2), whose expansion ends past _FACTOR_COND_LIMIT: its last step
-#: reruns, and its first removal solves on lstsq too.
-BEAM_SOLVES = {(q, seed): (0, 1) for q in (50, 100, 150) for seed in range(4)} | {(50, 2): (1, 2)}
+#: The expansion's lstsq reruns and the prune's lstsq solves of each beam cell.  Each prune decides every
+#: step on its factor, its stop included, except at (50, 2), whose expansion ends past _FACTOR_COND_LIMIT:
+#: its last step reruns, and its first removal solves on lstsq too.
+BEAM_SOLVES = {(q, seed): (0, 0) for q in (50, 100, 150) for seed in range(4)} | {(50, 2): (1, 1)}
 
 
 @pytest.mark.parametrize("q, seed", [(q, seed) for q in (50, 100, 150) for seed in range(4)])
@@ -204,14 +202,15 @@ def test_exact_tie_reruns_on_lstsq_and_takes_the_lexicographic_winner():
 def test_exact_tie_in_the_prune_reruns_on_lstsq_and_removes_the_lexicographic_victim():
     # Zero responses, M <= Q: every eta is exactly 0 on the prune's factor
     # as on lstsq, so each removal is an exact tie, which the factor leaves
-    # to lstsq, and lstsq removes the smallest index but the zero one.
+    # to lstsq, and lstsq removes the smallest index but the zero one.  The
+    # stop is clear on the factor, so it makes no solve.
     spec = DistributionSpec([Marginal.uniform(-1.0, 1.0), Marginal.normal(0.0, 1.0)])
     x = spec.sample(30, np.random.default_rng(3000))
     basis, config, builder = total_degree_set(2, 4), MvsaConfig(kappa=3.0), DesignBuilder(spec, x)
     assert config.kappa < np.linalg.cond(builder.matrix(basis)) < mvsa_engine._FACTOR_COND_LIMIT
-    pruned, solves = counted(prune_basis, builder, np.zeros((30, 2)), basis, config)
-    assert len(pruned.removed) >= 2 and len(solves) == len(pruned.removed) + 1
-    assert list(pruned.removed) == sorted(basis.indices[1:])[: len(pruned.removed)]
+    (_, removed), solves = counted(prune_basis, builder, np.zeros((30, 2)), basis, config)
+    assert len(removed) >= 2 and len(solves) == len(removed)
+    assert list(removed) == sorted(basis.indices[1:])[: len(removed)]
 
 
 def test_prune_past_the_factor_limit_solves_every_step_on_lstsq():
@@ -221,11 +220,11 @@ def test_prune_past_the_factor_limit_solves_every_step_on_lstsq():
     config, builder = MvsaConfig(kappa=1e4), DesignBuilder(spec, data.inputs)
     extended, _ = expand_basis(builder, data.responses, config)
     assert solve_with_condition(builder.matrix(extended), data.responses)[1] > mvsa_engine._FACTOR_COND_LIMIT
-    pruned, solves = counted(prune_basis, builder, data.responses, extended, config)
-    assert len(pruned.removed) >= 2 and len(solves) == len(pruned.removed) + 1
+    (basis, removed), solves = counted(prune_basis, builder, data.responses, extended, config)
+    assert len(removed) >= 2 and len(solves) == len(removed) + 1
     ref_basis, _, _, ref_removed = reference_prune(data, extended, config, builder)
-    assert list(pruned.removed) == ref_removed
-    assert pruned.basis.indices == ref_basis.indices
+    assert list(removed) == ref_removed
+    assert basis.indices == ref_basis.indices
 
 
 def test_near_tie_reruns_on_lstsq():
@@ -285,6 +284,28 @@ def test_condition_number_at_kappa_reruns_on_lstsq():
         assert_expansion_is_the_reference(extended, trace, data, spec, config)
     assert trace.steps[0].condition_number == kappa
     assert len(trace.steps) == 1 and trace.termination == "ill_conditioned"
+
+
+def test_condition_number_at_kappa_in_the_prune_reruns_on_lstsq():
+    # kappa is set to lstsq's condition number of the basis the reference
+    # keeps at kappa = 10, whose design the prune's lstsq sees to the bit.
+    # The factor's condition number of that basis is then within _CLOSE of
+    # kappa: the last step reruns on lstsq, whose condition number equals
+    # kappa, and the prune stops where the reference stops.  At kappa = 10
+    # the factor decides every step, the stop included.
+    rng = np.random.default_rng(3260)
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0), Marginal.normal(0.0, 1.0), Marginal.uniform(-1.0, 1.0)])
+    x = spec.sample(40, rng)
+    y = np.column_stack([x[:, 0] + 0.5 * x[:, 1] ** 2, x[:, 1] * x[:, 2]]) + 1e-2 * rng.normal(size=(40, 2))
+    data, builder, basis = TrainingData(x, y), DesignBuilder(spec, x), total_degree_set(3, 3)
+    kept_at_ten, _, kappa, _ = reference_prune(data, basis, MvsaConfig(kappa=10.0), builder)
+    last_step = (len(x), len(kept_at_ten))
+    for config, close in ((MvsaConfig(kappa=10.0), False), (MvsaConfig(kappa=kappa), True)):
+        (kept, removed), solves = counted(prune_basis, builder, data.responses, basis, config)
+        assert solves == ([last_step] if close else [])
+        ref_basis, _, _, ref_removed = reference_prune(data, basis, config, builder)
+        assert list(removed) == ref_removed and len(removed) >= 2
+        assert kept.indices == ref_basis.indices == kept_at_ten.indices
 
 
 def test_factor_storage_follows_the_appended_columns():
@@ -355,9 +376,9 @@ def test_factored_prunes_equal_the_lstsq_reference(cell):
     builder = DesignBuilder(spec, data.inputs)
     extended, _ = expand_basis(builder, data.responses, config)
     ref_basis, _, _, ref_removed = reference_prune(data, extended, config, builder)
-    pruned = prune_basis(builder, data.responses, extended, config)
-    assert list(pruned.removed) == ref_removed
-    assert pruned.basis.indices == ref_basis.indices
+    basis, removed = prune_basis(builder, data.responses, extended, config)
+    assert list(removed) == ref_removed
+    assert basis.indices == ref_basis.indices
 
 
 def accepted(indices, dim):

@@ -150,11 +150,12 @@ class TestPruning:
         basis = total_degree_set(3, 2)
         design = DesignBuilder(uniform_3d, x).matrix(basis)
         data = TrainingData(x, design @ rng.normal(size=(len(basis), 2)))
-        result = prune_basis(DesignBuilder(uniform_3d, x), data.responses, basis, MvsaConfig())
-        assert result.basis == basis
-        assert result.removed == ()
+        builder = DesignBuilder(uniform_3d, x)
+        kept, removed = prune_basis(builder, data.responses, basis, MvsaConfig())
+        assert kept == basis
+        assert removed == ()
         assert np.allclose(
-            result.coefficients,
+            solve_with_condition(builder.matrix(kept), data.responses)[0],
             np.linalg.lstsq(design, data.responses, rcond=1e-12)[0],
             atol=1e-13,
         )
@@ -173,10 +174,10 @@ class TestPruning:
         builder = DesignBuilder(spec, x)
         assert lstsq_with_condition(builder.matrix(basis), data.responses)[1] == np.inf
         ref_removed = reference_prune(data, basis, MvsaConfig(), builder)[3]
-        result = prune_basis(builder, data.responses, basis, MvsaConfig())
-        assert len(ref_removed) == 1 and list(result.removed) == ref_removed
-        assert len(result.basis) == 2 and (0, 0) in result.basis
-        assert result.condition_number <= 100.0
+        kept, removed = prune_basis(builder, data.responses, basis, MvsaConfig())
+        assert len(ref_removed) == 1 and list(removed) == ref_removed
+        assert len(kept) == 2 and (0, 0) in kept
+        assert solve_with_condition(builder.matrix(kept), data.responses)[1] <= 100.0
 
     def test_oversized_basis_removes_current_argmin_each_step(self, uniform_3d):
         # two more indices than samples: every removal must match an
@@ -187,20 +188,21 @@ class TestPruning:
         data = TrainingData(x, y)
         basis = total_degree_set(3, 2)  # 10 indices, Q = 8
         config = MvsaConfig()
-        result = prune_basis(DesignBuilder(uniform_3d, x), data.responses, basis, config)
-        assert len(result.basis) <= 8
-        assert result.condition_number <= config.kappa
+        builder = DesignBuilder(uniform_3d, x)
+        kept, removed = prune_basis(builder, data.responses, basis, config)
+        assert len(kept) <= 8
+        assert solve_with_condition(builder.matrix(kept), data.responses)[1] <= config.kappa
         ref_basis, _, _, ref_removed = reference_prune(data, basis, config, DesignBuilder(uniform_3d, x))
-        assert list(result.removed) == ref_removed
-        assert result.basis == ref_basis
+        assert list(removed) == ref_removed
+        assert kept == ref_basis
 
     def test_zero_index_protection_toggle(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 1))
         data = TrainingData(x, np.ones((3, 1)))
         basis = total_degree_set(1, 5)  # 6 > Q = 3 forces removals
-        protected = prune_basis(DesignBuilder(normal_spec(1), x), data.responses, basis, MvsaConfig())
-        assert (0,) in protected.basis
+        protected, _ = prune_basis(DesignBuilder(normal_spec(1), x), data.responses, basis, MvsaConfig())
+        assert (0,) in protected
 
     def test_requires_zero_index(self):
         data = TrainingData(np.zeros((5, 1)), np.zeros((5, 1)))
@@ -209,7 +211,8 @@ class TestPruning:
 
     def test_assembles_one_design_per_call(self, uniform_3d):
         # 20 terms over Q = 8 rows: every removal deletes a column from the
-        # one design, and the result matches a fresh design of the kept basis.
+        # one design, and the removals and the kept basis's solve match the
+        # reference's, which builds a fresh design for each basis.
         rng = np.random.default_rng(9)
         x = rng.uniform(-1, 1, (8, 3))
         y = np.column_stack([1.0 + x[:, 0] * x[:, 1], x[:, 2] ** 3])
@@ -222,10 +225,55 @@ class TestPruning:
             return real_matrix(basis)
 
         builder.matrix = spy
-        result = prune_basis(builder, y, total_degree_set(3, 3), MvsaConfig())
-        assert calls == [20] and len(result.removed) >= 12
-        coeffs, cond = solve_with_condition(real_matrix(result.basis), y)
-        assert np.array_equal(result.coefficients, coeffs) and result.condition_number == cond
+        kept, removed = prune_basis(builder, y, total_degree_set(3, 3), MvsaConfig())
+        assert calls == [20] and len(removed) >= 12
+        ref_basis, ref_coeffs, ref_cond, ref_removed = reference_prune(
+            TrainingData(x, y), total_degree_set(3, 3), MvsaConfig(), builder
+        )
+        assert list(removed) == ref_removed and kept == ref_basis
+        coeffs, cond = solve_with_condition(builder.matrix(kept), y)
+        assert np.array_equal(coeffs, ref_coeffs) and cond == ref_cond
+
+
+def _phase(name, builder, responses):
+    """Run the phase ``name`` over 2 uniform inputs, the prune on td:3."""
+    if name == "expand":
+        return expand_basis(builder, responses, MvsaConfig())
+    return prune_basis(builder, responses, total_degree_set(2, 3), MvsaConfig())
+
+
+class TestRightHandSide:
+    """Both phases take a real, finite Q x M right-hand side, Q the builder's rows, and refuse anything else."""
+
+    @pytest.fixture
+    def cell(self):
+        spec = DistributionSpec([Marginal.uniform(-1.0, 1.0)] * 2)
+        x = spec.sample(30, np.random.default_rng(31))
+        return DesignBuilder(spec, x), np.column_stack([x[:, 0] + x[:, 1] ** 2, x[:, 0] * x[:, 1]])
+
+    @pytest.mark.parametrize("phase", ["expand", "prune"])
+    @pytest.mark.parametrize(
+        "malform, message",
+        [
+            (lambda y: y[:, 0], r"^responses must form a 30 x M array, one row per input row; got \(30,\)$"),
+            (lambda y: y[:-1], r"^responses must form a 30 x M array, one row per input row; got \(29, 2\)$"),
+            (lambda y: [list(row) for row in y[:-1]] + [[1.0]], r"^the responses are not a numeric array: "),
+            (lambda y: y + 1j, r"^the responses are not a numeric array: responses hold complex values"),
+            (lambda y: y.astype(str), r"^the responses are not a numeric array: responses hold text"),
+            (lambda y: np.where(np.arange(30)[:, None] == 4, [[1.0, np.nan]], y), r"^row 5, y2: non-finite value$"),
+            (lambda y: np.where(np.arange(30)[:, None] == 0, [[np.inf, 1.0]], y), r"^row 1, y1: non-finite value$"),
+        ],
+        ids=["1-D", "rows", "ragged-list", "complex", "text", "nan", "inf"],
+    )
+    def test_malformed_responses_are_a_data_error(self, cell, phase, malform, message):
+        builder, y = cell
+        with pytest.raises(DataError, match=message):
+            _phase(phase, builder, malform(y))
+
+    @pytest.mark.parametrize("phase", ["expand", "prune"])
+    def test_a_nested_list_decides_as_its_array(self, cell, phase):
+        builder, y = cell
+        assert _phase(phase, builder, y.tolist()) == _phase(phase, builder, y)
 
 
 class TestResponseFactor:
