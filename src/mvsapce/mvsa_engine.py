@@ -3,8 +3,9 @@
 The adaptive fit grows a downward-closed multi-index set one term at a
 time, always accepting the admissible forward neighbor whose coefficients
 contribute the most aggregated response variance, and stops as soon as the
-least-squares problem would become underdetermined or ill-conditioned.
-The extended set reached at that point is then pruned back, removing the
+least-squares problem would become underdetermined or ill-conditioned, or
+when every admissible forward neighbor passes the degree cap.  The
+extended set reached at that point is then pruned back, removing the
 weakest terms until both the sample-size and the condition-number limits
 hold again.
 """
@@ -62,17 +63,20 @@ class ExpansionStep:
     ``expand_basis`` was given, which in a fit are the Q x r factor of the
     responses when M > Q (r the numerical rank of Y): it then equals the
     full-response value up to rounding.  The step was solved by the
-    expansion's ``_StepSolver``: on its QR factor, so that ``eta`` and
-    ``condition_number`` equal lstsq's within rounding, or, when the
-    decision was close or the factor had broken down, on lstsq, whose
-    values it then reports.  Models, predictions and reports are
-    byte-identical to an lstsq-only expansion at a fixed numeric
-    environment.
+    expansion's ``_StepSolver``: on its QR factor, so that ``eta`` equals
+    lstsq's within rounding, or, when the decision was close or the factor
+    had broken down, on lstsq, whose values it then reports.
+    ``condition_bound`` is at least the design's condition number: the
+    bound u of ``_bounded``, at most K^(1/4) times the condition number (K
+    the extended size), when that bound proved the step conditioned below
+    kappa, and else the condition number itself, from R's singular values
+    or lstsq's.  Models, predictions and reports are byte-identical to an
+    lstsq-only expansion at a fixed numeric environment.
     """
 
     added: MultiIndex
     eta: float
-    condition_number: float
+    condition_bound: float
     extended_size: int
 
 
@@ -196,17 +200,19 @@ def _accept(chosen: MultiIndex, basis: list, members: set, frontier: list) -> No
     """Move ``chosen`` from the sorted ``frontier`` into ``basis`` and insert each k + e_n it makes admissible.
 
     ``members`` holds the downward-closed ``basis``, and ``frontier`` its
-    admissible forward neighbors; both gain ``chosen`` as ``basis`` does.
-    Accepting an index can only make its own forward neighbors admissible
-    (the active/old bookkeeping of dimension-adaptive sparse grids), and
-    none of those can already be a member or on the frontier.
+    admissible forward neighbors up to ``DEGREE_CAP`` in each input; both
+    gain ``chosen`` as ``basis`` does.  Accepting an index can only make its
+    own forward neighbors admissible (the active/old bookkeeping of
+    dimension-adaptive sparse grids), and none of those can already be a
+    member or on the frontier.  A neighbor of degree DEGREE_CAP + 1 has no
+    polynomial table, so it never enters the frontier.
     """
     del frontier[bisect.bisect_left(frontier, chosen)]
     basis.append(chosen)
     members.add(chosen)
     for n in range(len(chosen)):
         candidate = chosen[:n] + (chosen[n] + 1,) + chosen[n + 1:]
-        if is_admissible(candidate, members):
+        if chosen[n] < DEGREE_CAP and is_admissible(candidate, members):
             bisect.insort(frontier, candidate)
 
 
@@ -243,6 +249,32 @@ def _factored(r: np.ndarray, projected: np.ndarray, residual: float):
     return cond, eta, err
 
 
+def _bounded(r: np.ndarray, r_inv: np.ndarray, projected: np.ndarray, residual: float, limit: float):
+    """(u, eta, err) of C = R^-1 Q^T Y from a kept inverse ``r_inv`` of R, or None unless u <= ``limit``.
+
+    u = (||(R^T R)^2||_F ||(R^-1 R^-T)^2||_F)^(1/4) is the product of the Schatten 8-norms of R and R^-1, so
+    cond(R) <= u <= K^(1/4) cond(R) with no SVD.  err is ``_factored``'s with u for cond and ||R^-1||_S8 >=
+    1/sigma_K for cond / sigma_1, plus gamma_K (|| |R^-1| |R| |C| ||_F + || |R^-1| |Q^T Y| ||_F), gamma_K =
+    K eps / (1 - K eps): an inverse X of R bordered one column at a time has |X R - I| <= gamma_K |X| |R|
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 14), so X Q^T Y - C = (X R - I) C, and the
+    product X Q^T Y rounds by at most gamma_K |X| |Q^T Y|.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, inverse_gram = r.T @ r, r_inv @ r_inv.T
+        inverse_norm = math.sqrt(math.sqrt(float(np.linalg.norm(inverse_gram @ inverse_gram))))
+        bound = math.sqrt(math.sqrt(float(np.linalg.norm(gram @ gram)))) * inverse_norm
+        if not bound <= limit:
+            return None
+        coeffs = r_inv @ projected
+        eta = sensitivity_indicators(coeffs)
+        eps, magnitude = np.finfo(float).eps, np.abs(r_inv)
+        gamma = len(r) * eps / (1 - len(r) * eps)
+        rounding = float(np.linalg.norm(magnitude @ (np.abs(r) @ np.abs(coeffs))))
+        rounding += float(np.linalg.norm(magnitude @ np.abs(projected)))
+        err = 4 * eps * bound * (math.sqrt(float(eta.sum())) + residual * inverse_norm) + gamma * rounding
+    return bound, eta, err
+
+
 def _clear(low: float, high: float, err: float) -> bool:
     """Whether etas low <= high of coefficients off by at most ``err`` are apart: each eta then errs by at most
     beta(eta) = err (2 sqrt(eta) + err), and the gap must exceed _CLOSE high and 1e4 (beta(low) + beta(high)).
@@ -255,8 +287,9 @@ def _clear(low: float, high: float, err: float) -> bool:
 class _StepSolver:
     """Solves the expansion steps on a thin QR factor A = Q R of their design columns, or on lstsq.
 
-    The factor holds Q^T (the orthonormal columns as rows), the triangle R
-    and Q^T responses of the columns in the order they were appended.  Its
+    The factor holds Q^T (the orthonormal columns as rows), the triangle R,
+    its inverse and Q^T responses of the columns in the order they were
+    appended; each column borders R^-1 in O(K^2).  Its
     storage starts at the first append, sized to that step's columns, and
     doubles when it fills (at most Q rows), so a fit that ends on K terms
     holds O(Q K) numbers.  Columns are added by classical Gram-Schmidt
@@ -270,6 +303,7 @@ class _StepSolver:
         self.position: dict[MultiIndex, int] | None = {}
         self.qt = np.empty((0, len(responses)))
         self.r = np.zeros((0, 0))
+        self.r_inv = np.zeros((0, 0))
         self.projected = np.empty((0, responses.shape[1]))
         # ||Y||_F^2 - ||Q^T Y||_F^2: the squared residual of the current columns.
         with np.errstate(over="ignore"):
@@ -284,6 +318,7 @@ class _StepSolver:
             grow = min(max(grow, len(self.r)), len(self.responses) - len(self.r))
             self.qt = np.pad(self.qt, ((0, grow), (0, 0)))
             self.r = np.pad(self.r, ((0, grow), (0, grow)))
+            self.r_inv = np.pad(self.r_inv, ((0, grow), (0, grow)))
             self.projected = np.pad(self.projected, ((0, grow), (0, 0)))
         for term, column in zip(new, builder.matrix(new).T):
             k = len(self.position)
@@ -299,8 +334,11 @@ class _StepSolver:
             self.qt[k] = v / rho
             self.r[:k, k] = h + again
             self.r[k, k] = rho
-            # An overflow is reported by the eta check, not as a warning.
+            # An overflow is reported by the eta check, or leaves the step to _factored, not as a warning.
             with np.errstate(over="ignore", invalid="ignore"):
+                # The bordered inverse: [[R, h], [0, rho]]^-1 = [[R^-1, -R^-1 h / rho], [0, 1 / rho]].
+                self.r_inv[:k, k] = self.r_inv[:k, :k] @ self.r[:k, k] / -rho
+                self.r_inv[k, k] = 1 / rho
                 self.projected[k] = self.qt[k] @ self.responses
                 self.unexplained -= float(self.projected[k] @ self.projected[k])
             self.position[term] = k
@@ -314,17 +352,23 @@ class _StepSolver:
         are clear, else on ``solve_with_condition``, which also names a term
         whose eta is not finite; a factor that broke down or passed
         _FACTOR_COND_LIMIT is dropped, since appending never lowers the
-        condition number, and every later step runs on lstsq.  The winner is
-        decided on the factor only when ``_clear`` tells the two largest
-        frontier etas apart under the step's rounding bound (see
-        ``_factored``).
+        condition number, and every later step runs on lstsq.  The factor
+        first reads its condition bound u from R and R^-1 (``_bounded``):
+        u <= kappa (1 - _CLOSE) and u <= _FACTOR_COND_LIMIT prove the step
+        conditioned clearly below kappa without an SVD, and every other step
+        takes R's singular values (``_factored``).  The winner is decided on
+        the factor only when ``_clear`` tells the two largest frontier etas
+        apart under the step's rounding bound.  The cond returned is u on
+        the first path and the condition number itself on the others.
         """
         step = None
         if self.position is not None and self._append(builder, extended):
             k = len(self.position)
-            step = _factored(self.r[:k, :k], self.projected[:k], math.sqrt(max(self.unexplained, 0.0)))
+            r, projected, residual = self.r[:k, :k], self.projected[:k], math.sqrt(max(self.unexplained, 0.0))
+            limit = min(kappa * (1 - _CLOSE), _FACTOR_COND_LIMIT)
+            step = _bounded(r, self.r_inv[:k, :k], projected, residual, limit) or _factored(r, projected, residual)
         if step is None:
-            self.position = self.qt = self.r = self.projected = None
+            self.position = self.qt = self.r = self.r_inv = self.projected = None
         elif abs(step[0] - kappa) > _CLOSE * kappa:
             cond, eta, err = step
             if cond > kappa:
@@ -347,17 +391,22 @@ def expand_basis(
     """Adaptive basis expansion; returns the final extended set and a trace.
 
     Each pass forms the extended set (current basis plus all admissible
-    forward neighbors), stops before solving if that set outgrows the sample
-    count ``len(responses)``, solves the least-squares problem otherwise,
-    stops if the design is conditioned worse than kappa, and else accepts
-    the single admissible index with the largest sensitivity indicator
-    (ties broken toward the lexicographically smallest index).
+    forward neighbors of degree at most ``DEGREE_CAP`` in each input), stops
+    before solving if that set outgrows the sample count ``len(responses)``
+    ("underdetermined") or if no neighbor is left ("degree_cap": every
+    forward neighbor passes the cap), solves the least-squares problem
+    otherwise, stops if the design is conditioned worse than kappa
+    ("ill_conditioned"), and else accepts the single admissible index with
+    the largest sensitivity indicator (ties broken toward the
+    lexicographically smallest index).
 
     Each pass makes one ``_StepSolver.solve`` call.  It solves on one thin
     QR factor of the extended set's columns, which takes only the columns
-    each step appends; its eta and condition number (from R's singular
-    values) equal lstsq's within rounding.  A step whose decision is close
-    (see ``_CLOSE``), and every step after the factor breaks down, reruns
+    each step appends; its eta equals lstsq's within rounding, and its
+    condition check reads a bound from R and R^-1, with R's singular
+    values only near kappa (see ``_StepSolver.solve``).  A step whose
+    decision is close (see ``_CLOSE``), and every step after the factor
+    breaks down, reruns
     ``solve_with_condition`` on the whole extended design, so every decision
     is lstsq's and the models, predictions and reports built from the
     result are byte-identical to an lstsq-only expansion at a fixed numeric
@@ -383,6 +432,9 @@ def expand_basis(
         if len(extended) > n_samples:
             termination = "underdetermined"
             break
+        if not frontier:
+            termination = "degree_cap"
+            break
         offset = len(basis)
         eta, cond = solver.solve(builder, extended, offset, config.kappa)
         if eta is None:
@@ -396,7 +448,7 @@ def expand_basis(
             ExpansionStep(
                 added=chosen,
                 eta=float(eta[offset + best]),
-                condition_number=cond,
+                condition_bound=cond,
                 extended_size=len(extended),
             )
         )
@@ -440,8 +492,7 @@ def prune_basis(
     triangle = None
     while True:
         k, position = len(kept), None
-        # At kappa (1 + _CLOSE) >= _FACTOR_COND_LIMIT no removal can be decided on a factor, so none is built.
-        if k <= len(responses) and config.kappa * (1 + _CLOSE) < _FACTOR_COND_LIMIT:
+        if k <= len(responses):
             if triangle is None:
                 triangle = np.linalg.qr(np.hstack([design, responses]), mode="r")
             with np.errstate(over="ignore", invalid="ignore"):

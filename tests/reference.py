@@ -11,6 +11,7 @@ import numpy as np
 
 from mvsapce.multi_index import MultiIndexSet, total_degree_set
 from mvsapce.mvsa_engine import sensitivity_indicators
+from mvsapce.polynomial_basis import DEGREE_CAP
 
 
 def lstsq_with_condition(design, rhs):
@@ -47,15 +48,19 @@ def assert_lexicographic_steps(trace):
 
 
 def reference_expand(data, spec, config, builder):
-    """The lstsq-only expansion: the extended set, the added indices, their etas, the
-    condition numbers and summed etas of the steps, and the termination."""
+    """The lstsq-only expansion over the admissible forward neighbors of degree at most DEGREE_CAP: the extended
+    set, the added indices, their etas, the condition numbers and summed etas of the steps, and the termination."""
     basis = total_degree_set(spec.dim, config.initial_degree)
     added, etas, conds, totals = [], [], [], []
     while True:
-        admissible = basis.admissible_forward_neighbors()
+        neighbors = basis.admissible_forward_neighbors()
+        admissible = MultiIndexSet([index for index in neighbors if max(index) <= DEGREE_CAP], dim=spec.dim)
         extended = basis.union(admissible)
         if len(extended) > data.n_samples:
             termination = "underdetermined"
+            break
+        if not admissible:
+            termination = "degree_cap"
             break
         coeffs, cond = lstsq_with_condition(builder.matrix(extended), data.responses)
         if cond > config.kappa:

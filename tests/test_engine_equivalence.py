@@ -27,16 +27,19 @@ from reference import admissible_frontier, assert_lexicographic_steps, random_do
 from reference import reference_expand, reference_prune
 
 
-def counted(function, *args):
-    """``function(*args)`` and the design shapes of the ``solve_with_condition`` calls it made."""
+def counted(function, *args, name="solve_with_condition"):
+    """``function(*args)`` and the shapes of the first arguments of the ``mvsa_engine.<name>`` calls it made: by
+    default the designs of its ``solve_with_condition`` calls, and with ``name="_factored"`` the triangles whose
+    singular values it took."""
     calls = []
+    real = getattr(mvsa_engine, name)
 
-    def counting(matrix, rhs):
+    def counting(matrix, *rest):
         calls.append(matrix.shape)
-        return solve_with_condition(matrix, rhs)
+        return real(matrix, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mvsa_engine, "solve_with_condition", counting)
+        patch.setattr(mvsa_engine, name, counting)
         result = function(*args)
     return result, calls
 
@@ -65,10 +68,16 @@ def assert_matches_reference(data, spec, config=None):
     (extended, trace), reruns = counted(expand_basis, engine_builder, factor, config)
     assert [step.added for step in trace.steps] == ref_added
     assert trace.termination == ref_termination
-    # A step decided on the QR factor reports R's condition number and its
-    # own eta: both within rounding of lstsq's, far inside the 1e-8 guard
-    # that sends close decisions back to lstsq.
-    assert [step.condition_number for step in trace.steps] == pytest.approx(ref_conds, rel=1e-12)
+    # A step decided on its bound reports u, with cond <= u <= K^(1/4) cond;
+    # one that took R's singular values reports R's condition number, within
+    # rounding of lstsq's, and a step on lstsq reports lstsq's.  A bound at or
+    # near kappa is always one of the exact values.  The eta of a step on the
+    # factor is within rounding of lstsq's, far inside the 1e-8 guard that
+    # sends close decisions back to lstsq.
+    for step, cond in zip(trace.steps, ref_conds):
+        assert cond <= step.condition_bound * (1 + 1e-12) <= step.extended_size**0.25 * cond * (1 + 2e-12)
+        if step.condition_bound >= config.kappa * (1 - mvsa_engine._CLOSE):
+            assert step.condition_bound == pytest.approx(cond, rel=1e-12)
     if data.n_outputs <= data.n_samples:
         for step, eta, total in zip(trace.steps, ref_etas, ref_totals):
             assert step.eta == pytest.approx(eta, rel=0, abs=1e-10 * total)
@@ -107,14 +116,26 @@ def beam_cell(q, seed, response_dim=1000):
 #: its last step reruns, and its first removal solves on lstsq too.
 BEAM_SOLVES = {(q, seed): (0, 0) for q in (50, 100, 150) for seed in range(4)} | {(50, 2): (1, 1)}
 
+#: The expansion's exact SVDs of R (``_factored`` calls) in each beam cell: one for the step that ends it past
+#: kappa, and one for each step whose bound u did not prove cond <= kappa (1 - _CLOSE).
+BEAM_SVDS = {
+    (50, 0): 2, (50, 1): 1, (50, 2): 1, (50, 3): 1,
+    (100, 0): 2, (100, 1): 1, (100, 2): 1, (100, 3): 1,
+    (150, 0): 2, (150, 1): 2, (150, 2): 2, (150, 3): 6,
+}
+
 
 @pytest.mark.parametrize("q, seed", [(q, seed) for q in (50, 100, 150) for seed in range(4)])
 def test_beam_cells_with_compressed_responses(q, seed):
     data, spec = beam_cell(q, seed)
     assert data.n_outputs > data.n_samples
-    model, reruns, prune_solves = assert_matches_reference(data, spec, MvsaConfig(kappa=100.0))
+    config = MvsaConfig(kappa=100.0)
+    model, reruns, prune_solves = assert_matches_reference(data, spec, config)
     assert model.trace.steps and model.diagnostics.pruned_count > 0
     assert (reruns, prune_solves) == BEAM_SOLVES[q, seed]
+    builder, factor = DesignBuilder(spec, data.inputs), _response_factor(data.responses)
+    _, svds = counted(expand_basis, builder, factor, config, name="_factored")
+    assert len(svds) == BEAM_SVDS[q, seed]
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -213,18 +234,30 @@ def test_exact_tie_in_the_prune_reruns_on_lstsq_and_removes_the_lexicographic_vi
     assert list(removed) == sorted(basis.indices[1:])[: len(removed)]
 
 
-def test_prune_past_the_factor_limit_solves_every_step_on_lstsq():
-    # At kappa = 1e4 the prune starts, and needs to end, above the factor's
-    # limit (about 4.5e3), where no removal can be decided on R.
+def test_prune_past_the_factor_limit_removes_on_lstsq_and_stops_on_the_factor():
+    # At kappa = 1e4 the prune starts above the factor's limit (about 4.5e3),
+    # where no removal can be decided on R, so every removal solves on lstsq.
+    # The basis it keeps is conditioned below the limit and clearly below
+    # kappa, so its stop is decided on R and makes no solve.
     data, spec = beam_cell(100, 0, response_dim=10)
     config, builder = MvsaConfig(kappa=1e4), DesignBuilder(spec, data.inputs)
     extended, _ = expand_basis(builder, data.responses, config)
     assert solve_with_condition(builder.matrix(extended), data.responses)[1] > mvsa_engine._FACTOR_COND_LIMIT
     (basis, removed), solves = counted(prune_basis, builder, data.responses, extended, config)
-    assert len(removed) >= 2 and len(solves) == len(removed) + 1
+    assert len(removed) >= 2 and len(solves) == len(removed)
     ref_basis, _, _, ref_removed = reference_prune(data, extended, config, builder)
     assert list(removed) == ref_removed
     assert basis.indices == ref_basis.indices
+
+
+def test_expansion_to_the_degree_cap_matches_the_reference():
+    # One input at Q = 120: both expansions accept degrees 1 to DEGREE_CAP
+    # and stop there, since degree 31 has no polynomial table.
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0)])
+    x = spec.sample(120, np.random.default_rng(0))
+    data = TrainingData(x, np.column_stack([np.exp(x[:, 0]), np.sin(3 * x[:, 0])]))
+    model, *_ = assert_matches_reference(data, spec)
+    assert model.trace.termination == "degree_cap"
 
 
 def test_near_tie_reruns_on_lstsq():
@@ -282,7 +315,7 @@ def test_condition_number_at_kappa_reruns_on_lstsq():
         (extended, trace), reruns = counted(expand_basis, builder, data.responses, config)
         assert (first_step in reruns) is close
         assert_expansion_is_the_reference(extended, trace, data, spec, config)
-    assert trace.steps[0].condition_number == kappa
+    assert trace.steps[0].condition_bound == kappa
     assert len(trace.steps) == 1 and trace.termination == "ill_conditioned"
 
 
@@ -323,6 +356,42 @@ def test_factor_storage_follows_the_appended_columns():
         tracemalloc.stop()
     assert trace.steps and len(extended) < 100
     assert peak < 4000 * 4000 * 8 // 8, peak
+
+
+class ColumnsBuilder:
+    """A stand-in design builder whose term (j,) is column j of ``design``."""
+
+    def __init__(self, design):
+        self.design = design
+
+    def matrix(self, terms):
+        return self.design[:, [j for j, in terms]]
+
+
+# (K, log of cond to the base _FACTOR_COND_LIMIT): both ends of each range, then random draws.
+BOUND_CASES = [(1, 0.0), (1, 1.0), (2, 1.0), (150, 0.0), (150, 1.0)] + list(
+    zip(np.random.default_rng(3450).integers(1, 151, 15).tolist(), np.random.default_rng(3451).random(15).tolist())
+)
+
+
+@pytest.mark.parametrize("k, log_cond", BOUND_CASES)
+def test_kept_inverse_and_condition_bound_of_random_triangles(k, log_cond):
+    # A design with singular values from cond down to 1, appended in three
+    # steps as the expansion appends its columns: the kept R^-1 is the
+    # inverse of R to cond K eps, and cond(R) <= u <= K^(1/4) cond(R).
+    rng = np.random.default_rng(3460 + k)
+    cond, q = mvsa_engine._FACTOR_COND_LIMIT**log_cond, k + 10
+    left, _ = np.linalg.qr(rng.normal(size=(q, k)))
+    right, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    solver, terms = mvsa_engine._StepSolver(np.zeros((q, 1))), [(j,) for j in range(k)]
+    for stop in (k // 3, 2 * k // 3, k):
+        assert solver._append(ColumnsBuilder((left * np.geomspace(cond, 1.0, k)) @ right.T), terms[:stop])
+    r, r_inv = solver.r[:k, :k], solver.r_inv[:k, :k]
+    exact, inverse = np.linalg.cond(r), np.linalg.inv(r)
+    assert np.linalg.norm(r_inv - inverse) <= exact * k * np.finfo(float).eps * np.linalg.norm(inverse)
+    bound, *_ = mvsa_engine._bounded(r, r_inv, solver.projected[:k], 0.0, np.inf)
+    assert exact <= bound * (1 + 1e-12)
+    assert bound <= k**0.25 * exact * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))

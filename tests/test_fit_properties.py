@@ -3,7 +3,7 @@
 Each example draws 2-4 inputs, Q = 20-80 samples and M = 1-5 outputs of a
 random polynomial with small noise, and checks what every fit must hold
 whatever the data: the limits K <= Q and cond <= kappa, the zero index,
-a downward-closed expansion, one of the two stopping conditions, and
+a downward-closed expansion, one of the three stopping conditions, and
 exact equivariance under scaling the responses by a power of two.  The
 pruned basis itself need not be downward-closed: pruning drops the
 weakest terms wherever they sit.
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from mvsapce.errors import ConfigError
 from mvsapce.mvsa_engine import MvsaConfig, fit_mvsa
-from mvsapce.polynomial_basis import DistributionSpec, Marginal
+from mvsapce.polynomial_basis import DEGREE_CAP, DistributionSpec, Marginal
 from mvsapce.regression import DesignBuilder, TrainingData
 
 from reference import random_downward_closed_truth, replay_expansion
@@ -46,7 +46,8 @@ def assert_fit_invariants(model, data, kappa=MvsaConfig.kappa):
     assert len(model.basis) <= data.n_samples
     assert model.diagnostics.condition_number <= kappa
     assert (0,) * model.basis.dim in model.basis
-    assert model.trace.termination in ("underdetermined", "ill_conditioned")
+    assert model.trace.termination in ("underdetermined", "ill_conditioned", "degree_cap")
+    assert model.diagnostics.max_univariate_degree <= DEGREE_CAP
     replay_expansion(model.trace)
 
 
@@ -82,6 +83,20 @@ def test_fit_invariants_single_output(problem):
     data, spec = problem
     assert data.n_outputs == 1
     assert_fit_invariants(fit_mvsa(data, spec), data)
+
+
+def test_expansion_that_reaches_the_degree_cap_stops_there():
+    # One uniform input and Q = 120: the design stays conditioned below
+    # kappa = 100 up to degree 30.  Once that degree is accepted its one
+    # forward neighbor, degree 31, passes the cap, so the frontier is empty
+    # and the expansion ends on "degree_cap".
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0)])
+    x = spec.sample(120, np.random.default_rng(0))
+    data = TrainingData(x, np.column_stack([np.exp(x[:, 0]), np.sin(3 * x[:, 0])]))
+    model = fit_mvsa(data, spec)
+    assert_fit_invariants(model, data)
+    assert model.trace.termination == "degree_cap"
+    assert [step.added for step in model.trace.steps] == [(p,) for p in range(1, DEGREE_CAP + 1)]
 
 
 @pytest.mark.parametrize("dim, degree", [(2, 1), (2, 3), (3, 2), (4, 1)])
