@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, require
-from .multi_index import MultiIndex, MultiIndexSet, as_integer, is_admissible, total_degree_set
+from .multi_index import MultiIndex, MultiIndexSet, as_integer, total_degree_set
 from .polynomial_basis import DEGREE_CAP, DistributionSpec, real_array
 from .regression import (
     DesignBuilder,
@@ -201,19 +201,21 @@ def _accept(chosen: MultiIndex, basis: list, members: set, frontier: list) -> No
 
     ``members`` holds the downward-closed ``basis``, and ``frontier`` its
     admissible forward neighbors up to ``DEGREE_CAP`` in each input; both
-    gain ``chosen`` as ``basis`` does.  Accepting an index can only make its
-    own forward neighbors admissible (the active/old bookkeeping of
-    dimension-adaptive sparse grids), and none of those can already be a
-    member or on the frontier.  A neighbor of degree DEGREE_CAP + 1 has no
-    polynomial table, so it never enters the frontier.
+    gain ``chosen`` as ``basis`` does.  Accepting k can only make its own
+    forward neighbors k + e_n admissible (the active/old bookkeeping of
+    dimension-adaptive sparse grids), none of which is already a member or
+    on the frontier, and only their backward neighbors k + e_n - e_m need a
+    look, k itself being a member.  A neighbor of degree DEGREE_CAP + 1 has
+    no polynomial table, so it never enters the frontier.
     """
     del frontier[bisect.bisect_left(frontier, chosen)]
     basis.append(chosen)
     members.add(chosen)
-    for n in range(len(chosen)):
-        candidate = chosen[:n] + (chosen[n] + 1,) + chosen[n + 1:]
-        if chosen[n] < DEGREE_CAP and is_admissible(candidate, members):
-            bisect.insort(frontier, candidate)
+    for n, k_n in enumerate(chosen):
+        if k_n < DEGREE_CAP:
+            up = chosen[:n] + (k_n + 1,) + chosen[n + 1:]
+            if all(up[:m] + (k_m - 1,) + up[m + 1:] in members for m, k_m in enumerate(chosen) if k_m and m != n):
+                bisect.insort(frontier, up)
 
 
 #: Relative width of a close decision.  A step decided on a QR factor reruns
@@ -289,13 +291,13 @@ class _StepSolver:
 
     The factor holds Q^T (the orthonormal columns as rows), the triangle R,
     its inverse and Q^T responses of the columns in the order they were
-    appended; each column borders R^-1 in O(K^2).  Its
-    storage starts at the first append, sized to that step's columns, and
-    doubles when it fills (at most Q rows), so a fit that ends on K terms
-    holds O(Q K) numbers.  Columns are added by classical Gram-Schmidt
-    with one reorthogonalization, which keeps Q orthonormal to working
-    precision while the design is numerically of full rank (Giraud et al.,
-    Numer. Math. 101, 2005).
+    appended, and ``step``, the last step's (cond, eta, err) on it; each
+    column borders R^-1 in O(K^2).  Its storage starts at the first append,
+    sized to that step's columns, and doubles when it fills (at most Q
+    rows), so a fit that ends on K terms holds O(Q K) numbers.  Columns are
+    added by classical Gram-Schmidt with one reorthogonalization, which
+    keeps Q orthonormal to working precision while the design is
+    numerically of full rank (Giraud et al., Numer. Math. 101, 2005).
     """
 
     def __init__(self, responses: np.ndarray):
@@ -305,6 +307,7 @@ class _StepSolver:
         self.r = np.zeros((0, 0))
         self.r_inv = np.zeros((0, 0))
         self.projected = np.empty((0, responses.shape[1]))
+        self.step = None
         # ||Y||_F^2 - ||Q^T Y||_F^2: the squared residual of the current columns.
         with np.errstate(over="ignore"):
             self.unexplained = float(np.vdot(responses, responses))
@@ -367,6 +370,7 @@ class _StepSolver:
             r, projected, residual = self.r[:k, :k], self.projected[:k], math.sqrt(max(self.unexplained, 0.0))
             limit = min(kappa * (1 - _CLOSE), _FACTOR_COND_LIMIT)
             step = _bounded(r, self.r_inv[:k, :k], projected, residual, limit) or _factored(r, projected, residual)
+        self.step = step
         if step is None:
             self.position = self.qt = self.r = self.r_inv = self.projected = None
         elif abs(step[0] - kappa) > _CLOSE * kappa:
@@ -412,6 +416,12 @@ def expand_basis(
     result are byte-identical to an lstsq-only expansion at a fixed numeric
     environment.
     """
+    return _expand(builder, responses, config)[:2]
+
+
+def _expand(builder: DesignBuilder, responses, config: MvsaConfig):
+    """``expand_basis``'s extended set and trace, and its step solver when the expansion ended ill-conditioned
+    on the solver's intact factor, which then holds exactly the extended set's columns; else None."""
     responses = _right_hand_side(builder, responses)
     dim, n_samples = builder.spec.dim, len(responses)
     # The initial set has C(N + p, p) members; reject an oversized one before
@@ -454,7 +464,8 @@ def expand_basis(
         )
         _accept(chosen, basis, members, frontier)
     trace = ExpansionTrace(initial=initial, steps=tuple(steps), termination=termination)
-    return MultiIndexSet(extended, dim=dim), trace
+    intact = termination == "ill_conditioned" and solver.position is not None
+    return MultiIndexSet(extended, dim=dim), trace, solver if intact else None
 
 
 def prune_basis(
@@ -463,71 +474,84 @@ def prune_basis(
     basis: MultiIndexSet,
     config: MvsaConfig,
 ) -> tuple[MultiIndexSet, tuple[MultiIndex, ...]]:
-    """Remove minimum-sensitivity terms until size and conditioning hold; returns the kept basis and the
-    removed terms in removal order.
+    """Remove minimum-sensitivity terms until size and conditioning hold; returns the kept basis, in
+    ``basis`` order, and the removed terms in removal order.
 
     While the design is conditioned worse than kappa or the basis outsizes
     the sample count ``len(responses)``, drops the index with the smallest
     sensitivity indicator (lexicographic tie-break; the zero index is
-    exempt).  The design is assembled once and loses the victim's column at
-    each removal.  The prune only decides: ``fit_mvsa`` makes the solve a
-    model keeps.
+    exempt).  The prune only decides: ``fit_mvsa`` makes the solve a model
+    keeps.
 
     While the basis outsizes the sample count, each step solves on
-    ``solve_with_condition``.  From there on a QR of [A | Y] holds R, Q^T Y
-    and the residual, and each removal deletes its column from it (Golub &
-    Van Loan, Sec. 6.5).  A step whose condition number on R is more than
+    ``solve_with_condition``.  From there on a triangle [R | Q^T Y] decides,
+    that of one QR of [A | Y] or, in a fit whose expansion ended
+    ill-conditioned on its intact factor, that factor's, whose first step
+    is the expansion's last; each removal deletes its column from it (Golub
+    & Van Loan, Sec. 6.5).  A step whose condition number on R is more than
     _CLOSE kappa away from kappa and at most _FACTOR_COND_LIMIT is decided
     there: below kappa the prune stops, and above it the weakest term goes
-    when ``_factored_victim`` finds it.  Every other step solves on lstsq,
-    so the decisions are lstsq's.
+    when ``_clear`` tells the two weakest apart.  Every other step solves on
+    lstsq, on the kept terms in ``basis`` order, so the decisions are lstsq's.
     """
+    return _prune(builder, responses, basis, config, None)
+
+
+def _prune(builder: DesignBuilder, responses, basis: MultiIndexSet, config: MvsaConfig, solver):
+    """``prune_basis``, starting from ``solver``'s factor and last step when ``_expand`` handed one over."""
     responses = _right_hand_side(builder, responses)
     zero = (0,) * basis.dim
     if zero not in basis:
         raise ConfigError("prune_basis expects the zero multi-index in the basis")
     kept = list(basis.indices)
-    design = builder.matrix(kept)
     removed: list[MultiIndex] = []
-    triangle = None
+    # ||Y - A C||_F^2 is unexplained plus the squared trailing block of the triangle, whose columns are
+    # ``columns``; a prune handed a factor gathers its design only for a step on lstsq.
+    design, triangle, step = None if solver else builder.matrix(kept), None, None
+    if solver is not None:
+        k, columns, step = len(solver.position), list(solver.position), solver.step
+        triangle = np.hstack([solver.r[:k, :k], solver.projected[:k]])
+    unexplained = max(solver.unexplained, 0.0) if solver else 0.0
     while True:
-        k, position = len(kept), None
+        k, victim = len(kept), None
         if k <= len(responses):
             if triangle is None:
-                triangle = np.linalg.qr(np.hstack([design, responses]), mode="r")
-            with np.errstate(over="ignore", invalid="ignore"):
-                residual = math.sqrt(float(np.vdot(triangle[k:, k:], triangle[k:, k:])))
-            step = _factored(triangle[:k, :k], triangle[:k, k:], residual)
+                triangle, columns = np.linalg.qr(np.hstack([design, responses]), mode="r"), list(kept)
+            if step is None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    residual = math.sqrt(unexplained + float(np.vdot(triangle[k:, k:], triangle[k:, k:])))
+                step = _factored(triangle[:k, :k], triangle[:k, k:], residual)
             if step is not None and abs(step[0] - config.kappa) > _CLOSE * config.kappa:
                 cond, eta, err = step
                 if cond < config.kappa:
                     break
-                position = _factored_victim(eta, err, kept.index(zero))
-        if position is None:
+                # The weakest term but the zero index, unless an eta is not finite or the two weakest are close.
+                if np.isfinite(eta).all():
+                    eta[columns.index(zero)] = np.inf
+                    if len(eta) < 3 or _clear(*np.partition(eta, 1)[:2], err):
+                        victim = columns[int(np.argmin(eta))]
+            step = None
+        if victim is None:
+            design = builder.matrix(kept) if design is None else design
             coeffs, cond = solve_with_condition(design, responses)
             if cond <= config.kappa and k <= len(responses):
                 break
             eta = _finite_indicators(coeffs, kept)
             # A lone all-ones column has condition number 1 and size 1 <= Q, so
             # the loop stops before the zero index is the only one left.
-            _, _, position = min((eta[i], index, i) for i, index in enumerate(kept) if index != zero)
-        removed.append(kept.pop(position))
-        design = np.delete(design, position, axis=1)
+            victim = min((eta[i], index) for i, index in enumerate(kept) if index != zero)[1]
+        removed.append(victim)
+        if design is not None:
+            design = np.delete(design, kept.index(victim), axis=1)
+        kept.remove(victim)
         if triangle is not None:
+            position = columns.index(victim)
+            del columns[position]
             triangle = np.delete(triangle, position, axis=1)
             tail = np.linalg.qr(triangle[position:, position:], mode="r")
             triangle = triangle[:position + len(tail)]
             triangle[position:, position:] = tail
     return MultiIndexSet(kept, dim=basis.dim), tuple(removed)
-
-
-def _factored_victim(eta: np.ndarray, err: float, zero: int) -> int | None:
-    """Position of the smallest of the factor's ``eta`` but the one at ``zero``, or None to solve on lstsq: when
-    an eta is not finite, or the two smallest are not ``_clear`` under ``err``."""
-    if not np.isfinite(eta).all():
-        return None
-    eta[zero] = np.inf
-    return int(np.argmin(eta)) if len(eta) < 3 or _clear(*np.partition(eta, 1)[:2], err) else None
 
 
 def fit_mvsa(
@@ -544,8 +568,8 @@ def fit_mvsa(
     config = config or MvsaConfig()
     builder = DesignBuilder(spec, data.inputs)
     factor = _response_factor(data.responses)
-    extended, trace = expand_basis(builder, factor, config)
-    basis, removed = prune_basis(builder, factor, extended, config)
+    extended, trace, solver = _expand(builder, factor, config)
+    basis, removed = _prune(builder, factor, extended, config, solver)
     coefficients, cond = solve_with_condition(builder.matrix(basis), data.responses)
     diagnostics = FitDiagnostics.of(basis, cond, len(trace.steps), len(removed), trace.termination)
     return PceModel(spec=spec, basis=basis, coefficients=coefficients, diagnostics=diagnostics, trace=trace)

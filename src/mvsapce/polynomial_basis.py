@@ -85,6 +85,9 @@ class Marginal:
             raise ConfigError(f"{self.kind} marginal requires std > 0, got {b}")
         if self.kind == "lognormal" and a <= 0.0:
             raise ConfigError(f"lognormal marginal requires mean > 0, got {a}")
+        # Past these bounds (std/mean)^2 overflows, or the log-scale sigma rounds to 0 (``log_parameters``).
+        if self.kind == "lognormal" and not 1e-160 <= b / a <= 1e154:
+            raise ConfigError(f"lognormal marginal requires 1e-160 <= std/mean <= 1e154, got {b / a}")
         if self.kind == "uniform" and not a < b:
             raise ConfigError(f"uniform marginal requires lower < upper, got ({a}, {b})")
 

@@ -76,9 +76,9 @@ class DesignBuilder:
 
     Standardizes the inputs once and caches each input's univariate table,
     extended when a higher degree is asked for; it caches no columns.  Each
-    column is the product of its univariate factors taken in increasing
-    input order, so it has the same bits whichever call built it, and every
-    design ``matrix`` returns is a fresh, writable array.
+    column is the product of its nonzero univariate factors taken in
+    increasing input order, so it has the same bits whichever call built
+    it, and every design ``matrix`` returns is a fresh, writable array.
     """
 
     def __init__(self, spec: DistributionSpec, inputs):
@@ -101,22 +101,35 @@ class DesignBuilder:
     def matrix(self, basis) -> np.ndarray:
         """Q x K design with columns in ``basis`` order: a MultiIndexSet or a sequence of index tuples.
 
-        Built in one pass as the transpose of a K x Q block; DataError naming
+        Built term by term as the transpose of a K x Q block; DataError naming
         the first bad term if its length is not the input width or a value
         (input row from 1) is not finite.
         """
-        terms = list(basis)
+        terms, dim = list(map(tuple, basis)), self.spec.dim
         for index in terms:
-            if len(index) != self.spec.dim:
-                raise DataError(f"term {index} has {len(index)} entries, the inputs have {self.spec.dim}")
-        degrees = np.array(terms, dtype=np.intp).reshape(len(terms), self.spec.dim)
-        tops = degrees.max(axis=0, initial=0)
-        block = np.ones((len(terms), len(self.z)))
+            if len(index) != dim:
+                raise DataError(f"term {index} has {len(index)} entries, the inputs have {dim}")
+        block = np.empty((len(terms), len(self.z)))
+        rows, zeros = {}, (0,) * dim
         # An overflow is reported by the finite check below, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            for n in np.flatnonzero(tops):
-                act = np.flatnonzero(degrees[:, n])
-                block[act] *= self._table(n, tops[n])[degrees[act, n]]
+            for n, top in enumerate(map(max, zip(*terms))):
+                if top:
+                    self._table(n, top)
+            for index, row in zip(terms, block):
+                last = dim - 1
+                while last >= 0 and not index[last]:
+                    last -= 1
+                # The row of its prefix, the term without its last factor, when that is a term before it.
+                prefix = rows.get(index[:last] + zeros[last:]) if last >= 0 else None
+                if prefix is not None:
+                    np.multiply(prefix, self._tables[last][index[last]], out=row)
+                else:
+                    row[:] = 1.0
+                    for n in range(last + 1):
+                        if index[n]:
+                            row *= self._tables[n][index[n]]
+                rows[index] = row
         require(np.isfinite(block), lambda k, q: DataError(f"term {terms[k]} is not finite at input row {q + 1}"))
         return block.T
 

@@ -3,7 +3,8 @@
 They solve every step against all M outputs with ``np.linalg.lstsq``,
 rebuild the admissible set with ``admissible_forward_neighbors`` and prune
 with ``without_index``: no solve or frontier code of the engine, whose
-decisions must equal theirs.  Without a ``test_`` prefix the module is not
+decisions must equal theirs.  ``brute_force_design`` builds a design
+without ``DesignBuilder``'s gather, whose bits must equal its.  Without a ``test_`` prefix the module is not
 collected; tests import it as they import ``conftest``.
 """
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from mvsapce.multi_index import MultiIndexSet, total_degree_set
 from mvsapce.mvsa_engine import sensitivity_indicators
-from mvsapce.polynomial_basis import DEGREE_CAP
+from mvsapce.polynomial_basis import DEGREE_CAP, univariate_table
 
 
 def lstsq_with_condition(design, rhs):
@@ -21,6 +22,20 @@ def lstsq_with_condition(design, rhs):
     if design.shape[1] > design.shape[0] or len(s) == 0 or s[-1] <= s[0] * 1e-15:
         return coeffs, float("inf")
     return coeffs, float(s[0]) / float(s[-1])
+
+
+def brute_force_design(spec, x, terms):
+    """The Q x K design of ``terms``: each column a column of ones times, in increasing input order, the
+    ``univariate_table`` column of each nonzero degree, from a table built to that degree alone."""
+    z = spec.standardize_rows(x)
+    design = np.ones((len(z), len(terms)))
+    # An overflow shows as inf or nan in the design, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, index in enumerate(terms):
+            for n, degree in enumerate(index):
+                if degree:
+                    design[:, j] = design[:, j] * univariate_table(spec.marginals[n].family, degree, z[:, n])[:, degree]
+    return design
 
 
 def admissible_frontier(basis):

@@ -189,9 +189,12 @@ class TestFit:
             {"kind": "normal", "params": {"0": 0, "1": 1}},
             {"kind": "lognormal", "params": [True, 1]},
             {"kind": "normal", "params": ["0.1_5", 0.0075]},
+            {"kind": "lognormal", "params": [1e4, 1e308]},
+            {"kind": "lognormal", "params": [1.0, 5e-324]},
         ],
         ids=["non-numeric", "null", "not-a-list", "unknown-kind", "negative-std", "uniform-bounds",
-             "three-params", "not-an-object", "string-params", "object-params", "boolean-params", "quoted-number"],
+             "three-params", "not-an-object", "string-params", "object-params", "boolean-params", "quoted-number",
+             "lognormal-ratio-overflows", "lognormal-sigma-underflows"],
     )
     def test_malformed_dist_params_exit_2(self, fit_assets, tmp_path, entry):
         dist = tmp_path / "dist.json"

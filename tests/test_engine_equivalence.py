@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from mvsapce import mvsa_engine
 from mvsapce.benchmark import BeamConfig, sample_inputs
-from mvsapce.multi_index import total_degree_set
+from mvsapce.multi_index import MultiIndexSet, total_degree_set
 from mvsapce.mvsa_engine import MvsaConfig, _accept, _response_factor, expand_basis, fit_mvsa, prune_basis
 from mvsapce.polynomial_basis import DistributionSpec, Marginal
 from mvsapce.regression import DesignBuilder, TrainingData, solve_with_condition
@@ -125,6 +125,43 @@ BEAM_SVDS = {
 }
 
 
+def factored_steps(function, *args):
+    """``function(*args)``'s ``_factored`` calls: the size of each triangle and the residual it was given."""
+    steps, real = [], mvsa_engine._factored
+
+    def spy(r, projected, residual):
+        steps.append((len(r), residual))
+        return real(r, projected, residual)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mvsa_engine, "_factored", spy)
+        function(*args)
+    return steps
+
+
+def assert_prune_starts_from_the_expansion(data, spec, config):
+    """A fit's prune starts from its expansion's factor when the expansion ended ill-conditioned on it intact:
+    the fit then takes one SVD fewer than ``expand_basis`` and ``prune_basis`` called apart, its prune's other
+    SVDs are theirs, and it makes as many lstsq solves besides its final one.  Returns whether the factor was
+    handed over."""
+    builder, factor = DesignBuilder(spec, data.inputs), _response_factor(data.responses)
+    extended, _ = expand_basis(builder, factor, config)
+    handed = mvsa_engine._expand(builder, factor, config)[2] is not None
+    expansion = factored_steps(expand_basis, builder, factor, config)
+    prune = factored_steps(prune_basis, builder, factor, extended, config)[handed:]
+    fit = factored_steps(fit_mvsa, data, spec, config)
+    assert fit[: len(expansion)] == expansion
+    # The handed-over residual is ||Y||^2 - ||Q^T Y||^2 plus the deleted columns' part, which loses digits to
+    # cancellation against a fresh QR's.
+    assert [k for k, _ in fit[len(expansion):]] == [k for k, _ in prune]
+    assert [res for _, res in fit[len(expansion):]] == pytest.approx([res for _, res in prune], rel=1e-3, abs=1e-300)
+    _, reruns = counted(expand_basis, builder, factor, config)
+    _, prune_solves = counted(prune_basis, builder, factor, extended, config)
+    _, fit_solves = counted(fit_mvsa, data, spec, config)
+    assert len(fit_solves) == len(reruns) + len(prune_solves) + 1
+    return handed
+
+
 @pytest.mark.parametrize("q, seed", [(q, seed) for q in (50, 100, 150) for seed in range(4)])
 def test_beam_cells_with_compressed_responses(q, seed):
     data, spec = beam_cell(q, seed)
@@ -136,6 +173,23 @@ def test_beam_cells_with_compressed_responses(q, seed):
     builder, factor = DesignBuilder(spec, data.inputs), _response_factor(data.responses)
     _, svds = counted(expand_basis, builder, factor, config, name="_factored")
     assert len(svds) == BEAM_SVDS[q, seed]
+    # Every expansion but (50, 2)'s ends on its intact factor.
+    assert assert_prune_starts_from_the_expansion(data, spec, config) is ((q, seed) != (50, 2))
+
+
+@pytest.mark.parametrize("q, seed", [(q, seed) for q in (50, 100, 150) for seed in range(4)])
+def test_beam_cells_with_few_outputs(q, seed):
+    # The benchmark's regime: M = 10 <= Q, so both phases solve against Y itself.  Y has rank 1, as at
+    # M = 1000, and every count is the same as there.
+    data, spec = beam_cell(q, seed, response_dim=10)
+    assert data.n_outputs <= data.n_samples
+    config = MvsaConfig(kappa=100.0)
+    model, reruns, prune_solves = assert_matches_reference(data, spec, config)
+    assert model.trace.steps and model.diagnostics.pruned_count > 0
+    assert (reruns, prune_solves) == BEAM_SOLVES[q, seed]
+    _, svds = counted(expand_basis, DesignBuilder(spec, data.inputs), data.responses, config, name="_factored")
+    assert len(svds) == BEAM_SVDS[q, seed]
+    assert assert_prune_starts_from_the_expansion(data, spec, config) is ((q, seed) != (50, 2))
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -272,6 +326,40 @@ def test_near_tie_reruns_on_lstsq():
     model, fallbacks, _ = assert_matches_reference(TrainingData(x, y), spec)
     assert fallbacks >= 1
     assert {model.trace.steps[0].added, model.trace.steps[1].added} == {(1, 0, 0), (0, 1, 0)}
+
+
+def test_handed_over_prune_falls_to_lstsq_in_the_extended_order():
+    # The near-tie cell above: its expansion ends ill-conditioned on an intact factor, whose columns are in
+    # append order, not the extended set's.  The fit's prune starts from that factor, and its first removal,
+    # between two terms that mirror each other under the swap of x1 and x2, is close: it gathers its design
+    # on lstsq in the extended set's order, and the prune keeps its basis in that order.
+    spec = DistributionSpec([Marginal.uniform(-1.0, 1.0)] * 3)
+    half = spec.sample(20, np.random.default_rng(3100))
+    x = np.vstack([half, half[:, [1, 0, 2]]])
+    y = (x[:, :1] + x[:, 1:2] + 0.3 * x[:, 2:] ** 2) * [1.0, -0.5]
+    data, builder = TrainingData(x, y), DesignBuilder(spec, x)
+    handed, designs = [], []
+    real_prune, real_solve = mvsa_engine._prune, mvsa_engine.solve_with_condition
+
+    def spy_solve(design, rhs):
+        designs.append(design.copy())
+        return real_solve(design, rhs)
+
+    def spy_prune(builder, responses, basis, config, solver):
+        handed.append((list(basis.indices), solver and list(solver.position)))
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(mvsa_engine, "solve_with_condition", spy_solve)
+            return real_prune(builder, responses, basis, config, solver)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mvsa_engine, "_prune", spy_prune)
+        model = fit_mvsa(data, spec)
+    [(extended, appended)] = handed
+    assert appended and sorted(appended) == sorted(extended) and appended != extended
+    assert designs and np.array_equal(designs[0], builder.matrix(extended))
+    ref_basis, _, _, ref_removed = reference_prune(data, MultiIndexSet(extended), MvsaConfig(), builder)
+    assert model.basis.indices == ref_basis.indices == tuple(index for index in extended if index in ref_basis)
+    assert model.diagnostics.pruned_count == len(ref_removed)
 
 
 def test_dependent_column_breaks_the_factor_down():

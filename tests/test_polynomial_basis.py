@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,22 @@ class TestMarginalValidation:
     def test_rejects_nonpositive_lognormal_mean(self):
         with pytest.raises(ConfigError):
             Marginal.lognormal(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "mean, std", [(1e4, 1e308), (1.0, 5e-324)], ids=["ratio-squared-overflows", "sigma-underflows"]
+    )
+    def test_rejects_lognormal_std_far_from_the_mean_scale(self, mean, std):
+        # (std/mean)^2 overflowed in log_parameters, or the log-scale sigma rounded to 0 and standardize
+        # divided by it; both are refused at construction, without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"^lognormal marginal requires 1e-160 <= std/mean <= 1e154, got "):
+                Marginal.lognormal(mean, std)
+
+    @pytest.mark.parametrize("std", [1e-160, 1e154])
+    def test_lognormal_at_the_std_bounds_has_a_finite_positive_sigma(self, std):
+        mu, sigma = Marginal.lognormal(1.0, std).log_parameters()
+        assert math.isfinite(mu) and 0.0 < sigma < math.inf
 
     def test_rejects_empty_uniform_interval(self):
         with pytest.raises(ConfigError):
@@ -227,6 +244,15 @@ class TestSerialization:
         message = r"^distribution spec entry 0 .*: normal marginal params must be two numbers, got \('0\.1_5', 0\.0075\)$"
         with pytest.raises(DataError, match=message):
             DistributionSpec.from_json([{"kind": "normal", "params": ["0.1_5", 0.0075]}])
+
+    @pytest.mark.parametrize(
+        "params", [[1e4, 1e308], [1.0, 5e-324]], ids=["ratio-squared-overflows", "sigma-underflows"]
+    )
+    def test_lognormal_std_far_from_the_mean_scale_names_the_entry(self, params):
+        payload = [{"kind": "normal", "params": [0.0, 1.0]}, {"kind": "lognormal", "params": params}]
+        message = r"^distribution spec entry 1 .*: lognormal marginal requires 1e-160 <= std/mean <= 1e154, got "
+        with pytest.raises(DataError, match=message):
+            DistributionSpec.from_json(payload)
 
     def test_params_that_are_not_two_numbers_name_the_entry(self):
         payload = [{"kind": "normal", "params": [0.0, 1.0]}, {"kind": "uniform", "params": [0.0, 1.0, 2.0]}]

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from mvsapce.errors import DataError, DomainError
 from mvsapce.multi_index import MultiIndexSet, total_degree_set
 from mvsapce.mvsa_engine import fit_fixed
-from mvsapce.polynomial_basis import DistributionSpec, Marginal, univariate_table
+from mvsapce.polynomial_basis import DEGREE_CAP, DistributionSpec, Marginal, univariate_table
 from mvsapce.regression import (
     DesignBuilder,
     TrainingData,
@@ -24,6 +25,8 @@ from mvsapce.regression import (
     write_json_file,
     write_responses_csv,
 )
+
+from reference import brute_force_design
 
 
 def solver_condition(design):
@@ -246,6 +249,52 @@ class TestDesignGather:
             builder.matrix(basis)
         with pytest.raises(DataError, match=r"term \(2, 0, 0, 0\) is not finite at input row 3"):
             builder.matrix(basis[::-1])
+
+    # Terms with no factor, with one, with prefixes shared or not in the call, repeated, and up to DEGREE_CAP.
+    GATHER_TERMS = [
+        (3, 0, 2, 0), (0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, DEGREE_CAP), (1, 2, 0, 0), (1, 2, 0, 0), (1, 2, 3, 0),
+        (1, 2, 3, 4), (1, 2, 0, 5), (1, 2, 3, DEGREE_CAP), (DEGREE_CAP, DEGREE_CAP, DEGREE_CAP, DEGREE_CAP),
+        (0, DEGREE_CAP, 0, 1), (0, 1, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0), (0, 0, 2, 0), (0, 7, 0, 0), (0, 7, 1, 0),
+    ]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistributionSpec([Marginal.normal(0.0, 1.0)] * 4),
+            DistributionSpec([Marginal.uniform(-1.0, 1.0)] * 4),
+            MIXED_4D,
+        ],
+        ids=["hermite", "legendre", "mixed"],
+    )
+    def test_gather_equals_the_brute_force_product_bit_for_bit(self, spec):
+        x = spec.sample(50, np.random.default_rng(6))
+        builder = DesignBuilder(spec, x)
+        # The lexicographic order puts every prefix before its term; the given one puts some after.
+        for terms in (self.GATHER_TERMS, sorted(self.GATHER_TERMS), self.GATHER_TERMS[::-1]):
+            expected = brute_force_design(spec, x, terms)
+            assert np.isfinite(expected).all()
+            assert np.array_equal(builder.matrix(terms), expected)
+            assert np.array_equal(DesignBuilder(spec, x).matrix(terms), expected)
+            assert np.array_equal(builder.matrix([list(term) for term in terms]), expected)
+        for term in self.GATHER_TERMS:
+            assert np.array_equal(builder.column(term), brute_force_design(spec, x, [term])[:, 0])
+
+    def test_overflowing_product_of_a_shared_prefix_is_one_data_error_without_a_warning(self):
+        # x1 = x2 = 1e160 at row 2: each factor is finite, their product is not, and (1, 1, 0) is the prefix
+        # of (1, 1, 1).
+        spec = DistributionSpec([Marginal.normal(0.0, 1.0)] * 3)
+        x = spec.sample(3, np.random.default_rng(7))
+        x[1, :2] = 1e160
+        builder = DesignBuilder(spec, x)
+        terms = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)]
+        assert np.isfinite(builder.matrix(terms[:3])).all()
+        assert np.isinf(brute_force_design(spec, x, terms)[1, 3:]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^term \(1, 1, 0\) is not finite at input row 2$"):
+                builder.matrix(terms)
+            with pytest.raises(DataError, match=r"^term \(1, 1, 1\) is not finite at input row 2$"):
+                builder.matrix(terms[::-1])
 
     def test_wrong_length_in_a_batch(self):
         builder = DesignBuilder(MIXED_4D, mixed_inputs(3))
