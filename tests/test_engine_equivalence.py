@@ -330,9 +330,10 @@ def test_near_tie_reruns_on_lstsq():
 
 def test_handed_over_prune_falls_to_lstsq_in_the_extended_order():
     # The near-tie cell above: its expansion ends ill-conditioned on an intact factor, whose columns are in
-    # append order, not the extended set's.  The fit's prune starts from that factor, and its first removal,
-    # between two terms that mirror each other under the swap of x1 and x2, is close: it gathers its design
-    # on lstsq in the extended set's order, and the prune keeps its basis in that order.
+    # append order, not the extended set's.  The fit's prune starts from that factor and that step.  The
+    # responses lie in the span of a few terms, so the weakest etas are rounding noise that the guard cannot
+    # tell apart: the first removal gathers its design on lstsq in the extended set's order, and the prune
+    # keeps its basis in that order.
     spec = DistributionSpec([Marginal.uniform(-1.0, 1.0)] * 3)
     half = spec.sample(20, np.random.default_rng(3100))
     x = np.vstack([half, half[:, [1, 0, 2]]])
@@ -346,7 +347,7 @@ def test_handed_over_prune_falls_to_lstsq_in_the_extended_order():
         return real_solve(design, rhs)
 
     def spy_prune(builder, responses, basis, config, solver):
-        handed.append((list(basis.indices), solver and list(solver.position)))
+        handed.append((list(basis.indices), solver and list(solver.position), solver and solver.step[1].copy()))
         with pytest.MonkeyPatch.context() as inner:
             inner.setattr(mvsa_engine, "solve_with_condition", spy_solve)
             return real_prune(builder, responses, basis, config, solver)
@@ -354,8 +355,12 @@ def test_handed_over_prune_falls_to_lstsq_in_the_extended_order():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mvsa_engine, "_prune", spy_prune)
         model = fit_mvsa(data, spec)
-    [(extended, appended)] = handed
+    [(extended, appended, eta)] = handed
     assert appended and sorted(appended) == sorted(extended) and appended != extended
+    cond, _, err = mvsa_engine._expand(builder, y, MvsaConfig())[2].step
+    assert abs(cond - 100.0) > mvsa_engine._CLOSE * 100.0
+    eta[appended.index((0, 0, 0))] = np.inf
+    assert not mvsa_engine._clear(*np.partition(eta, 1)[:2], err)
     assert designs and np.array_equal(designs[0], builder.matrix(extended))
     ref_basis, _, _, ref_removed = reference_prune(data, MultiIndexSet(extended), MvsaConfig(), builder)
     assert model.basis.indices == ref_basis.indices == tuple(index for index in extended if index in ref_basis)
