@@ -233,48 +233,78 @@ _CLOSE = 1e-8
 #: lstsq.  A prune step past it runs on lstsq.
 _FACTOR_COND_LIMIT = _CLOSE / (1e4 * np.finfo(float).eps)
 
+#: Power steps of each of ``_certified``'s two vectors.
+_POWER_STEPS = 5
+
+
+def _rounding(eta: np.ndarray, residual: float, cond: float, inverse: float) -> float:
+    """4 eps cond (||C||_F + ``residual`` ``inverse``), under the caller's ``np.errstate``: with cond >= cond(R),
+    inverse >= 1 / sigma_K and ``residual`` = ||Y - A C||_F, it bounds the Frobenius error of a least-squares C
+    with indicators ``eta`` (Golub & Van Loan, Thm. 5.3.1)."""
+    return 4 * np.finfo(float).eps * cond * (math.sqrt(float(eta.sum())) + residual * inverse)
+
+
+def _certified(r: np.ndarray, w: np.ndarray, v=None, x=None):
+    """(L, v, x): L <= cond(R) from ``_POWER_STEPS`` power steps of v on R^T R and of x on ``w`` ~ R^-1 R^-T,
+    from ones and w's column of largest diagonal unless given; v and x return normalized for a warm start.
+
+    Any v and x give sigma_1 >= ||R v|| / ||v|| and sigma_K <= ||R x|| / ||x||, and a computed R v errs by at most
+    gamma_K |R| |v| <= 2 K eps |R| |v|, so L = (||R v|| - 2 K eps || |R| |v| ||) ||x|| / ((||R x|| + 2 K eps
+    || |R| |x| ||) ||v||) holds, up to the norms' rounding, whatever ``w`` is: it only steers x (Higham, ch. 15,
+    condition estimation).  L is NaN when a vector overflows or vanishes."""
+    if v is None:
+        v, x = np.ones(len(r)), w[:, np.argmax(np.diagonal(w))]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_POWER_STEPS):
+            v, x = (r @ v) @ r, w @ x
+        pair = np.column_stack([v, x])
+        norms, image = np.linalg.norm(pair, axis=0), np.linalg.norm(r @ pair, axis=0)
+        slack = 2 * len(r) * np.finfo(float).eps * np.linalg.norm(np.abs(r) @ np.abs(pair), axis=0)
+        lower = (image[0] - slack[0]) * norms[1] / ((image[1] + slack[1]) * norms[0])
+        return float(lower), v / norms[0], x / norms[1]
+
 
 def _factored(r: np.ndarray, projected: np.ndarray, residual: float):
-    """(cond, eta, err) of the solve R C = Q^T Y, or None when R's condition number exceeds _FACTOR_COND_LIMIT.
-
-    cond comes from R's singular values, and err = 4 eps cond (||C||_F + cond ||Y - A C||_F / sigma_1), with
-    ``residual`` = ||Y - A C||_F, bounds the Frobenius error of a least-squares C (Golub & Van Loan,
-    Thm. 5.3.1).  An overflow is reported by the caller's finite check, not as a warning.
-    """
+    """(cond, eta, err, (cond, 1 / sigma_K)) of the solve R C = Q^T Y, or None when R's condition number exceeds
+    _FACTOR_COND_LIMIT.  cond comes from R's singular values, and err is ``_rounding``'s.  An overflow is reported
+    by the caller's finite check, not as a warning."""
     sigma = np.linalg.svd(r, compute_uv=False)
     if not sigma[0] <= _FACTOR_COND_LIMIT * sigma[-1]:
         return None
     cond = float(sigma[0]) / float(sigma[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        eta = sensitivity_indicators(np.linalg.solve(r, projected))
-        err = 4 * np.finfo(float).eps * cond * (math.sqrt(float(eta.sum())) + cond * residual / float(sigma[0]))
-    return cond, eta, err
+        eta, bounds = sensitivity_indicators(np.linalg.solve(r, projected)), (cond, 1 / float(sigma[-1]))
+        return cond, eta, _rounding(eta, residual, *bounds), bounds
 
 
-def _bounded(r: np.ndarray, r_inv: np.ndarray, projected: np.ndarray, residual: float, limit: float):
-    """(u, eta, err) of C = R^-1 Q^T Y from a kept inverse ``r_inv`` of R, or None unless u <= ``limit``.
+def _bounded(r: np.ndarray, r_inv: np.ndarray, projected: np.ndarray, residual: float, kappa: float):
+    """(cond, eta, err, (u, ||R^-1||_S8)) of C = R^-1 Q^T Y from a kept inverse ``r_inv`` of R, with no SVD.
 
     u = (||(R^T R)^2||_F ||(R^-1 R^-T)^2||_F)^(1/4) is the product of the Schatten 8-norms of R and R^-1, so
-    cond(R) <= u <= K^(1/4) cond(R) with no SVD.  err is ``_factored``'s with u for cond and ||R^-1||_S8 >=
-    1/sigma_K for cond / sigma_1, plus gamma_K (|| |R^-1| |R| |C| ||_F + || |R^-1| |Q^T Y| ||_F), gamma_K =
-    K eps / (1 - K eps): an inverse X of R bordered one column at a time has |X R - I| <= gamma_K |X| |R|
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 14), so X Q^T Y - C = (X R - I) C, and the
-    product X Q^T Y rounds by at most gamma_K |X| |Q^T Y|.
+    cond(R) <= u <= K^(1/4) cond(R).  With u <= _FACTOR_COND_LIMIT, cond is u if u <= kappa (1 - _CLOSE), else
+    ``_certified``'s L if L > kappa (1 + _CLOSE); otherwise None.  err is ``_rounding``'s with u and ||R^-1||_S8
+    >= 1/sigma_K, plus gamma_K (|| |R^-1| |R| |C| ||_F + || |R^-1| |Q^T Y| ||_F): an inverse X of R bordered one
+    column at a time has |X R - I| <= gamma_K |X| |R| (Higham, ch. 14), so X Q^T Y - C = (X R - I) C, and
+    X Q^T Y rounds by at most gamma_K |X| |Q^T Y|.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram, inverse_gram = r.T @ r, r_inv @ r_inv.T
         inverse_norm = math.sqrt(math.sqrt(float(np.linalg.norm(inverse_gram @ inverse_gram))))
-        bound = math.sqrt(math.sqrt(float(np.linalg.norm(gram @ gram)))) * inverse_norm
-        if not bound <= limit:
+        cond = bound = math.sqrt(math.sqrt(float(np.linalg.norm(gram @ gram)))) * inverse_norm
+        if not bound <= _FACTOR_COND_LIMIT:
             return None
+        if bound > kappa * (1 - _CLOSE):
+            cond = _certified(r, inverse_gram)[0]
+            if not cond > kappa * (1 + _CLOSE):
+                return None
         coeffs = r_inv @ projected
         eta = sensitivity_indicators(coeffs)
         eps, magnitude = np.finfo(float).eps, np.abs(r_inv)
         gamma = len(r) * eps / (1 - len(r) * eps)
         rounding = float(np.linalg.norm(magnitude @ (np.abs(r) @ np.abs(coeffs))))
         rounding += float(np.linalg.norm(magnitude @ np.abs(projected)))
-        err = 4 * eps * bound * (math.sqrt(float(eta.sum())) + residual * inverse_norm) + gamma * rounding
-    return bound, eta, err
+        err = _rounding(eta, residual, bound, inverse_norm) + gamma * rounding
+    return cond, eta, err, (bound, inverse_norm)
 
 
 def _clear(low: float, high: float, err: float) -> bool:
@@ -286,12 +316,22 @@ def _clear(low: float, high: float, err: float) -> bool:
     return gap > _CLOSE * high and gap > 1e4 * err * (2 * math.sqrt(low) + 2 * math.sqrt(high) + 2 * err)
 
 
+def _weakest(eta: np.ndarray, err: float, columns: list, zero: MultiIndex):
+    """The term of ``columns`` with the smallest eta but ``zero``, or None when an eta is not finite or ``_clear``
+    does not tell the two weakest apart."""
+    if np.isfinite(eta).all():
+        eta[columns.index(zero)] = np.inf
+        if len(eta) < 3 or _clear(*np.partition(eta, 1)[:2], err):
+            return columns[int(np.argmin(eta))]
+    return None
+
+
 class _StepSolver:
     """Solves the expansion steps on a thin QR factor A = Q R of their design columns, or on lstsq.
 
     The factor holds Q^T (the orthonormal columns as rows), the triangle R,
     its inverse and Q^T responses of the columns in the order they were
-    appended, and ``step``, the last step's (cond, eta, err) on it; each
+    appended, and ``step``, the last step's (cond, eta, err, bounds); each
     column borders R^-1 in O(K^2).  Its storage starts at the first append,
     sized to that step's columns, and doubles when it fills (at most Q
     rows), so a fit that ends on K terms holds O(Q K) numbers.  Columns are
@@ -323,28 +363,29 @@ class _StepSolver:
             self.r = np.pad(self.r, ((0, grow), (0, grow)))
             self.r_inv = np.pad(self.r_inv, ((0, grow), (0, grow)))
             self.projected = np.pad(self.projected, ((0, grow), (0, 0)))
-        for term, column in zip(new, builder.matrix(new).T):
-            k = len(self.position)
-            qt = self.qt[:k]
-            h = qt @ column
-            v = column - h @ qt
-            again = qt @ v
-            v -= again @ qt
-            rho = float(np.linalg.norm(v))
-            # The condition number is at least ||column|| / rho; also false for a non-finite norm.
-            if not rho * _FACTOR_COND_LIMIT > np.linalg.norm(column):
-                return False
-            self.qt[k] = v / rho
-            self.r[:k, k] = h + again
-            self.r[k, k] = rho
-            # An overflow is reported by the eta check, or leaves the step to _factored, not as a warning.
-            with np.errstate(over="ignore", invalid="ignore"):
+        # An overflow breaks the factor down, is reported by the eta check, or leaves the step to _factored, not
+        # as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for term, column in zip(new, builder.matrix(new).T):
+                k = len(self.position)
+                qt = self.qt[:k]
+                h = qt @ column
+                v = column - h @ qt
+                again = qt @ v
+                v -= again @ qt
+                rho = float(np.linalg.norm(v))
+                # The condition number is at least ||column|| / rho; also false for a norm that overflows.
+                if not rho * _FACTOR_COND_LIMIT > np.linalg.norm(column):
+                    return False
+                self.qt[k] = v / rho
+                self.r[:k, k] = h + again
+                self.r[k, k] = rho
                 # The bordered inverse: [[R, h], [0, rho]]^-1 = [[R^-1, -R^-1 h / rho], [0, 1 / rho]].
                 self.r_inv[:k, k] = self.r_inv[:k, :k] @ self.r[:k, k] / -rho
                 self.r_inv[k, k] = 1 / rho
                 self.projected[k] = self.qt[k] @ self.responses
                 self.unexplained -= float(self.projected[k] @ self.projected[k])
-            self.position[term] = k
+                self.position[term] = k
         return True
 
     def solve(self, builder: DesignBuilder, extended: list, offset: int, kappa: float):
@@ -355,26 +396,24 @@ class _StepSolver:
         are clear, else on ``solve_with_condition``, which also names a term
         whose eta is not finite; a factor that broke down or passed
         _FACTOR_COND_LIMIT is dropped, since appending never lowers the
-        condition number, and every later step runs on lstsq.  The factor
-        first reads its condition bound u from R and R^-1 (``_bounded``):
-        u <= kappa (1 - _CLOSE) and u <= _FACTOR_COND_LIMIT prove the step
-        conditioned clearly below kappa without an SVD, and every other step
-        takes R's singular values (``_factored``).  The winner is decided on
-        the factor only when ``_clear`` tells the two largest frontier etas
-        apart under the step's rounding bound.  The cond returned is u on
-        the first path and the condition number itself on the others.
+        condition number, and every later step runs on lstsq.  ``_bounded``
+        decides from R and R^-1 without an SVD: below kappa by the bound u,
+        and past it, ending the expansion, by ``_certified``'s L; every
+        other step takes R's singular values (``_factored``).  The winner is
+        decided on the factor only when ``_clear`` tells the two largest
+        frontier etas apart under the step's rounding bound.  The cond
+        returned is u, L or the condition number itself.
         """
         step = None
         if self.position is not None and self._append(builder, extended):
             k = len(self.position)
             r, projected, residual = self.r[:k, :k], self.projected[:k], math.sqrt(max(self.unexplained, 0.0))
-            limit = min(kappa * (1 - _CLOSE), _FACTOR_COND_LIMIT)
-            step = _bounded(r, self.r_inv[:k, :k], projected, residual, limit) or _factored(r, projected, residual)
+            step = _bounded(r, self.r_inv[:k, :k], projected, residual, kappa) or _factored(r, projected, residual)
         self.step = step
         if step is None:
             self.position = self.qt = self.r = self.r_inv = self.projected = None
         elif abs(step[0] - kappa) > _CLOSE * kappa:
-            cond, eta, err = step
+            cond, eta, err, _ = step
             if cond > kappa:
                 return None, cond
             eta = eta[[self.position[term] for term in extended]]
@@ -407,8 +446,8 @@ def expand_basis(
     Each pass makes one ``_StepSolver.solve`` call.  It solves on one thin
     QR factor of the extended set's columns, which takes only the columns
     each step appends; its eta equals lstsq's within rounding, and its
-    condition check reads a bound from R and R^-1, with R's singular
-    values only near kappa (see ``_StepSolver.solve``).  A step whose
+    condition check reads bounds from R and R^-1, from above and below,
+    with R's singular values only near kappa (see ``_StepSolver.solve``).  A step whose
     decision is close (see ``_CLOSE``), and every step after the factor
     breaks down, reruns
     ``solve_with_condition`` on the whole extended design, so every decision
@@ -491,8 +530,11 @@ def prune_basis(
     & Van Loan, Sec. 6.5).  A step whose condition number on R is more than
     _CLOSE kappa away from kappa and at most _FACTOR_COND_LIMIT is decided
     there: below kappa the prune stops, and above it the weakest term goes
-    when ``_clear`` tells the two weakest apart.  Every other step solves on
-    lstsq, on the kept terms in ``basis`` order, so the decisions are lstsq's.
+    when ``_clear`` tells the two weakest apart.  Once a step has bounded
+    cond(R) and 1 / sigma_K from above, ``_certified`` proves each later
+    removal past kappa with no SVD, on those bounds.  Every other step
+    solves on lstsq, on the kept terms in ``basis`` order, so the decisions
+    are lstsq's.
     """
     return _prune(builder, responses, basis, config, None)
 
@@ -508,28 +550,39 @@ def _prune(builder: DesignBuilder, responses, basis: MultiIndexSet, config: Mvsa
     # ||Y - A C||_F^2 is unexplained plus the squared trailing block of the triangle, whose columns are
     # ``columns``; a prune handed a factor gathers its design only for a step on lstsq.
     design, triangle, step = None if solver else builder.matrix(kept), None, None
+    # ``bounds`` (cond(R), 1 / sigma_K) of the last step past kappa hold on, since no deletion raises either
+    # (Golub & Van Loan, Sec. 8.6).  w ~ R^-1 R^-T, from the handed-over R^-1 or formed once bounds hold, follows
+    # each deletion as its Schur complement and, with v and x, steers ``_certified``.
+    bounds = w = v = x = None
     if solver is not None:
         k, columns, step = len(solver.position), list(solver.position), solver.step
         triangle = np.hstack([solver.r[:k, :k], solver.projected[:k]])
+        w = solver.r_inv[:k, :k] @ solver.r_inv[:k, :k].T
     unexplained = max(solver.unexplained, 0.0) if solver else 0.0
     while True:
         k, victim = len(kept), None
         if k <= len(responses):
             if triangle is None:
                 triangle, columns = np.linalg.qr(np.hstack([design, responses]), mode="r"), list(kept)
-            if step is None:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    residual = math.sqrt(unexplained + float(np.vdot(triangle[k:, k:], triangle[k:, k:])))
-                step = _factored(triangle[:k, :k], triangle[:k, k:], residual)
-            if step is not None and abs(step[0] - config.kappa) > _CLOSE * config.kappa:
-                cond, eta, err = step
-                if cond < config.kappa:
-                    break
-                # The weakest term but the zero index, unless an eta is not finite or the two weakest are close.
-                if np.isfinite(eta).all():
-                    eta[columns.index(zero)] = np.inf
-                    if len(eta) < 3 or _clear(*np.partition(eta, 1)[:2], err):
-                        victim = columns[int(np.argmin(eta))]
+            r, projected = triangle[:k, :k], triangle[:k, k:]
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = math.sqrt(unexplained + float(np.vdot(triangle[k:, k:], triangle[k:, k:])))
+            if step is None and bounds is not None:
+                if w is None:
+                    inverse = np.linalg.inv(r)
+                    w = inverse @ inverse.T
+                lower, v, x = _certified(r, w, v, x)
+                if lower > config.kappa * (1 + _CLOSE):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        eta = sensitivity_indicators(np.linalg.solve(r, projected))
+                        victim = _weakest(eta, _rounding(eta, residual, *bounds), columns, zero)
+            if victim is None:
+                step = step or _factored(r, projected, residual)
+                if step is not None and abs(step[0] - config.kappa) > _CLOSE * config.kappa:
+                    cond, eta, err, bounds = step
+                    if cond < config.kappa:
+                        break
+                    victim = _weakest(eta, err, columns, zero)
             step = None
         if victim is None:
             design = builder.matrix(kept) if design is None else design
@@ -551,6 +604,12 @@ def _prune(builder: DesignBuilder, responses, basis: MultiIndexSet, config: Mvsa
             tail = np.linalg.qr(triangle[position:, position:], mode="r")
             triangle = triangle[:position + len(tail)]
             triangle[position:, position:] = tail
+            if w is not None:
+                column = np.delete(w[position], position)
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    w = np.delete(np.delete(w, position, 0), position, 1) - np.outer(column, column / w[position, position])
+                if v is not None:
+                    v, x = np.delete(v, position), np.delete(x, position)
     return MultiIndexSet(kept, dim=basis.dim), tuple(removed)
 
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,12 +117,15 @@ def beam_cell(q, seed, response_dim=1000):
 #: its last step reruns, and its first removal solves on lstsq too.
 BEAM_SOLVES = {(q, seed): (0, 0) for q in (50, 100, 150) for seed in range(4)} | {(50, 2): (1, 1)}
 
-#: The expansion's exact SVDs of R (``_factored`` calls) in each beam cell: one for the step that ends it past
-#: kappa, and one for each step whose bound u did not prove cond <= kappa (1 - _CLOSE).
+#: The exact SVDs of R (``_factored`` calls) of each beam cell's expansion and of its fit's prune.  The expansion
+#: takes one for each step whose bound u did not prove cond <= kappa (1 - _CLOSE), and none for the step that
+#: ends it past kappa, which ``_certified`` proves from below, except at (50, 2), whose last step is past
+#: _FACTOR_COND_LIMIT.  The prune takes one for its stop and one for each removal the certificate leaves open:
+#: (50, 2)'s builds its own triangle, and its first removal on that triangle takes one to bound cond from above.
 BEAM_SVDS = {
-    (50, 0): 2, (50, 1): 1, (50, 2): 1, (50, 3): 1,
-    (100, 0): 2, (100, 1): 1, (100, 2): 1, (100, 3): 1,
-    (150, 0): 2, (150, 1): 2, (150, 2): 2, (150, 3): 6,
+    (50, 0): (1, 1), (50, 1): (0, 1), (50, 2): (1, 3), (50, 3): (0, 1),
+    (100, 0): (1, 5), (100, 1): (0, 1), (100, 2): (0, 1), (100, 3): (0, 1),
+    (150, 0): (1, 1), (150, 1): (2, 2), (150, 2): (1, 1), (150, 3): (5, 1),
 }
 
 
@@ -140,15 +144,22 @@ def factored_steps(function, *args):
 
 
 def assert_prune_starts_from_the_expansion(data, spec, config):
-    """A fit's prune starts from its expansion's factor when the expansion ended ill-conditioned on it intact:
-    the fit then takes one SVD fewer than ``expand_basis`` and ``prune_basis`` called apart, its prune's other
-    SVDs are theirs, and it makes as many lstsq solves besides its final one.  Returns whether the factor was
-    handed over."""
+    """A fit's prune starts from its expansion's factor and last (cond, eta, err, bounds) step when the expansion
+    ended ill-conditioned on it intact: that step is past kappa, its bounds hold cond and 1 / sigma_K from
+    above, and the fit then takes one SVD fewer than ``expand_basis`` and ``prune_basis`` called apart, whose
+    first SVD bounds a prune of its own from above; its prune's other SVDs are theirs, and it makes as many lstsq
+    solves besides its final one.  Returns whether the factor was handed over and the fit's SVD counts
+    (expansion, prune)."""
     builder, factor = DesignBuilder(spec, data.inputs), _response_factor(data.responses)
     extended, _ = expand_basis(builder, factor, config)
-    handed = mvsa_engine._expand(builder, factor, config)[2] is not None
+    solver = mvsa_engine._expand(builder, factor, config)[2]
+    if solver is not None:
+        cond, _, _, (upper, inverse) = solver.step
+        sigma = np.linalg.svd(builder.matrix(solver.position), compute_uv=False)
+        assert config.kappa < cond <= sigma[0] / sigma[-1] * (1 + 1e-12) <= upper * (1 + 2e-12)
+        assert 1 / sigma[-1] <= inverse * (1 + 1e-12)
     expansion = factored_steps(expand_basis, builder, factor, config)
-    prune = factored_steps(prune_basis, builder, factor, extended, config)[handed:]
+    prune = factored_steps(prune_basis, builder, factor, extended, config)[solver is not None:]
     fit = factored_steps(fit_mvsa, data, spec, config)
     assert fit[: len(expansion)] == expansion
     # The handed-over residual is ||Y||^2 - ||Q^T Y||^2 plus the deleted columns' part, which loses digits to
@@ -159,7 +170,7 @@ def assert_prune_starts_from_the_expansion(data, spec, config):
     _, prune_solves = counted(prune_basis, builder, factor, extended, config)
     _, fit_solves = counted(fit_mvsa, data, spec, config)
     assert len(fit_solves) == len(reruns) + len(prune_solves) + 1
-    return handed
+    return solver is not None, len(expansion), len(fit) - len(expansion)
 
 
 @pytest.mark.parametrize("q, seed", [(q, seed) for q in (50, 100, 150) for seed in range(4)])
@@ -170,11 +181,9 @@ def test_beam_cells_with_compressed_responses(q, seed):
     model, reruns, prune_solves = assert_matches_reference(data, spec, config)
     assert model.trace.steps and model.diagnostics.pruned_count > 0
     assert (reruns, prune_solves) == BEAM_SOLVES[q, seed]
-    builder, factor = DesignBuilder(spec, data.inputs), _response_factor(data.responses)
-    _, svds = counted(expand_basis, builder, factor, config, name="_factored")
-    assert len(svds) == BEAM_SVDS[q, seed]
     # Every expansion but (50, 2)'s ends on its intact factor.
-    assert assert_prune_starts_from_the_expansion(data, spec, config) is ((q, seed) != (50, 2))
+    handed = (q, seed) != (50, 2)
+    assert assert_prune_starts_from_the_expansion(data, spec, config) == (handed, *BEAM_SVDS[q, seed])
 
 
 @pytest.mark.parametrize("q, seed", [(q, seed) for q in (50, 100, 150) for seed in range(4)])
@@ -187,9 +196,8 @@ def test_beam_cells_with_few_outputs(q, seed):
     model, reruns, prune_solves = assert_matches_reference(data, spec, config)
     assert model.trace.steps and model.diagnostics.pruned_count > 0
     assert (reruns, prune_solves) == BEAM_SOLVES[q, seed]
-    _, svds = counted(expand_basis, DesignBuilder(spec, data.inputs), data.responses, config, name="_factored")
-    assert len(svds) == BEAM_SVDS[q, seed]
-    assert assert_prune_starts_from_the_expansion(data, spec, config) is ((q, seed) != (50, 2))
+    handed = (q, seed) != (50, 2)
+    assert assert_prune_starts_from_the_expansion(data, spec, config) == (handed, *BEAM_SVDS[q, seed])
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -302,6 +310,8 @@ def test_prune_past_the_factor_limit_removes_on_lstsq_and_stops_on_the_factor():
     ref_basis, _, _, ref_removed = reference_prune(data, extended, config, builder)
     assert list(removed) == ref_removed
     assert basis.indices == ref_basis.indices
+    # No step past the limit bounds cond from above, so no removal is tried on the certificate either.
+    assert counted(prune_basis, builder, data.responses, extended, config, name="_certified")[1] == []
 
 
 def test_expansion_to_the_degree_cap_matches_the_reference():
@@ -357,7 +367,7 @@ def test_handed_over_prune_falls_to_lstsq_in_the_extended_order():
         model = fit_mvsa(data, spec)
     [(extended, appended, eta)] = handed
     assert appended and sorted(appended) == sorted(extended) and appended != extended
-    cond, _, err = mvsa_engine._expand(builder, y, MvsaConfig())[2].step
+    cond, _, err, _ = mvsa_engine._expand(builder, y, MvsaConfig())[2].step
     assert abs(cond - 100.0) > mvsa_engine._CLOSE * 100.0
     eta[appended.index((0, 0, 0))] = np.inf
     assert not mvsa_engine._clear(*np.partition(eta, 1)[:2], err)
@@ -389,6 +399,20 @@ def test_dependent_column_breaks_the_factor_down():
         model, fallbacks, _ = assert_matches_reference(TrainingData(x, y), spec)
     assert broken[-1] is True and fallbacks >= 1
     assert model.trace.termination == "ill_conditioned"
+
+
+def test_column_whose_squared_norm_overflows_breaks_the_factor_down_without_a_warning():
+    # x1 ~ N(0, 1) under a normal law of std 1e-155: its degree-1 column reaches about 1e155, so its squared
+    # norm overflows.  Appending it breaks the factor down, the steps run on lstsq as the reference does, and
+    # no RuntimeWarning is raised.
+    rng = np.random.default_rng(3230)
+    spec = DistributionSpec([Marginal.normal(0.0, 1e-155), Marginal.normal(0.0, 1.0), Marginal.uniform(-1.0, 1.0)])
+    x = np.column_stack([rng.normal(size=40), rng.normal(size=40), rng.uniform(-1.0, 1.0, 40)])
+    y = np.column_stack([x[:, 1] + x[:, 2] ** 2, x[:, 1] * x[:, 2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model, fallbacks, _ = assert_matches_reference(TrainingData(x, y), spec)
+    assert fallbacks >= 1 and model.trace.termination == "ill_conditioned"
 
 
 def test_condition_number_at_kappa_reruns_on_lstsq():
@@ -467,24 +491,90 @@ BOUND_CASES = [(1, 0.0), (1, 1.0), (2, 1.0), (150, 0.0), (150, 1.0)] + list(
 )
 
 
+def graded_design(k, cond, seed):
+    """A (k + 10) x k design with singular values from ``cond`` down to 1, geometrically spaced."""
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.normal(size=(k + 10, k)))
+    right, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    return (left * np.geomspace(cond, 1.0, k)) @ right.T
+
+
 @pytest.mark.parametrize("k, log_cond", BOUND_CASES)
-def test_kept_inverse_and_condition_bound_of_random_triangles(k, log_cond):
+def test_kept_inverse_and_condition_bound_of_random_triangles(k, log_cond, monkeypatch):
     # A design with singular values from cond down to 1, appended in three
     # steps as the expansion appends its columns: the kept R^-1 is the
     # inverse of R to cond K eps, and cond(R) <= u <= K^(1/4) cond(R).
-    rng = np.random.default_rng(3460 + k)
-    cond, q = mvsa_engine._FACTOR_COND_LIMIT**log_cond, k + 10
-    left, _ = np.linalg.qr(rng.normal(size=(q, k)))
-    right, _ = np.linalg.qr(rng.normal(size=(k, k)))
-    solver, terms = mvsa_engine._StepSolver(np.zeros((q, 1))), [(j,) for j in range(k)]
+    design = graded_design(k, mvsa_engine._FACTOR_COND_LIMIT**log_cond, 3460 + k)
+    solver, terms = mvsa_engine._StepSolver(np.zeros((len(design), 1))), [(j,) for j in range(k)]
     for stop in (k // 3, 2 * k // 3, k):
-        assert solver._append(ColumnsBuilder((left * np.geomspace(cond, 1.0, k)) @ right.T), terms[:stop])
+        assert solver._append(ColumnsBuilder(design), terms[:stop])
     r, r_inv = solver.r[:k, :k], solver.r_inv[:k, :k]
     exact, inverse = np.linalg.cond(r), np.linalg.inv(r)
     assert np.linalg.norm(r_inv - inverse) <= exact * k * np.finfo(float).eps * np.linalg.norm(inverse)
+    # u itself: _bounded decides nothing past _FACTOR_COND_LIMIT, which u may pass here by up to K^(1/4).
+    monkeypatch.setattr(mvsa_engine, "_FACTOR_COND_LIMIT", np.inf)
     bound, *_ = mvsa_engine._bounded(r, r_inv, solver.projected[:k], 0.0, np.inf)
     assert exact <= bound * (1 + 1e-12)
     assert bound <= k**0.25 * exact * (1 + 1e-12)
+
+
+# Near-singular triangles besides BOUND_CASES: cond about 1e8, 1e12 and 1e16.
+@pytest.mark.parametrize("k, log_cond", BOUND_CASES + [(3, 2.2), (60, 2.2), (60, 3.3), (150, 3.3), (60, 4.4)])
+def test_certificate_bounds_the_condition_number_from_below(k, log_cond):
+    # L <= cond(R) whatever steers x: R's own inverse Gram, formed from np.linalg.inv (inaccurate past 1e8, and
+    # overflowing near 1e16, where L is NaN and decides nothing), or a random symmetric matrix.  cond(R) is known
+    # from its SVD to within K eps sigma_1 on sigma_K, so above 1e12 the check only bounds L by sigma_1 /
+    # (sigma_K - K eps sigma_1).  On R's own inverse Gram and up to the factor's limit, five power steps bring L
+    # within a factor of 2 of cond.
+    r = np.linalg.qr(graded_design(k, mvsa_engine._FACTOR_COND_LIMIT**log_cond, 3470 + k), mode="r")
+    sigma = np.linalg.svd(r, compute_uv=False)
+    slack = sigma[-1] - k * np.finfo(float).eps * sigma[0]
+    cond = sigma[0] / slack if slack > 0 else np.inf
+    inverse = np.linalg.inv(r)
+    noise = np.random.default_rng(3480 + k).normal(size=(k, k))
+    for steering in (inverse @ inverse.T, noise @ noise.T):
+        lower, v, x = mvsa_engine._certified(r, steering)
+        assert not lower > cond * (1 + 1e-12)
+    # A warm start from the vectors of an earlier call, normalized unless L is NaN.
+    assert np.isnan(lower) or np.linalg.norm(v) == pytest.approx(1.0) == np.linalg.norm(x)
+    assert not mvsa_engine._certified(r, inverse @ inverse.T, v, x)[0] > cond * (1 + 1e-12)
+    if log_cond <= 1.0:
+        assert mvsa_engine._certified(r, inverse @ inverse.T)[0] >= cond / 2
+
+
+def test_no_decision_from_below_past_the_factor_limit():
+    # cond(R) = 1e4 lies past _FACTOR_COND_LIMIT, where R's condition number may differ from lstsq's by more than
+    # the decision window: the certificate proves cond > kappa = 100, but _bounded decides nothing and _factored
+    # drops the step, so it falls to lstsq.
+    r = np.linalg.qr(graded_design(5, 1e4, 3490), mode="r")
+    r_inv, projected = np.linalg.inv(r), np.ones((5, 1))
+    assert mvsa_engine._certified(r, r_inv @ r_inv.T)[0] > 100.0 * (1 + mvsa_engine._CLOSE)
+    assert mvsa_engine._bounded(r, r_inv, projected, 0.0, 100.0) is None
+    assert mvsa_engine._factored(r, projected, 0.0) is None
+
+
+@pytest.mark.parametrize("q, seed", [(50, 2), (100, 0), (150, 0)])
+def test_prune_keeps_the_inverse_gram_through_its_deletions(q, seed):
+    # Each certificate of a prune is steered by the inverse Gram W of its triangle: handed over from the
+    # expansion's R^-1, or formed from the prune's own triangle ((50, 2) builds one), then carried through each
+    # deletion as its Schur complement.  W stays within cond(R)^2 K eps of a fresh inverse of R^T R, and every L
+    # it gives is at most cond(R).
+    data, spec = beam_cell(q, seed, response_dim=10)
+    calls, real = [], mvsa_engine._certified
+
+    def spy(r, w, *rest):
+        calls.append((r.copy(), w.copy()))
+        return real(r, w, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mvsa_engine, "_certified", spy)
+        fit_mvsa(data, spec, MvsaConfig(kappa=100.0))
+    # The first call ends the expansion, on the W it forms itself.
+    assert len(calls) >= 3
+    for r, w in calls[1:]:
+        fresh, cond = np.linalg.inv(r.T @ r), np.linalg.cond(r)
+        assert np.linalg.norm(w - fresh) <= cond**2 * len(r) * np.finfo(float).eps * np.linalg.norm(fresh)
+        assert real(r, w)[0] <= cond * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
