@@ -605,9 +605,9 @@ def _prune(builder: DesignBuilder, responses, basis: MultiIndexSet, config: Mvsa
             triangle = triangle[:position + len(tail)]
             triangle[position:, position:] = tail
             if w is not None:
-                column = np.delete(w[position], position)
+                column, pivot = np.delete(w[position], position), w[position, position]
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    w = np.delete(np.delete(w, position, 0), position, 1) - np.outer(column, column / w[position, position])
+                    w = np.delete(np.delete(w, position, 0), position, 1) - np.outer(column, column / pivot)
                 if v is not None:
                     v, x = np.delete(v, position), np.delete(x, position)
     return MultiIndexSet(kept, dim=basis.dim), tuple(removed)
