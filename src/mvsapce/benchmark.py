@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DataError, DomainError, MvsaError, require
 from .multi_index import as_integer, parse_total_degree, total_degree_set
 from .mvsa_engine import FitDiagnostics, MvsaConfig, fit_fixed, fit_mvsa, predict
-from .polynomial_basis import DistributionSpec, Marginal, real_array
+from .polynomial_basis import DEGREE_CAP, DistributionSpec, Marginal, real_array
 from .regression import TrainingData, make_output_dir, rmse, write_csv_table, write_json_file
 from .uq import RNG_ALGORITHM, MomentReport, _block_rows, moments, monte_carlo_reference
 
@@ -55,7 +56,10 @@ class BeamConfig:
     def distribution_spec(self) -> DistributionSpec:
         physical = [self.width, self.height, self.length, self.youngs_modulus, self.load]
         marginals = [Marginal.lognormal(*params) for params in physical]
-        marginals += [Marginal.lognormal(*self.dummy)] * self.dummy_count
+        try:
+            marginals += [Marginal.lognormal(*self.dummy)] * self.dummy_count
+        except MemoryError:
+            raise ConfigError(f"{self.dummy_count} dummy inputs are too many to hold") from None
         return DistributionSpec(marginals)
 
     def response(self, inputs: np.ndarray) -> np.ndarray:
@@ -235,11 +239,18 @@ def run_beam_experiment(config: BeamConfig, plan: ExperimentPlan) -> ExperimentR
     cell and the run continues.
     """
     spec = config.distribution_spec()
-    # Each method's basis, None for mvsa, is built once and shared by its
-    # cells; built first, so a degree above the cap fails before any sample.
-    bases = {}
+    # Each method's basis, None for mvsa, is built once and shared by its cells; built first, so a degree above
+    # the cap, or K terms whose design or index entries numpy cannot allocate, fail before any sample.
+    bases, rows = {}, max(plan.test_size, *plan.training_sizes, spec.dim)
     for method in plan.methods:
         degree = _parse_method(method)
+        if degree is not None and degree <= DEGREE_CAP:
+            size = math.comb(spec.dim + degree, degree)
+            try:
+                np.empty((rows, size))
+            except (MemoryError, ValueError):
+                raise ConfigError(f"{method} has {size} terms in {spec.dim} inputs: "
+                                  f"its {rows} x {size} design is too large") from None
         bases[method] = None if degree is None else total_degree_set(spec.dim, degree)
     reference = monte_carlo_reference(config.response, spec, plan.mcs_samples, plan.mcs_seed)
     mvsa_config = MvsaConfig(kappa=plan.kappa)

@@ -140,13 +140,18 @@ def is_admissible(index: MultiIndex, members) -> bool:
 
 
 def _total_degree_indices(dim: int, budget: int) -> Iterator[MultiIndex]:
-    if dim == 1:
-        for k in range(budget + 1):
-            yield (k,)
-        return
-    for first in range(budget + 1):
-        for rest in _total_degree_indices(dim - 1, budget - first):
-            yield (first,) + rest
+    """Indices of l1-norm at most ``budget``, lexicographic: raise the last entry, or zero the last nonzero one."""
+    index, total = [0] * dim, 0
+    while True:
+        yield tuple(index)
+        if total < budget:
+            index[-1], total = index[-1] + 1, total + 1
+            continue
+        last = max((n for n in range(1, dim) if index[n]), default=0)
+        if not last:
+            return
+        total -= index[last] - 1
+        index[last], index[last - 1] = 0, index[last - 1] + 1
 
 
 def total_degree_set(dim: int, degree: int) -> MultiIndexSet:

@@ -66,12 +66,14 @@ class ExpansionStep:
     expansion's ``_StepSolver``: on its QR factor, so that ``eta`` equals
     lstsq's within rounding, or, when the decision was close or the factor
     had broken down, on lstsq, whose values it then reports.
-    ``condition_bound`` is at least the design's condition number: the
-    bound u of ``_bounded``, at most K^(1/4) times the condition number (K
-    the extended size), when that bound proved the step conditioned below
-    kappa, and else the condition number itself, from R's singular values
-    or lstsq's.  Models, predictions and reports are byte-identical to an
-    lstsq-only expansion at a fixed numeric environment.
+    ``condition_bound`` is at least the design's condition number cond: the
+    running bound ab, at most (K0^(1/4) + c) cond (K0 the extended size at
+    the last step ``_bounded`` or ``_factored`` bounded, c the columns
+    appended since), or else ``_bounded``'s u, at most K^(1/4) cond (K the
+    extended size), when that bound proved the step below kappa; else, and
+    always near kappa, cond itself, from R's singular values or lstsq's.
+    Models, predictions and reports are byte-identical to an lstsq-only
+    expansion at a fixed numeric environment.
     """
 
     added: MultiIndex
@@ -196,25 +198,29 @@ def _response_factor(responses: np.ndarray) -> np.ndarray:
     return vt[:rank].T * sigma[:rank]
 
 
-def _accept(chosen: MultiIndex, basis: list, members: set, frontier: list) -> None:
+def _accept(chosen: MultiIndex, basis: list, missing: dict, frontier: list) -> None:
     """Move ``chosen`` from the sorted ``frontier`` into ``basis`` and insert each k + e_n it makes admissible.
 
-    ``members`` holds the downward-closed ``basis``, and ``frontier`` its
-    admissible forward neighbors up to ``DEGREE_CAP`` in each input; both
-    gain ``chosen`` as ``basis`` does.  Accepting k can only make its own
-    forward neighbors k + e_n admissible (the active/old bookkeeping of
-    dimension-adaptive sparse grids), none of which is already a member or
-    on the frontier, and only their backward neighbors k + e_n - e_m need a
-    look, k itself being a member.  A neighbor of degree DEGREE_CAP + 1 has
-    no polynomial table, so it never enters the frontier.
+    ``frontier`` holds the admissible forward neighbors of the downward-closed
+    ``basis`` up to ``DEGREE_CAP`` in each input, and ``missing`` counts the
+    backward neighbors outside ``basis`` of each other index an acceptance
+    reached.  Accepting k can only make its own forward neighbors k + e_n
+    admissible (the active/old bookkeeping of dimension-adaptive sparse
+    grids): each counts one fewer, from its nonzero entries when first
+    reached, as every member among its backward neighbors reached it, and
+    enters the frontier at 0.  A neighbor of degree DEGREE_CAP + 1 has no
+    polynomial table, so it is never reached.
     """
     del frontier[bisect.bisect_left(frontier, chosen)]
     basis.append(chosen)
-    members.add(chosen)
+    nonzero = len(chosen) - chosen.count(0)
     for n, k_n in enumerate(chosen):
         if k_n < DEGREE_CAP:
             up = chosen[:n] + (k_n + 1,) + chosen[n + 1:]
-            if all(up[:m] + (k_m - 1,) + up[m + 1:] in members for m, k_m in enumerate(chosen) if k_m and m != n):
+            left = missing.pop(up, nonzero + (k_n == 0)) - 1
+            if left:
+                missing[up] = left
+            else:
                 bisect.insort(frontier, up)
 
 
@@ -338,6 +344,11 @@ class _StepSolver:
     added by classical Gram-Schmidt with one reorthogonalization, which
     keeps Q orthonormal to working precision while the design is
     numerically of full rank (Giraud et al., Numer. Math. 101, 2005).
+
+    ``squares`` is (a^2, b^2, ||R||_F^2, ||R^-1||_F^2), each column adding its squared norms in R and R^-1 to
+    both pairs: a >= sigma_1 and b >= 1 / sigma_K carry over from the last step that bounded them (infinite
+    before it), as a column c raises a squared spectral norm by at most ||c||^2 and bordering keeps R^-1's
+    earlier columns (Golub & Van Loan, Sec. 2.3; Higham, ch. 14).
     """
 
     def __init__(self, responses: np.ndarray):
@@ -348,6 +359,7 @@ class _StepSolver:
         self.r_inv = np.zeros((0, 0))
         self.projected = np.empty((0, responses.shape[1]))
         self.step = None
+        self.squares = np.array([np.inf, np.inf, 0.0, 0.0])
         # ||Y||_F^2 - ||Q^T Y||_F^2: the squared residual of the current columns.
         with np.errstate(over="ignore"):
             self.unexplained = float(np.vdot(responses, responses))
@@ -383,10 +395,37 @@ class _StepSolver:
                 # The bordered inverse: [[R, h], [0, rho]]^-1 = [[R^-1, -R^-1 h / rho], [0, 1 / rho]].
                 self.r_inv[:k, k] = self.r_inv[:k, :k] @ self.r[:k, k] / -rho
                 self.r_inv[k, k] = 1 / rho
+                bordered, inverse = self.r[:k + 1, k], self.r_inv[:k + 1, k]
+                self.squares += (bordered @ bordered, inverse @ inverse) * 2
                 self.projected[k] = self.qt[k] @ self.responses
                 self.unexplained -= float(self.projected[k] @ self.projected[k])
                 self.position[term] = k
         return True
+
+    def _running(self, r_inv: np.ndarray, projected: np.ndarray, residual: float, kappa: float):
+        """(ab, eta, err, (ab, b)) of C = R^-1 Q^T Y on ``squares``' a and b, or None unless ab <= kappa (1 -
+        _CLOSE) and ab <= _FACTOR_COND_LIMIT.  err is ``_rounding``'s with ab and b, plus gamma_K ||R^-1||_F
+        (||R||_F ||C||_F + ||Q^T Y||_F), which bounds ``_bounded``'s gamma_K term with no K x K product."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            upper, inverse, norm, inverse_norm = map(float, np.sqrt(self.squares))
+            if not upper * inverse <= min(kappa * (1 - _CLOSE), _FACTOR_COND_LIMIT):
+                return None
+            eta, gamma = sensitivity_indicators(r_inv @ projected), len(r_inv) * np.finfo(float).eps
+            scale = norm * math.sqrt(float(eta.sum())) + float(np.linalg.norm(projected))
+            err = _rounding(eta, residual, upper * inverse, inverse) + gamma / (1 - gamma) * inverse_norm * scale
+        return upper * inverse, eta, err, (upper * inverse, inverse)
+
+    def _decided(self, step, extended: list, offset: int, kappa: float):
+        """(eta of ``extended``, cond) of ``step`` when it decides clearly, eta None past ``kappa``; else None."""
+        cond, eta, err, _ = step
+        if abs(cond - kappa) > _CLOSE * kappa:
+            if cond > kappa:
+                return None, cond
+            eta = eta[[self.position[term] for term in extended]]
+            frontier = eta[offset:]
+            if np.isfinite(eta).all() and (len(frontier) < 2 or _clear(*np.partition(frontier, -2)[-2:], err)):
+                return eta, cond
+        return None
 
     def solve(self, builder: DesignBuilder, extended: list, offset: int, kappa: float):
         """(eta of ``extended``, cond) of one step, eta None when the design is conditioned worse than ``kappa``.
@@ -396,30 +435,34 @@ class _StepSolver:
         are clear, else on ``solve_with_condition``, which also names a term
         whose eta is not finite; a factor that broke down or passed
         _FACTOR_COND_LIMIT is dropped, since appending never lowers the
-        condition number, and every later step runs on lstsq.  ``_bounded``
-        decides from R and R^-1 without an SVD: below kappa by the bound u,
-        and past it, ending the expansion, by ``_certified``'s L; every
-        other step takes R's singular values (``_factored``).  The winner is
-        decided on the factor only when ``_clear`` tells the two largest
-        frontier etas apart under the step's rounding bound.  The cond
-        returned is u, L or the condition number itself.
+        condition number, and every later step runs on lstsq.  Each tier
+        below is tried only when the one before leaves the step open: the
+        running bound ab below kappa (``_running``); ``_bounded``, from R and
+        R^-1 without an SVD, below kappa by the bound u and past it, ending
+        the expansion, by ``_certified``'s L; R's singular values
+        (``_factored``), whose step, like ``_bounded``'s, resets a and b.
+        The winner is decided on the factor only when ``_clear`` tells the
+        two largest frontier etas apart under the step's rounding bound.
+        The cond returned is ab, u, L or the condition number itself.
         """
-        step = None
+        step = decision = None
         if self.position is not None and self._append(builder, extended):
             k = len(self.position)
-            r, projected, residual = self.r[:k, :k], self.projected[:k], math.sqrt(max(self.unexplained, 0.0))
-            step = _bounded(r, self.r_inv[:k, :k], projected, residual, kappa) or _factored(r, projected, residual)
+            r, r_inv, projected = self.r[:k, :k], self.r_inv[:k, :k], self.projected[:k]
+            residual = math.sqrt(max(self.unexplained, 0.0))
+            step = self._running(r_inv, projected, residual, kappa)
+            decision = step and self._decided(step, extended, offset, kappa)
+            if decision is None:
+                step = _bounded(r, r_inv, projected, residual, kappa) or _factored(r, projected, residual)
+                if step is not None:
+                    with np.errstate(over="ignore"):
+                        self.squares[:2] = np.square([step[3][0] / step[3][1], step[3][1]])
+                    decision = self._decided(step, extended, offset, kappa)
         self.step = step
         if step is None:
             self.position = self.qt = self.r = self.r_inv = self.projected = None
-        elif abs(step[0] - kappa) > _CLOSE * kappa:
-            cond, eta, err, _ = step
-            if cond > kappa:
-                return None, cond
-            eta = eta[[self.position[term] for term in extended]]
-            frontier = eta[offset:]
-            if np.isfinite(eta).all() and (len(frontier) < 2 or _clear(*np.partition(frontier, -2)[-2:], err)):
-                return eta, cond
+        if decision is not None:
+            return decision
         coeffs, cond = solve_with_condition(builder.matrix(extended), self.responses)
         if cond > kappa:
             return None, cond
@@ -469,11 +512,11 @@ def _expand(builder: DesignBuilder, responses, config: MvsaConfig):
     if size >= n_samples:
         raise ConfigError(f"initial set size {size} must be smaller than the sample count {n_samples}")
     initial = total_degree_set(dim, config.initial_degree)
-    basis, members, frontier = [], set(), [(0,) * dim]
+    basis, missing, frontier = [], {}, [(0,) * dim]
     # In lexicographic order each member follows its backward neighbors, so
     # it is on the frontier when its turn comes.
     for index in initial.indices:
-        _accept(index, basis, members, frontier)
+        _accept(index, basis, missing, frontier)
     steps: list[ExpansionStep] = []
     solver = _StepSolver(responses)
     while True:
@@ -501,7 +544,7 @@ def _expand(builder: DesignBuilder, responses, config: MvsaConfig):
                 extended_size=len(extended),
             )
         )
-        _accept(chosen, basis, members, frontier)
+        _accept(chosen, basis, missing, frontier)
     trace = ExpansionTrace(initial=initial, steps=tuple(steps), termination=termination)
     intact = termination == "ill_conditioned" and solver.position is not None
     return MultiIndexSet(extended, dim=dim), trace, solver if intact else None

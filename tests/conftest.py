@@ -4,10 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mvsapce.multi_index import MultiIndexSet
 from mvsapce.mvsa_engine import FitDiagnostics, PceModel
 from mvsapce.polynomial_basis import HERMITE, LEGENDRE, DistributionSpec, Marginal, univariate_table
+
+
+#: The larger fixed-seed fuzz run, selected with ``--hypothesis-profile fuzz``: test_fuzz.py's tests then take
+#: its example count in place of their 50.
+settings.register_profile("fuzz", max_examples=500, derandomize=True, deadline=None)
 
 
 def _overcommits_always() -> bool:

@@ -536,6 +536,57 @@ class TestBenchmarkCommands:
         assert payload["error"] == "total degree must lie in 0..30, got 31"
         assert list(tmp_path.iterdir()) == []
 
+    def test_td_whose_design_cannot_be_held_exits_3_before_sampling(self, tmp_path, monkeypatch, capsys):
+        # td:30 in 20 inputs is within the degree cap but has C(50, 30), about 4.7e13, terms: no 30-row design of
+        # that many columns can be allocated, so the method is refused before its set is enumerated.  td:2 and
+        # td:3 at N = 20 still run (test_compare_defaults_include_td_baselines).
+        from mvsapce import benchmark, cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the reference was drawn or the set enumerated")
+
+        monkeypatch.setattr(benchmark, "monte_carlo_reference", forbidden)
+        monkeypatch.setattr(benchmark, "total_degree_set", forbidden)
+        code = cli.main([
+            "compare", "--Q", "30", "--M", "3", "--seeds", "0", "--test-size", "10", "--mcs-samples", "200",
+            "--methods", "mvsa,td:30", "--out-dir", f"{tmp_path}/td30",
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        payload = json.loads(captured.out.splitlines()[-1])
+        assert payload["kind"] == "configuration error"
+        k = 47129212243960
+        assert payload["error"] == f"td:30 has {k} terms in 20 inputs: its 30 x {k} design is too large"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("count", ["100000000000000", "9223372036854775807"])
+    def test_dummy_count_whose_spec_cannot_be_held_exits_3(self, tmp_path, capsys, count):
+        # The spec's list of 1e14 marginals cannot be allocated: a configuration error naming the count.
+        from mvsapce import cli
+
+        code = cli.main(["compare", "--Q", "30", "--M", "3", "--seeds", "0", "--test-size", "10",
+                         "--mcs-samples", "200", "--methods", "mvsa", "--dummy-count", count,
+                         "--out-dir", f"{tmp_path}/dummies"])
+        captured = capsys.readouterr()
+        assert code == 3 and len(captured.err.splitlines()) == 1
+        assert json.loads(captured.out.splitlines()[-1])["error"] == f"{count} dummy inputs are too many to hold"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_thousand_dummy_inputs_fit(self, tmp_path, capsys):
+        # 1005 inputs: every fit enumerates its initial total-degree set, one level per input when that
+        # recursed, past Python's recursion limit.  Ten rows keep the prune of the 1006-term extended set short.
+        from mvsapce import cli
+
+        config = BeamConfig(response_dim=2, dummy_count=1000)
+        data = beam_rows(config, 10, 0, test=False)
+        write_data_csv(tmp_path / "train.csv", data.inputs, data.responses)
+        (tmp_path / "dist.json").write_text(json.dumps(config.distribution_spec().to_json()))
+        code = cli.main(["fit", "--data", f"{tmp_path}/train.csv", "--inputs", "1005", "--outputs", "2",
+                         "--dist", f"{tmp_path}/dist.json", "--out", f"{tmp_path}/model.json"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert load_model(tmp_path / "model.json").spec.dim == 1005
+
     def test_seeds_flag_is_required(self, tmp_path):
         proc = run_cli("compare", "--Q", "30", "--M", 6, "--methods", "mvsa", "--out-dir", tmp_path)
         assert proc.returncode == 3

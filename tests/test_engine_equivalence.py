@@ -45,6 +45,39 @@ def counted(function, *args, name="solve_with_condition"):
     return result, calls
 
 
+def step_tiers(function, *args):
+    """``function(*args)`` and, for each ``_StepSolver.solve`` call it made, (tier, K0): the tier that decided the
+    step, "running" when neither ``_bounded``, ``_factored`` nor ``solve_with_condition`` was called, else the last
+    of them called, and K0, the triangle size at the last call before it, the step's own included, at which
+    ``_bounded`` or ``_factored`` bounded cond from above, the anchor of the running bound (None before the first)."""
+    tiers, anchor = [], None
+    real_solve = mvsa_engine._StepSolver.solve
+
+    def spy_solve(solver, *rest):
+        tiers.append(["running", anchor])
+        return real_solve(solver, *rest)
+
+    def spy(name):
+        real = getattr(mvsa_engine, name)
+
+        def spying(matrix, *rest):
+            nonlocal anchor
+            result = real(matrix, *rest)
+            tiers[-1][0] = name
+            if name != "solve_with_condition" and result is not None:
+                anchor = tiers[-1][1] = len(matrix)
+            return result
+
+        return spying
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mvsa_engine._StepSolver, "solve", spy_solve)
+        for name in ("_bounded", "_factored", "solve_with_condition"):
+            patch.setattr(mvsa_engine, name, spy(name))
+        result = function(*args)
+    return result, [tuple(tier) for tier in tiers]
+
+
 def assert_expansion_is_the_reference(extended, trace, data, spec, config):
     """``expand_basis``'s result added the reference's indices, stopped as it did and ended on its extended set."""
     builder = DesignBuilder(spec, data.inputs)
@@ -66,17 +99,19 @@ def assert_matches_reference(data, spec, config=None):
     # Q x r factor when M > Q.
     engine_builder = DesignBuilder(spec, data.inputs)
     factor = _response_factor(data.responses)
-    (extended, trace), reruns = counted(expand_basis, engine_builder, factor, config)
+    ((extended, trace), tiers), reruns = counted(step_tiers, expand_basis, engine_builder, factor, config)
     assert [step.added for step in trace.steps] == ref_added
     assert trace.termination == ref_termination
-    # A step decided on its bound reports u, with cond <= u <= K^(1/4) cond;
-    # one that took R's singular values reports R's condition number, within
-    # rounding of lstsq's, and a step on lstsq reports lstsq's.  A bound at or
-    # near kappa is always one of the exact values.  The eta of a step on the
-    # factor is within rounding of lstsq's, far inside the 1e-8 guard that
-    # sends close decisions back to lstsq.
-    for step, cond in zip(trace.steps, ref_conds):
-        assert cond <= step.condition_bound * (1 + 1e-12) <= step.extended_size**0.25 * cond * (1 + 2e-12)
+    assert len(reruns) == sum(tier == "solve_with_condition" for tier, _ in tiers)
+    # A step decided on the running bound reports ab, with cond <= ab <= (K0^(1/4) + c) cond, K0 its anchor's
+    # size and c the columns appended since; one decided on u reports u, with cond <= u <= K^(1/4) cond; one that
+    # took R's singular values reports R's condition number, within rounding of lstsq's, and a step on lstsq
+    # reports lstsq's.  A bound at or near kappa is always one of the exact values.  The eta of a step on the
+    # factor is within rounding of lstsq's, far inside the 1e-8 guard that sends close decisions back to lstsq.
+    for step, cond, (tier, anchor) in zip(trace.steps, ref_conds, tiers):
+        size = step.extended_size
+        factor_bound = anchor**0.25 + size - anchor if tier == "running" else size**0.25
+        assert cond <= step.condition_bound * (1 + 1e-12) <= factor_bound * cond * (1 + 2e-12)
         if step.condition_bound >= config.kappa * (1 - mvsa_engine._CLOSE):
             assert step.condition_bound == pytest.approx(cond, rel=1e-12)
     if data.n_outputs <= data.n_samples:
@@ -118,14 +153,23 @@ def beam_cell(q, seed, response_dim=1000):
 BEAM_SOLVES = {(q, seed): (0, 0) for q in (50, 100, 150) for seed in range(4)} | {(50, 2): (1, 1)}
 
 #: The exact SVDs of R (``_factored`` calls) of each beam cell's expansion and of its fit's prune.  The expansion
-#: takes one for each step whose bound u did not prove cond <= kappa (1 - _CLOSE), and none for the step that
-#: ends it past kappa, which ``_certified`` proves from below, except at (50, 2), whose last step is past
-#: _FACTOR_COND_LIMIT.  The prune takes one for its stop and one for each removal the certificate leaves open:
+#: takes one for each step whose running bound ab and bound u did not prove cond <= kappa (1 - _CLOSE), and none
+#: for the step that ends it past kappa, which ``_certified`` proves from below, except at (50, 2), whose last
+#: step is past _FACTOR_COND_LIMIT.  The prune takes one for its stop and one for each removal the certificate leaves open:
 #: (50, 2)'s builds its own triangle, and its first removal on that triangle takes one to bound cond from above.
 BEAM_SVDS = {
     (50, 0): (1, 1), (50, 1): (0, 1), (50, 2): (1, 3), (50, 3): (0, 1),
     (100, 0): (1, 5), (100, 1): (0, 1), (100, 2): (0, 1), (100, 3): (0, 1),
-    (150, 0): (1, 1), (150, 1): (2, 2), (150, 2): (1, 1), (150, 3): (5, 1),
+    (150, 0): (1, 1), (150, 1): (2, 2), (150, 2): (1, 1), (150, 3): (3, 1),
+}
+
+#: The ``_bounded`` calls of each beam cell's expansion: one for its first step, which has no running bound yet,
+#: one for its last, which ends it past kappa, and one for each other step whose running bound ab did not prove
+#: cond <= kappa (1 - _CLOSE) or whose rounding bound left its winner open.  Each cell takes 11-50 steps.
+BEAM_BOUNDED = {
+    (50, 0): 4, (50, 1): 4, (50, 2): 3, (50, 3): 3,
+    (100, 0): 6, (100, 1): 5, (100, 2): 6, (100, 3): 7,
+    (150, 0): 8, (150, 1): 12, (150, 2): 9, (150, 3): 12,
 }
 
 
@@ -184,6 +228,9 @@ def test_beam_cells_with_compressed_responses(q, seed):
     # Every expansion but (50, 2)'s ends on its intact factor.
     handed = (q, seed) != (50, 2)
     assert assert_prune_starts_from_the_expansion(data, spec, config) == (handed, *BEAM_SVDS[q, seed])
+    bounded = counted(expand_basis, DesignBuilder(spec, data.inputs), _response_factor(data.responses), config,
+                      name="_bounded")[1]
+    assert len(bounded) == BEAM_BOUNDED[q, seed]
 
 
 @pytest.mark.parametrize("q, seed", [(q, seed) for q in (50, 100, 150) for seed in range(4)])
@@ -198,6 +245,8 @@ def test_beam_cells_with_few_outputs(q, seed):
     assert (reruns, prune_solves) == BEAM_SOLVES[q, seed]
     handed = (q, seed) != (50, 2)
     assert assert_prune_starts_from_the_expansion(data, spec, config) == (handed, *BEAM_SVDS[q, seed])
+    bounded = counted(expand_basis, DesignBuilder(spec, data.inputs), data.responses, config, name="_bounded")[1]
+    assert len(bounded) == BEAM_BOUNDED[q, seed]
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -518,6 +567,40 @@ def test_kept_inverse_and_condition_bound_of_random_triangles(k, log_cond, monke
     assert bound <= k**0.25 * exact * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("anchor", ["_bounded", "_factored"])
+@pytest.mark.parametrize("k, log_cond", BOUND_CASES + [(3, 2.2), (60, 2.2), (150, 2.2)])
+def test_running_bound_brackets_the_condition_number_of_bordered_triangles(k, log_cond, anchor, monkeypatch):
+    # A design of k + 15 columns with singular values from cond (up to about 1e8) down to 1.  A solve on its
+    # first K0 = k columns anchors the running bound on u or, with _bounded left out, on R's singular values;
+    # then 1-5 columns at a time are bordered on.  After c columns, cond(R) <= ab <= (K0^(1/4) + c) cond(R), the
+    # running step's eta is _bounded's to the bit, and its Frobenius gamma term is at least _bounded's.
+    design = graded_design(k + 15, mvsa_engine._FACTOR_COND_LIMIT**log_cond, 3500 + k)
+    rng = np.random.default_rng(3510 + k)
+    solver, terms = mvsa_engine._StepSolver(rng.normal(size=(len(design), 2))), [(j,) for j in range(k + 15)]
+    builder = ColumnsBuilder(design)
+    monkeypatch.setattr(mvsa_engine, "_FACTOR_COND_LIMIT", np.inf)
+    with pytest.MonkeyPatch.context() as patch:
+        if anchor == "_factored":
+            patch.setattr(mvsa_engine, "_bounded", lambda *args: None)
+        # At kappa = inf no step is decided on the factor, so this one solves on lstsq.
+        [(tier, size)] = step_tiers(lambda: solver.solve(builder, terms[:k], k, np.inf))[1]
+    assert (tier, size) == ("solve_with_condition", k) and np.isfinite(solver.squares).all()
+    stop = k
+    while stop < k + 15:
+        stop = min(stop + int(rng.integers(1, 6)), k + 15)
+        assert solver._append(builder, terms[:stop])
+        r, r_inv, projected = solver.r[:stop, :stop], solver.r_inv[:stop, :stop], solver.projected[:stop]
+        sigma = np.linalg.svd(r, compute_uv=False)
+        exact, bound = sigma[0] / sigma[-1], math.sqrt(solver.squares[0] * solver.squares[1])
+        assert exact * (1 - 1e-12) <= bound <= (k**0.25 + stop - k) * exact * (1 + 1e-12)
+        running = solver._running(r_inv, projected, 0.0, np.inf)
+        bounded = mvsa_engine._bounded(r, r_inv, projected, 0.0, np.inf)
+        assert running[0] == pytest.approx(bound, rel=1e-15)
+        assert np.array_equal(running[1], bounded[1])
+        gammas = [err - mvsa_engine._rounding(eta, 0.0, *bounds) for _, eta, err, bounds in (running, bounded)]
+        assert gammas[0] >= gammas[1] * (1 - 1e-12) > 0
+
+
 # Near-singular triangles besides BOUND_CASES: cond about 1e8, 1e12 and 1e16.
 @pytest.mark.parametrize("k, log_cond", BOUND_CASES + [(3, 2.2), (60, 2.2), (60, 3.3), (150, 3.3), (60, 4.4)])
 def test_certificate_bounds_the_condition_number_from_below(k, log_cond):
@@ -634,20 +717,32 @@ def test_factored_prunes_equal_the_lstsq_reference(cell):
 
 
 def accepted(indices, dim):
-    """(basis, members, frontier) after ``_accept`` takes ``indices`` in turn, starting from the zero index."""
-    basis, members, frontier = [], set(), [(0,) * dim]
+    """(basis, missing, frontier) after ``_accept`` takes ``indices`` in turn, starting from the zero index."""
+    basis, missing, frontier = [], {}, [(0,) * dim]
     for index in indices:
-        _accept(index, basis, members, frontier)
-    return basis, members, frontier
+        _accept(index, basis, missing, frontier)
+    return basis, missing, frontier
+
+
+def assert_missing_counts(basis, missing):
+    """Each index ``missing`` counts lies outside ``basis``, and its count is its number of backward neighbors
+    outside ``basis``, at least 1, at least one of them being in it."""
+    members = set(basis)
+    for index, count in missing.items():
+        backward = [index[:m] + (k_m - 1,) + index[m + 1:] for m, k_m in enumerate(index) if k_m]
+        assert index not in members
+        assert count == sum(neighbor not in members for neighbor in backward) < len(backward)
+        assert count >= 1
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 20])
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_accepting_the_initial_set_seeds_the_brute_force_frontier(dim, degree):
     initial = total_degree_set(dim, degree)
-    basis, _, frontier = accepted(initial, dim)
+    basis, missing, frontier = accepted(initial, dim)
     assert basis == list(initial)
     assert frontier == admissible_frontier(initial)
+    assert_missing_counts(basis, missing)
 
 
 # At Q <= 231 the td:1 extended set (21 terms and 210 candidates) outgrows the rows before the first step.
@@ -656,12 +751,14 @@ def test_incremental_frontier_equals_brute_force(q, seed, degree):
     data, spec = beam_cell(q, seed, response_dim=20)
     trace = fit_mvsa(data, spec, MvsaConfig(kappa=100.0, initial_degree=degree)).trace
     assert len(trace.steps) > 10
-    basis, members, frontier = accepted(trace.initial, spec.dim)
+    basis, missing, frontier = accepted(trace.initial, spec.dim)
     assert frontier == admissible_frontier(basis)
     for step in trace.steps:
-        _accept(step.added, basis, members, frontier)
+        _accept(step.added, basis, missing, frontier)
         assert frontier == admissible_frontier(basis)
         assert len(basis) + len(frontier) == len(set(basis) | set(frontier))
+        assert_missing_counts(basis, missing)
+        assert not set(missing) & set(frontier)
 
 
 FIT_ONE_CELL = """

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,19 @@ class TestGeneratedSets:
 
     def test_total_degree_1d(self):
         assert total_degree_set(1, 3).indices == ((0,), (1,), (2,), (3,))
+
+    def test_total_degree_order_is_lexicographic(self):
+        for dim in range(1, 6):
+            for degree in range(6):
+                brute = sorted(k for k in itertools.product(range(degree + 1), repeat=dim) if sum(k) <= degree)
+                assert total_degree_set(dim, degree).indices == tuple(brute)
+
+    def test_total_degree_in_a_thousand_inputs(self):
+        # More inputs than Python's recursion limit: the set is enumerated without recursing per input.
+        zero = (0,) * 1005
+        assert total_degree_set(1005, 0).indices == (zero,)
+        first = total_degree_set(1005, 1).indices
+        assert first == (zero,) + tuple(zero[: 1004 - n] + (1,) + zero[: n] for n in range(1005))
 
     def test_total_degree_cardinality(self):
         # C(N + p, p) members
