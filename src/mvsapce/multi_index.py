@@ -140,7 +140,8 @@ def is_admissible(index: MultiIndex, members) -> bool:
 
 
 def _total_degree_indices(dim: int, budget: int) -> Iterator[MultiIndex]:
-    """Indices of l1-norm at most ``budget``, lexicographic: raise the last entry, or zero the last nonzero one."""
+    """Indices of l1-norm at most ``budget`` in lexicographic order, by an odometer rather than one recursion level
+    per input: raise the last entry, or at the budget zero the last nonzero entry and raise the one before it."""
     index, total = [0] * dim, 0
     while True:
         yield tuple(index)

@@ -335,20 +335,17 @@ def _weakest(eta: np.ndarray, err: float, columns: list, zero: MultiIndex):
 class _StepSolver:
     """Solves the expansion steps on a thin QR factor A = Q R of their design columns, or on lstsq.
 
-    The factor holds Q^T (the orthonormal columns as rows), the triangle R,
-    its inverse and Q^T responses of the columns in the order they were
-    appended, and ``step``, the last step's (cond, eta, err, bounds); each
-    column borders R^-1 in O(K^2).  Its storage starts at the first append,
-    sized to that step's columns, and doubles when it fills (at most Q
-    rows), so a fit that ends on K terms holds O(Q K) numbers.  Columns are
-    added by classical Gram-Schmidt with one reorthogonalization, which
-    keeps Q orthonormal to working precision while the design is
+    The factor holds Q^T (the orthonormal columns as rows), the triangle R, its inverse and Q^T responses of the
+    columns in the order they were appended, and ``step``, the last step's (cond, eta, err, bounds); each column
+    borders R^-1 in O(K^2).  Its storage starts at the first append, sized to that step's columns, and doubles when
+    it fills (at most Q rows), so a fit that ends on K terms holds O(Q K) numbers.  Columns are added by classical
+    Gram-Schmidt with one reorthogonalization, which keeps Q orthonormal to working precision while the design is
     numerically of full rank (Giraud et al., Numer. Math. 101, 2005).
 
-    ``squares`` is (a^2, b^2, ||R||_F^2, ||R^-1||_F^2), each column adding its squared norms in R and R^-1 to
-    both pairs: a >= sigma_1 and b >= 1 / sigma_K carry over from the last step that bounded them (infinite
-    before it), as a column c raises a squared spectral norm by at most ||c||^2 and bordering keeps R^-1's
-    earlier columns (Golub & Van Loan, Sec. 2.3; Higham, ch. 14).
+    ``squares`` is (a^2, b^2, ||R||_F^2, ||R^-1||_F^2), each column adding its squared norms in R and R^-1 to both
+    pairs: a >= sigma_1 and b >= 1 / sigma_K carry over from the last step that bounded them (infinite before it),
+    as a column c raises a squared spectral norm by at most ||c||^2 and bordering keeps R^-1's earlier columns
+    (Golub & Van Loan, Sec. 2.3; Higham, ch. 14).
     """
 
     def __init__(self, responses: np.ndarray):

@@ -153,9 +153,9 @@ def beam_cell(q, seed, response_dim=1000):
 BEAM_SOLVES = {(q, seed): (0, 0) for q in (50, 100, 150) for seed in range(4)} | {(50, 2): (1, 1)}
 
 #: The exact SVDs of R (``_factored`` calls) of each beam cell's expansion and of its fit's prune.  The expansion
-#: takes one for each step whose running bound ab and bound u did not prove cond <= kappa (1 - _CLOSE), and none
-#: for the step that ends it past kappa, which ``_certified`` proves from below, except at (50, 2), whose last
-#: step is past _FACTOR_COND_LIMIT.  The prune takes one for its stop and one for each removal the certificate leaves open:
+#: takes one for each step whose running bound ab and bound u did not prove cond <= kappa (1 - _CLOSE), and none for
+#: the step that ends it past kappa, which ``_certified`` proves from below, except at (50, 2), whose last step is
+#: past _FACTOR_COND_LIMIT.  The prune takes one for its stop and one for each removal the certificate leaves open:
 #: (50, 2)'s builds its own triangle, and its first removal on that triangle takes one to bound cond from above.
 BEAM_SVDS = {
     (50, 0): (1, 1), (50, 1): (0, 1), (50, 2): (1, 3), (50, 3): (0, 1),

@@ -151,6 +151,7 @@ def byte_mutations(size):
 
 
 def mutated_bytes(content: bytes, mutation) -> bytes:
+    """``content`` with one mutation of ``byte_mutations`` applied."""
     kind, at, argument = mutation
     if kind == "flip":
         return content[:at] + bytes([content[at] ^ argument]) + content[at + 1:]
